@@ -15,13 +15,24 @@ distance; their probability mass is tracked separately as
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Mapping, Sequence, Tuple, Union
+from typing import (
+    Callable,
+    Dict,
+    Hashable,
+    Iterable,
+    Mapping,
+    Sequence,
+    Tuple,
+    TypeVar,
+    Union,
+)
 
 import numpy as np
 
 from repro.errors import ConfigurationError
 
 Distance = Union[int, float]  # float only for math.inf
+T = TypeVar("T")
 
 
 class ReuseDistanceHistogram:
@@ -63,6 +74,7 @@ class ReuseDistanceHistogram:
         # callers interpolate on the integer support instead.
         self._tail_list = self._tail.tolist()
         self._support = np.arange(self._tail.size, dtype=float)
+        self._memo: Dict[Hashable, object] = {}
 
     # ------------------------------------------------------------------
     # Constructors
@@ -154,6 +166,28 @@ class ReuseDistanceHistogram:
         view = self._tail.view()
         view.flags.writeable = False
         return view
+
+    def memo(self, key: Hashable, build: Callable[[], T]) -> T:
+        """``build()``, computed once per ``key`` and kept on this histogram.
+
+        For tables derived from the (immutable) distribution, such as
+        the occupancy growth curve per associativity
+        (:class:`~repro.core.occupancy.OccupancyModel`): every consumer
+        holding this histogram shares one result, which lives exactly
+        as long as the histogram does.  Concurrent first calls may both
+        build; the first stored result wins and is returned to both.
+        """
+        try:
+            return self._memo[key]  # type: ignore[return-value]
+        except KeyError:
+            return self._memo.setdefault(key, build())  # type: ignore[return-value]
+
+    def __getstate__(self) -> dict:
+        # A copy (e.g. one pickled to a worker process) builds its own
+        # memoised tables, which keeps them read-only there too.
+        state = self.__dict__.copy()
+        state["_memo"] = {}
+        return state
 
     def mpa(self, size: float) -> float:
         """Misses per access at effective cache size ``size`` (ways).

@@ -13,7 +13,11 @@ monotone growth curve; its inverse ``G⁻¹(S)`` — the number of accesses
 needed to reach occupancy ``S`` — is what the equilibrium condition of
 Section 3.3 ratios between co-running processes.
 
-The curve is tabulated once per (histogram, associativity) pair; all
+The curve is tabulated once per (histogram, associativity, recursion
+budget) and memoised on the histogram itself
+(:meth:`ReuseDistanceHistogram.memo`): every model built from the same
+histogram — across performance models, engines and fleet evaluators —
+shares one read-only table, which lives as long as the histogram.  All
 queries are table interpolations.  Scalar queries use plain-float
 arithmetic with :mod:`bisect` (the equilibrium solvers call them in a
 tight loop), batched queries use :func:`numpy.interp`, and the solver's
@@ -64,16 +68,33 @@ class OccupancyModel:
             raise ConfigurationError("max_accesses must be >= 1")
         self.histogram = histogram
         self.max_ways = max_ways
-        # MPA at integer sizes 0..A; the recursion only uses 0..A-1.
-        self._mpa = histogram.mpa_batch(np.arange(max_ways + 1, dtype=float))
-        self._growth = self._compute_growth(max_accesses, saturation_tol)
+        (
+            self._mpa,
+            self._growth,
+            self._growth_list,
+            self._g_xp,
+            self._g_fp,
+        ) = histogram.memo(
+            ("growth", max_ways, max_accesses, saturation_tol),
+            lambda: self._build_tables(max_accesses, saturation_tol),
+        )
+
+    def _build_tables(self, max_accesses: int, tol: float) -> tuple:
+        """The shared, read-only tables behind every query."""
+        # MPA at integer sizes 0..A; the recursion only uses 0..A-1
+        # and reads it from ``self``.
+        self._mpa = self.histogram.mpa_batch(
+            np.arange(self.max_ways + 1, dtype=float)
+        )
+        growth = self._compute_growth(max_accesses, tol)
         # Scalar queries interpolate on a plain list (5x faster than
         # numpy scalar indexing); batched queries on padded arrays
         # that include the (n=0, S=0) origin.
-        self._growth_list = self._growth.tolist()
-        n = self._growth.size
-        self._g_xp = np.arange(n + 1, dtype=float)  # n = 0, 1, ..., len
-        self._g_fp = np.concatenate(([0.0], self._growth))
+        g_xp = np.arange(growth.size + 1, dtype=float)  # n = 0, 1, ..., len
+        g_fp = np.concatenate(([0.0], growth))
+        for table in (self._mpa, growth, g_xp, g_fp):
+            table.flags.writeable = False
+        return self._mpa, growth, growth.tolist(), g_xp, g_fp
 
     def _compute_growth(self, max_accesses: int, tol: float) -> np.ndarray:
         a = self.max_ways
@@ -130,10 +151,12 @@ class OccupancyModel:
 
     @property
     def growth_table(self) -> np.ndarray:
-        """The tabulated growth curve G(1..table_length) (read-only)."""
-        view = self._growth.view()
-        view.flags.writeable = False
-        return view
+        """The tabulated growth curve G(1..table_length) (read-only).
+
+        The same array object for every model built from one histogram
+        with the same associativity and recursion budget.
+        """
+        return self._growth
 
     def g(self, n: float) -> float:
         """Expected occupancy after ``n`` accesses (Eq. 5), n >= 0.

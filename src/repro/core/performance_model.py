@@ -9,7 +9,7 @@ co-run combinations, the paper's headline complexity win.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.equilibrium import (
@@ -18,7 +18,6 @@ from repro.core.equilibrium import (
     solve_equilibrium,
 )
 from repro.core.feature import FeatureVector
-from repro.core.occupancy import OccupancyModel
 from repro.core.solver_cache import CacheStats, EquilibriumCache
 from repro.errors import ConfigurationError, ConvergenceError
 from repro.obs import get_observer
@@ -118,7 +117,10 @@ class PerformanceModel:
         self.strategy = strategy
         self.cache = cache if cache is not None else EquilibriumCache()
         self._features: Dict[str, FeatureVector] = {}
-        self._occupancy_cache: Dict[str, OccupancyModel] = {}
+        # Unit-ratio solver inputs, one per registered name; other
+        # clock ratios are derived per call (ratios come from clients,
+        # so caching them could grow without bound).
+        self._inputs: Dict[str, EquilibriumProcess] = {}
 
     # ------------------------------------------------------------------
     # Registration
@@ -131,9 +133,15 @@ class PerformanceModel:
             # carry profile contents, so drop everything.
             self.cache.clear()
         self._features[feature.name] = feature
-        # Occupancy tables are pure functions of the histogram; build
-        # once per registration.
-        self._occupancy_cache[feature.name] = feature.occupancy_model(self.ways)
+        # The growth table itself is memoised on the histogram, so
+        # models registering the same profile share it.
+        self._inputs[feature.name] = EquilibriumProcess(
+            occupancy=feature.occupancy_model(self.ways),
+            mpa=feature.histogram.mpa,
+            api=feature.api,
+            alpha=feature.alpha,
+            beta=feature.beta,
+        )
 
     def register_all(self, features: Sequence[FeatureVector]) -> None:
         for feature in features:
@@ -166,20 +174,24 @@ class PerformanceModel:
             raise ConfigurationError(
                 "frequency_ratios must have one entry per process"
             )
+        registered = self._inputs
         inputs = []
         for name, ratio in zip(names, frequency_ratios):
-            feature = self.feature(name)
+            unit = registered.get(name)
+            if unit is None:
+                self.feature(name)  # raises the descriptive KeyError
             if ratio != 1.0:
-                feature = feature.with_frequency_ratio(ratio)
-            inputs.append(
-                EquilibriumProcess(
-                    occupancy=self._occupancy_cache[name],
-                    mpa=feature.histogram.mpa,
-                    api=feature.api,
-                    alpha=feature.alpha,
-                    beta=feature.beta,
+                if ratio <= 0:
+                    raise ConfigurationError("ratio must be positive")
+                # The float operations of FeatureVector.with_frequency_ratio.
+                unit = EquilibriumProcess(
+                    occupancy=unit.occupancy,
+                    mpa=unit.mpa,
+                    api=unit.api,
+                    alpha=unit.alpha / ratio,
+                    beta=unit.beta / ratio,
                 )
-            )
+            inputs.append(unit)
         return inputs
 
     def predict(
@@ -262,13 +274,15 @@ class PerformanceModel:
         slot: Sequence[int],
     ) -> CoRunPrediction:
         """Permute a canonical solution back to the caller's order."""
-        restored = replace(
-            result,
-            sizes=tuple(result.sizes[slot[i]] for i in range(len(names))),
-            mpas=tuple(result.mpas[slot[i]] for i in range(len(names))),
-            spis=tuple(result.spis[slot[i]] for i in range(len(names))),
+        sizes, mpas, spis = result.sizes, result.mpas, result.spis
+        return CoRunPrediction(
+            processes=tuple(
+                ProcessPrediction(name, sizes[pos], mpas[pos], spis[pos])
+                for name, pos in zip(names, slot)
+            ),
+            solver=result.solver,
+            contended=result.contended,
         )
-        return self._package(names, restored)
 
     def _predict_impl(
         self,
@@ -310,10 +324,11 @@ class PerformanceModel:
         totals: each mix performs exactly one ``get`` — the first
         occurrence of a repeated uncached mix probes (miss) before
         solving, later occurrences re-probe after the solution is
-        stored (hit).  LRU *recency order* inside the cache may differ
-        from the sequential loop's when hits and misses interleave, so
-        eviction order under capacity pressure is the one sequential
-        behaviour not reproduced.
+        stored (a hit, unless the batch evicted it) and take their
+        answer from the solve either way.  LRU *recency order* inside
+        the cache may differ from the sequential loop's when hits and
+        misses interleave, so eviction order under capacity pressure is
+        the one sequential behaviour not reproduced.
 
         Args:
             mixes: Co-run combinations, each a sequence of names.
@@ -372,7 +387,12 @@ class PerformanceModel:
                 self.cache.record_sizes(plans[index][0], result.sizes)
                 hits[index] = result
         for index in deferred:
-            hits[index] = self.cache.get(plans[index][2])
+            # The probe keeps one get per mix (counter parity); the
+            # answer comes from the solve, since a batch with more
+            # distinct mixes than the cache holds may have evicted it.
+            key = plans[index][2]
+            self.cache.get(key)
+            hits[index] = hits[pending[key]]
         return tuple(
             self._restore(mix, hits[index], plans[index][3])
             for index, mix in enumerate(mixes)
@@ -417,21 +437,3 @@ class PerformanceModel:
     def predict_solo(self, name: str) -> ProcessPrediction:
         """Predicted steady state of a process running alone."""
         return self.predict([name]).processes[0]
-
-    def _package(
-        self, names: Sequence[str], result: EquilibriumResult
-    ) -> CoRunPrediction:
-        predictions = tuple(
-            ProcessPrediction(
-                name=name,
-                effective_size=size,
-                mpa=mpa,
-                spi=spi,
-            )
-            for name, size, mpa, spi in zip(
-                names, result.sizes, result.mpas, result.spis
-            )
-        )
-        return CoRunPrediction(
-            processes=predictions, solver=result.solver, contended=result.contended
-        )

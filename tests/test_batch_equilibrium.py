@@ -324,6 +324,39 @@ class TestPredictBatch:
         # The duplicate mix probed once as a miss, once as a hit.
         assert bat.hits >= 1
 
+    def test_repeat_of_evicted_mix_takes_the_solved_result(self, features):
+        # More distinct mixes than the cache holds, then a repeat of
+        # the first: its entry is evicted before the deferred probe.
+        mixes = [
+            ["gzip", "mcf"],
+            ["art", "vpr"],
+            ["gcc", "twolf"],
+            ["ammp", "parser"],
+            ["equake", "mcf"],
+            ["art", "gzip", "vpr"],
+            ["mcf", "gzip"],
+        ]
+        model = PerformanceModel(
+            ways=8, cache=EquilibriumCache(max_entries=4, warm_start=False)
+        )
+        model.register_all(features.values())
+        batched = model.predict_batch(mixes)
+        sequential = tuple(fresh_model(features).predict(mix) for mix in mixes)
+        assert batched == sequential
+        stats = model.cache_stats
+        assert stats.hits + stats.misses == len(mixes)
+        assert stats.entries == 4
+
+    def test_api_batch_beyond_default_cache_with_early_repeat(self, features):
+        from repro import api
+
+        suite = api.ProfileSuiteResult(machine="", features=features, profiles={})
+        distinct = 4097  # default EquilibriumCache capacity + 1
+        mixes = [["gzip", "mcf"]] * distinct + [["gzip", "mcf"]]
+        ratios = [[1.0, 1.0 + i / distinct] for i in range(distinct)] + [[1.0, 1.0]]
+        results = api.predict_mixes(mixes, suite, ways=8, frequency_ratios=ratios)
+        assert results[-1].prediction == results[0].prediction
+
     def test_second_call_is_all_hits(self, features):
         model = fresh_model(features)
         first = model.predict_batch(MIXES)

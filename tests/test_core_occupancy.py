@@ -1,11 +1,18 @@
 """Unit tests for the occupancy growth model (Eqs. 4-5)."""
 
+import pickle
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from repro.core.feature import FeatureVector
 from repro.core.histogram import ReuseDistanceHistogram
 from repro.core.occupancy import OccupancyModel
+from repro.core.performance_model import PerformanceModel
 from repro.errors import ConfigurationError
+from repro.workloads.spec import BENCHMARKS
 
 
 @pytest.fixture
@@ -107,3 +114,71 @@ class TestValidation:
         assert mixed_model.mpa_at(1) == pytest.approx(
             mixed_model.histogram.mpa(1)
         )
+
+
+@st.composite
+def histograms(draw):
+    size = draw(st.integers(min_value=1, max_value=24))
+    weights = draw(
+        st.lists(
+            st.floats(min_value=0.0, max_value=1.0), min_size=size, max_size=size
+        )
+    )
+    inf_mass = draw(st.floats(min_value=0.0, max_value=1.0))
+    assume(sum(weights) + inf_mass > 0.0)
+    return ReuseDistanceHistogram(weights, inf_mass)
+
+
+class TestSharedGrowthTable:
+    """Growth tables are memoised on their histogram, never recomputed."""
+
+    @given(histograms(), st.integers(min_value=1, max_value=16))
+    @settings(max_examples=60, deadline=None)
+    def test_memoised_table_is_the_fresh_recursion_bit_for_bit(self, hist, ways):
+        first = OccupancyModel(hist, max_ways=ways)
+        second = OccupancyModel(hist, max_ways=ways)
+        assert second.growth_table is first.growth_table
+        fresh = second._compute_growth(400_000, 1e-9)
+        assert second.growth_table.dtype == fresh.dtype
+        assert second.growth_table.tobytes() == fresh.tobytes()
+        assert second._growth_list == fresh.tolist()
+        with pytest.raises(ValueError):
+            second.growth_table[0] = 0.0
+
+    def test_key_includes_ways_and_budget(self, mixed_model):
+        hist = mixed_model.histogram
+        assert OccupancyModel(hist, max_ways=8).growth_table is mixed_model.growth_table
+        assert OccupancyModel(hist, max_ways=6).growth_table is not mixed_model.growth_table
+        short = OccupancyModel(hist, max_ways=8, max_accesses=3)
+        assert short.table_length <= 3
+        assert short.growth_table is not mixed_model.growth_table
+
+    def test_equal_histograms_do_not_share(self, mixed_model):
+        twin = ReuseDistanceHistogram([0.4, 0.3, 0.2], inf_mass=0.1)
+        table = OccupancyModel(twin, max_ways=8).growth_table
+        assert table is not mixed_model.growth_table
+        assert table.tobytes() == mixed_model.growth_table.tobytes()
+
+    def test_pickled_histogram_builds_its_own_read_only_table(self, mixed_model):
+        copy = pickle.loads(pickle.dumps(mixed_model.histogram))
+        table = OccupancyModel(copy, max_ways=8).growth_table
+        assert table is not mixed_model.growth_table
+        assert table.tobytes() == mixed_model.growth_table.tobytes()
+        assert not table.flags.writeable
+
+    def test_models_from_one_feature_vector_share_the_table(self):
+        feature = FeatureVector.oracle(BENCHMARKS["mcf"], 2e8)
+        assert (
+            feature.occupancy_model(8).growth_table
+            is feature.occupancy_model(8).growth_table
+        )
+        models = [PerformanceModel(ways=8) for _ in range(2)]
+        for model in models:
+            model.register(feature)
+        scaled = PerformanceModel(ways=8)
+        scaled.register(feature.with_frequency_ratio(0.6))
+        tables = [
+            model._equilibrium_inputs(["mcf"])[0].occupancy.growth_table
+            for model in models + [scaled]
+        ]
+        assert tables[0] is tables[1] is tables[2]

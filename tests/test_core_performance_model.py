@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.feature import FeatureVector
 from repro.core.performance_model import PerformanceModel
+from repro.core.solver_cache import EquilibriumCache
 from repro.errors import ConfigurationError
 from repro.workloads.spec import BENCHMARKS
 
@@ -95,3 +96,54 @@ class TestStrategies:
         a = newton.predict(["mcf", "art"])
         b = bisect.predict(["mcf", "art"])
         assert a[0].effective_size == pytest.approx(b[0].effective_size, abs=0.1)
+
+
+class TestSolverInputs:
+    """One stored unit-ratio input per name; other ratios are derived."""
+
+    RATIOS = [0.25 + 1.75 * i / 999 for i in range(1000)]
+
+    def test_store_stays_one_entry_per_name_across_many_ratios(self, model):
+        assert len(set(self.RATIOS)) == 1000
+        model.predict_batch([["mcf"]] * 1000, [[r] for r in self.RATIOS])
+        for ratio in self.RATIOS[:50]:
+            model.predict(["mcf", "art"], [ratio, 1.0])
+        assert sorted(model._inputs) == model.known_processes
+
+    def test_scaled_constants_match_with_frequency_ratio(self, model):
+        feature = model.feature("mcf")
+        for ratio in self.RATIOS[::37] + [0.6, 0.8, 1.5, 3.0]:
+            (derived,) = model._equilibrium_inputs(["mcf"], [ratio])
+            scaled = feature.with_frequency_ratio(ratio)
+            assert derived.alpha == scaled.alpha
+            assert derived.beta == scaled.beta
+            assert derived.api == scaled.api
+
+    def test_ratio_predictions_match_registered_scaled_profile(self, model):
+        features = [model.feature(name) for name in ("mcf", "art")]
+        for ratio in (0.6, 0.8, 1.7):
+            cold = PerformanceModel(ways=16, cache=EquilibriumCache(warm_start=False))
+            cold.register_all(features)
+            scaled = PerformanceModel(ways=16, cache=EquilibriumCache(warm_start=False))
+            scaled.register_all([features[0].with_frequency_ratio(ratio), features[1]])
+            assert cold.predict(["mcf", "art"], [ratio, 1.0]) == scaled.predict(
+                ["mcf", "art"]
+            )
+
+    def test_unit_ratio_reuses_stored_input(self, model):
+        (first,) = model._equilibrium_inputs(["gzip"])
+        (second,) = model._equilibrium_inputs(["gzip"], [1.0])
+        assert first is second
+
+    def test_non_positive_ratio_rejected(self, model):
+        for ratio in (0.0, -1.0):
+            with pytest.raises(ConfigurationError, match="ratio must be positive"):
+                model.predict(["mcf", "art"], [ratio, 1.0])
+
+    def test_reregistration_replaces_stored_input(self, model):
+        (before,) = model._equilibrium_inputs(["mcf"])
+        model.register(FeatureVector.oracle(BENCHMARKS["mcf"], 2 * FREQ))
+        (after,) = model._equilibrium_inputs(["mcf"])
+        assert after is not before
+        assert after.beta == model.feature("mcf").beta
+        assert len(model._inputs) == len(model.known_processes)
