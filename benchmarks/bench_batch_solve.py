@@ -4,8 +4,10 @@ Solves one batch of 256 contended 8-process mixes two ways on a single
 core: as 256 scalar ``solve_equilibrium`` calls (the sequential
 baseline every earlier layer was built on) and as one
 :class:`~repro.core.batch_equilibrium.BatchNewtonSolver` call that
-stacks the whole batch into ``(256, 8)`` numpy kernels.  Two things
-are pinned:
+stacks the whole batch into ``(256, 8)`` numpy kernels.  A second,
+mixed-width batch interleaves k = 2..8 processes per mix, so most rows
+are padded to the widest one; it pins the padded stack the same way.
+Two things are pinned:
 
 - **Bit-equality, always.**  The batch solver's contract is that every
   payload field (sizes / mpas / spis / solver / iterations /
@@ -15,7 +17,9 @@ are pinned:
   its batch of 64 amortizes less and its smaller repeat count is
   noisier on shared CI cores).  This is a one-core
   comparison: the win is vectorization, not parallelism, so it holds
-  on CI runners where the process pool cannot help.
+  on CI runners where the process pool cannot help.  The mixed-width
+  batch has its own floors, ``MIXED_FLOOR``: a mix of fewer processes
+  is cheaper for the scalar loop but costs the stack a full-width row.
 
 Both sides are timed with interleaved best-of-N: container schedulers
 and frequency scaling routinely double a single measurement, so each
@@ -39,13 +43,18 @@ from repro.workloads.spec import BENCHMARKS
 
 WAYS = 16
 MIX_SIZE = 8
+MIXED_SIZES = (2, 3, 4, 5, 6, 7, 8)
 BATCH = 64 if QUICK else 256
 REPEAT = 5 if QUICK else 15
 FLOOR = 5.0 if QUICK else 10.0
+MIXED_FLOOR = 1.5 if QUICK else 3.5
 
 
-def _build_batch():
-    """256 contended 8-of-10 mixes, model-idiom fresh process rows."""
+def _build_batch(sizes):
+    """``BATCH`` contended mixes whose sizes cycle through ``sizes``.
+
+    Model-idiom fresh process rows of distinct benchmarks.
+    """
     features = {
         name: FeatureVector.oracle(BENCHMARKS[name], 2e8)
         for name in sorted(BENCHMARKS)
@@ -57,14 +66,15 @@ def _build_batch():
     names = sorted(features)
     rng = random.Random(2010)
     batch = []
-    for _ in range(BATCH):
-        mix = rng.sample(names, MIX_SIZE)
-        batch.append(model._equilibrium_inputs(mix, [1.0] * MIX_SIZE))
+    for index in range(BATCH):
+        k = sizes[index % len(sizes)]
+        mix = rng.sample(names, k)
+        batch.append(model._equilibrium_inputs(mix, [1.0] * k))
     return batch
 
 
-def _measure():
-    batch = _build_batch()
+def _measure(sizes):
+    batch = _build_batch(sizes)
     solver = BatchNewtonSolver()
 
     def scalar_loop():
@@ -93,6 +103,7 @@ def _measure():
         "t_scalar_ms": t_scalar * 1e3,
         "t_batch_ms": t_batch * 1e3,
         "speedup": t_scalar / t_batch,
+        "contended_rows": sum(1 for s in scalar_results if s.contended),
         "batch_solver_rows": sum(
             1
             for b in batch_results
@@ -101,15 +112,14 @@ def _measure():
     }
 
 
-def test_batch_solve_speedup_and_equality(benchmark):
-    result = once(benchmark, _measure)
+def _report(name, label, result):
     lines = [
         render_table(
             ["Mixes", "k", "Scalar loop (ms)", "Batch solve (ms)", "Speedup"],
             [
                 (
                     BATCH,
-                    MIX_SIZE,
+                    label,
                     result["t_scalar_ms"],
                     result["t_batch_ms"],
                     result["speedup"],
@@ -122,7 +132,12 @@ def test_batch_solve_speedup_and_equality(benchmark):
         f"{result['batch_solver_rows']}/{BATCH} rows solved on the "
         "vector path (the rest via per-row fallback)",
     ]
-    report("batch_solve", "\n".join(lines))
+    report(name, "\n".join(lines))
+
+
+def test_batch_solve_speedup_and_equality(benchmark):
+    result = once(benchmark, lambda: _measure((MIX_SIZE,)))
+    _report("batch_solve", MIX_SIZE, result)
 
     assert result["mismatches"] == 0, (
         "batch and scalar solves disagreed bit-for-bit"
@@ -133,4 +148,24 @@ def test_batch_solve_speedup_and_equality(benchmark):
     assert result["speedup"] >= FLOOR, (
         f"batch-of-{BATCH} speedup {result['speedup']:.2f}x < {FLOOR:.0f}x "
         "over the scalar loop on one core"
+    )
+
+
+def test_mixed_width_batch_speedup_and_equality(benchmark):
+    result = once(benchmark, lambda: _measure(MIXED_SIZES))
+    _report(
+        "batch_solve_mixed",
+        f"{MIXED_SIZES[0]}-{MIXED_SIZES[-1]}",
+        result,
+    )
+
+    assert result["mismatches"] == 0, (
+        "mixed-width batch and scalar solves disagreed bit-for-bit"
+    )
+    assert result["batch_solver_rows"] == result["contended_rows"], (
+        "every contended mixed-width row should stay on the vector path"
+    )
+    assert result["speedup"] >= MIXED_FLOOR, (
+        f"mixed-width batch-of-{BATCH} speedup {result['speedup']:.2f}x "
+        f"< {MIXED_FLOOR:.1f}x over the scalar loop on one core"
     )

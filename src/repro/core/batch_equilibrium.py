@@ -5,7 +5,8 @@ throughput-ratio conditions) is solved per co-run mix by
 :class:`~repro.core.equilibrium.NewtonSolver` in plain Python floats —
 the right call for one mix, but a batch of hundreds of mixes pays the
 interpreter once per table lookup.  This module restates the *same*
-damped Newton iteration over an ``(n_mixes, k)`` size matrix:
+damped Newton iteration over one ``(n_mixes, k_max)`` size matrix
+holding every stackable mix of the batch, whatever its ``k``:
 
 - the residual/Jacobian kernels gather from the profiles' tabulated
   growth curves (``OccupancyModel.growth_table``) and MPA tails
@@ -14,11 +15,11 @@ damped Newton iteration over an ``(n_mixes, k)`` size matrix:
 - the arrow-structured Jacobian (row 0 all ones, row i nonzero only
   at columns 0 and i) is eliminated column-by-column across the whole
   stack at once;
-- convergence / failure are tracked per row: converged rows freeze
-  (their state is kept, further full-stack evaluations of them are
-  discarded), failed rows are excluded from the masks and retried on
-  the scalar path — one row hitting a non-finite residual cannot
-  poison its siblings, because every kernel op is element-wise.
+- convergence / failure are tracked per row: at the top of each
+  iteration, rows that converged (their sizes and iteration count are
+  recorded) or failed (retried on the scalar path) leave the stack —
+  one row hitting a non-finite residual cannot poison its siblings,
+  because every kernel op is element-wise.
 
 Bit-compatibility policy
 ------------------------
@@ -59,21 +60,47 @@ A row leaves the stack and is solved by the ordinary scalar
   subclassed models — anything whose scalar evaluation the kernels
   cannot replicate bit-for-bit);
 - it is uncontended (the scalar short-circuit is already cheap);
-- fewer than ``min_stack`` rows share its process count ``k`` (numpy
-  overhead would exceed the win);
+- the batch has fewer than ``min_stack`` stackable rows, or fewer than
+  ``min_stack`` contended ones (numpy overhead would exceed the win);
 - its Newton iteration fails (non-finite residual, singular Jacobian,
   exhausted line search or iteration budget) — mirroring the scalar
   solver's own failure → fallback behaviour.
 
-Two caveats worth knowing: frozen rows still ride along in full-stack
-evaluations (their results are discarded — the fixed gather indices
-are what keep the kernels cheap), so a single stubborn row makes the
-whole stack iterate with it; and the per-row damping line search
-evaluates the full stack once per halving round.
+Padding and compaction
+----------------------
+Rows of different ``k`` share the stack: a row of ``k_r`` processes
+fills its first ``k_r`` columns and the rest are *pad cells*, with
+size, cap, saturation and demand all 0.  A pad cell's ``g_inverse``
+is exactly 0, so its Eq. 7 entry fails the finite-positive test and
+takes the fill value 0 instead of ``inf``; the Jacobian pass forces
+``b = 1`` and ``a = 0`` there, so ``ab``, ``rb`` and ``delta`` are 0
+too, and a damped step keeps the pad size at ``min(max(0, lo), 0) =
+0``.  Every row reduction (capacity sum, squared norm, ``denom``,
+``num`` and the endgame's cap, free and closed sums) runs left to
+right over the columns, so pad columns only add ``+0.0`` after the
+row's own terms, which leaves each sum bit-unchanged.  Pad cells are
+kept out of the per-profile ``searchsorted`` groups, out of the
+endgame's "hit a cap" test and out of every result: a row's caps use
+its own ``k_r`` (``total_ways - lo * (k_r - 1)``), the scalar
+``_redistribute_to_capacity`` fallback sees only its ``k_r`` entries,
+and ``sizes`` / ``mpas`` / ``spis`` are cut to ``k_r``.
+
+The point of one stack is the numpy call count: a batch's cost is
+per-call overhead, not element work, so one stack of every row beats
+one stack per ``k``.  Rows leave through ``_Stack.take``, one gather of
+the rows' slot indices (the per-cell constants are regathered from
+small per-slot tables and the stack is cut to its widest remaining
+row; the Newton loop drops the old constants before regathering, so
+that the two sets never coexist); uncontended rows leave the same way
+before the first iteration.
+The line search still evaluates the whole remaining stack once per
+halving round, but almost every row accepts the full step in the
+first round.
 """
 
 from __future__ import annotations
 
+from itertools import chain, islice
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -93,9 +120,9 @@ from repro.errors import ConfigurationError
 
 __all__ = ["BATCH_MIN_STACK", "BatchNewtonSolver"]
 
-#: Smallest same-``k`` stack worth vectorizing; below this the numpy
-#: call overhead exceeds the interpreter savings and rows take the
-#: scalar path instead.
+#: Fewest stackable rows (of any ``k``) worth vectorizing; below this
+#: the numpy call overhead exceeds the interpreter savings and rows
+#: take the scalar path instead.
 BATCH_MIN_STACK = 4
 
 #: The one histogram method the batch kernels replicate; identity is
@@ -192,6 +219,61 @@ class _TableRegistry:
         self._dirty = False
 
 
+def _sum_columns(a: np.ndarray) -> np.ndarray:
+    """Row sums accumulated column by column, left to right.
+
+    Float addition is not associative; this is the scalar loop's order
+    (a tree reduction such as ``a.sum(axis=1)`` would change bits).
+    """
+    total = a[:, 0].copy()
+    for c in range(1, a.shape[1]):
+        total += a[:, c]
+    return total
+
+
+def _close_capacity(
+    xs: np.ndarray,
+    caps: np.ndarray,
+    pad: np.ndarray,
+    ks: np.ndarray,
+    total_ways: int,
+) -> np.ndarray:
+    """Close Eq. 1 on converged rows, as ``NewtonSolver._converged`` does.
+
+    The well-conditioned case of ``_redistribute_to_capacity`` — no
+    entry saturates, one proportional pass closes within roundoff — is
+    a fixed float64 op sequence, so it vectorizes bit-exactly: clamp,
+    left-to-right free sum, one scale, gap check.  Rows that hit a cap
+    or leave a gap above the 1e-12 closure threshold rerun through the
+    scalar routine on their own ``k`` entries (identical bits by
+    construction: the vector pass only *commits* when it took the
+    scalar fast path).  Pad cells (``pad``) are 0 in every sum and never
+    count as capped; what the result holds there is junk.
+    """
+    total_f = float(total_ways)
+    with np.errstate(all="ignore"):
+        need = _sum_columns(caps) > total_f
+        clamped = np.minimum(xs, caps)
+        free_sum = _sum_columns(clamped)
+        scale = total_f / free_sum
+        scaled = clamped * scale[:, None]
+        gap = total_f - _sum_columns(scaled)
+        tol = 1e-12 * max(1.0, abs(total_f))
+        fast = (
+            need
+            & (free_sum > 0.0)
+            & ~((scaled >= caps) & ~pad).any(axis=1)
+            & (np.abs(gap) <= tol)
+        )
+    closed = np.where(need[:, None], scaled, xs)
+    for row in np.flatnonzero(need & ~fast):
+        k = int(ks[row])
+        closed[row, :k] = _redistribute_to_capacity(
+            xs[row, :k].tolist(), caps[row, :k].tolist(), total_f
+        )
+    return closed
+
+
 class _StackState:
     """Residual state of one full-stack evaluation (see ``_Stack.evaluate``)."""
 
@@ -215,60 +297,220 @@ class _StackState:
         np.copyto(self.gslope, other.gslope, where=cols)
         np.copyto(self.mslope, other.mslope, where=cols)
 
+    def take(self, rows: np.ndarray, width: int) -> "_StackState":
+        """The given rows' state, cut to the first ``width`` columns."""
+        return _StackState(
+            res=self.res[rows, :width],
+            norm=self.norm[rows],
+            n=self.n[rows, :width],
+            spi=self.spi[rows, :width],
+            gslope=self.gslope[rows, :width],
+            mslope=self.mslope[rows, :width],
+        )
+
+
+class _Slots:
+    """The distinct stackable processes of one batch, in first-seen order.
+
+    A *slot* is one process object; cells of the stack that hold the
+    same object (a model hands out one unit-ratio process per name)
+    share it.  The sniff test runs once per slot, and ``row`` turns a
+    mix into its slot indices, or ``None`` when any of its processes
+    cannot be stacked; ``freeze`` then builds the per-slot tables the
+    stack gathers from.
+    """
+
+    def __init__(self, registry: _TableRegistry) -> None:
+        self.registry = registry
+        self._of: Dict[int, int] = {}
+        self.prof: List[int] = []
+        self.api: List[float] = []
+        self.alpha: List[float] = []
+        self.beta: List[float] = []
+
+    def row(self, processes: List[EquilibriumProcess]) -> Optional[List[int]]:
+        # Runs once per process per batch (thousands of times per
+        # call), so the hit path is one dict probe; the batch holds
+        # every process, so an ``id`` cannot be reused mid-call.
+        slot_get = self._of.get
+        slots = []
+        for p in processes:
+            slot = slot_get(id(p))
+            if slot is None:
+                slot = self._add(p)
+            if slot < 0:
+                return None
+            slots.append(slot)
+        return slots
+
+    def _add(self, p: EquilibriumProcess) -> int:
+        # An id-keyed registry hit already proved the exact types at
+        # registration (the registry pins both objects, so a live id
+        # can only be the registered object); the per-process
+        # ``mpa_slope`` / ``__func__`` identities are all that can
+        # differ between processes sharing a profile.  Misses take the
+        # registry's full ``lookup``.
+        slot = -1
+        mpa = p.mpa
+        if p.mpa_slope is None and getattr(mpa, "__func__", None) is _HISTOGRAM_MPA:
+            profile = self.registry._index.get((id(p.occupancy), id(mpa.__self__)))
+            if profile is None:
+                profile = self.registry.lookup(p)
+            if profile is not None:
+                slot = len(self.prof)
+                self.prof.append(profile)
+                self.api.append(p.api)
+                self.alpha.append(p.alpha)
+                self.beta.append(p.beta)
+        self._of[id(p)] = slot
+        return slot
+
+    def freeze(self) -> None:
+        """Build the per-slot constant tables, pad slot last.
+
+        ``floats`` and ``ints`` are ``(fields, slots + 1)`` tables in
+        the field order :class:`_Stack` unpacks; ``pad`` is the pad
+        slot's index.
+        """
+        registry = self.registry
+        registry.ensure_flat()
+        prof = np.array(self.prof + [-1], dtype=np.int64)
+        # The pad slot reads profile 0's tables (every gather stays in
+        # bounds); the overrides below pin what it evaluates to.
+        pf = np.where(prof < 0, 0, prof)
+        alpha = np.array(self.alpha + [0.0])
+        self.floats = np.stack(
+            [
+                registry.g_first[pf],
+                registry.g_sat_cut[pf],
+                registry.inv_g_first[pf],
+                registry.t_top_f[pf],
+                registry.tail_at_top[pf],
+                registry.g_last[pf],
+                np.array(self.api + [0.0]),
+                alpha,
+                np.array(self.beta + [1.0]),
+                -alpha,
+            ]
+        )
+        # g_inverse(0) = 0 / 1.0 = 0 exactly (below the first growth
+        # step, never saturated), and sat = 0 makes demand and caps 0.
+        self.floats[0, -1] = 1.0
+        self.floats[1, -1] = np.inf
+        self.floats[2, -1] = 1.0
+        self.floats[5, -1] = 0.0
+        g_off = registry.g_off[pf]
+        self.ints = np.stack(
+            [
+                prof,
+                g_off,
+                g_off - 1,
+                registry.g_len[pf] - 1,
+                registry.t_off[pf],
+                registry.t_top_i[pf],
+            ]
+        ).astype(np.int32)
+        self.pad = prof.size - 1
+
 
 class _Stack:
-    """All same-``k`` rows of one batch, stacked for vector kernels."""
+    """Every stackable row of one batch, padded to its widest row.
+
+    ``cells`` is the ``(rows, width)`` matrix of slot indices.  A row of
+    ``k`` processes fills its first ``k`` columns; the rest are *pad
+    cells*, which point at the pad slot (profile ``-1``) whose constants
+    make every kernel output there an exact zero or a masked junk value
+    (see the module docstring).  Construction gathers the per-cell
+    constants from the slots' small tables, so :meth:`take` only
+    gathers rows of ``cells``.
+    """
 
     def __init__(
-        self,
-        registry: _TableRegistry,
-        processes: List[List[EquilibriumProcess]],
-        profiles: List[List[int]],
-        total_ways: int,
+        self, slots: _Slots, cells: np.ndarray, ks: np.ndarray, total_ways: int
     ):
-        registry.ensure_flat()
+        registry = slots.registry
+        self.slots = slots
         self.registry = registry
-        self.processes = processes
+        self.cells = cells
+        self.ks = ks
         self.total_ways = total_ways
-        self.m = len(processes)
-        self.k = len(processes[0])
-        prof = np.array(profiles, dtype=np.int64)
-        pf = prof.reshape(-1)
-        # Per-cell table constants (gathered once; iteration kernels
-        # reuse them every evaluation).
-        self.g_off = registry.g_off[pf]
-        self.g_len = registry.g_len[pf]
-        self.g_first = registry.g_first[pf]
-        self.g_sat_cut = registry.g_sat_cut[pf]
-        self.inv_g_first = registry.inv_g_first[pf]
-        self.t_off = registry.t_off[pf]
-        self.t_top_i = registry.t_top_i[pf]
-        self.t_top_f = registry.t_top_f[pf]
-        self.tail_at_top = registry.tail_at_top[pf]
-        self.sat = registry.g_last[pf].reshape(self.m, self.k)
-        # searchsorted is 1-D per table: group flat cells by profile.
-        order = np.argsort(pf, kind="stable")
-        sorted_pf = pf[order]
-        bounds = np.flatnonzero(np.diff(sorted_pf)) + 1
+        self.m, self.k = m, k = cells.shape
+        flat = cells.reshape(-1)
+        (
+            self.g_first,
+            self.g_sat_cut,
+            self.inv_g_first,
+            self.t_top_f,
+            self.tail_at_top,
+            sat,
+            self.api_flat,
+            self.alpha_flat,
+            self.beta_flat,
+            alpha_neg,
+        ) = np.take(slots.floats, flat, axis=1)
+        (
+            prof,
+            self.g_off,
+            self.g_off_m1,
+            self.g_len_m1,
+            self.t_off,
+            self.t_top_i,
+        ) = np.take(slots.ints, flat, axis=1)
+        self.sat = sat.reshape(m, k)
+        self.alpha_neg = alpha_neg.reshape(m, k)
+        pad = prof < 0
+        if pad.any():
+            self.pad = pad.reshape(m, k)
+            # A pad cell's size is 0, so its n is 0 and the Eq. 7 test
+            # fails there; the fallback value is then 0, not inf.
+            self.value_fill = np.where(self.pad[:, 1:], 0.0, np.inf)
+        else:
+            self.pad = None
+            self.value_fill = np.inf
+        # searchsorted is 1-D per table: sort the real cells by profile
+        # once, so each evaluation gathers and scatters the sizes once
+        # and searches contiguous per-profile slices.  A 16-bit key lets
+        # the stable sort run as a radix sort.
+        real = np.flatnonzero(~pad)
+        key = prof[real]
+        if len(registry.growth_arrays) <= np.iinfo(np.int16).max:
+            key = key.astype(np.int16)
+        order = real[np.argsort(key, kind="stable")]
+        sorted_prof = prof[order]
+        bounds = (np.flatnonzero(np.diff(sorted_prof)) + 1).tolist()
+        starts = [0] + bounds
+        stops = bounds + [order.size]
+        self.order = order
         self.groups = [
-            (registry.growth_arrays[int(pf[cells[0]])], cells)
-            for cells in np.split(order, bounds)
+            (registry.growth_arrays[int(sorted_prof[a])], a, b)
+            for a, b in zip(starts, stops)
         ]
-        self.api_flat = np.array([p.api for row in processes for p in row])
-        self.alpha_flat = np.array([p.alpha for row in processes for p in row])
-        self.beta_flat = np.array([p.beta for row in processes for p in row])
-        self.api = self.api_flat.reshape(self.m, self.k)
-        self.alpha = self.alpha_flat.reshape(self.m, self.k)
-        self.beta = self.beta_flat.reshape(self.m, self.k)
-        # Hoisted iteration constants (one array op saved per use).
-        self.alpha_neg = -self.alpha
-        self.g_len_m1 = self.g_len - 1
-        self.g_off_m1 = self.g_off - 1
+
+    @classmethod
+    def build(
+        cls, slots: _Slots, rows: List[List[int]], total_ways: int
+    ) -> "_Stack":
+        """Stack the given rows of slot indices, padded to the widest."""
+        slots.freeze()
+        ks = np.array([len(row) for row in rows], dtype=np.int64)
+        width = int(ks.max())
+        cells = np.full((len(rows), width), slots.pad, dtype=np.int64)
+        cells[np.arange(width) < ks[:, None]] = np.fromiter(
+            chain.from_iterable(rows), dtype=np.int64, count=int(ks.sum())
+        )
+        return cls(slots, cells, ks, total_ways)
+
+    def take(self, rows: np.ndarray) -> "_Stack":
+        """The given rows as a new stack, cut to their widest row."""
+        ks = self.ks[rows]
+        return _Stack(
+            self.slots, self.cells[rows, : int(ks.max())], ks, self.total_ways
+        )
 
     # ------------------------------------------------------------------
     # Kernels — every op mirrors the scalar path bit-for-bit
     # ------------------------------------------------------------------
-    def _mpa_kernel(self, flat_sizes: np.ndarray, cells: np.ndarray):
+    def _mpa_kernel(self, flat_sizes: np.ndarray, cells):
         """Histogram ``mpa`` and ``mpa_slope`` at the given flat cells.
 
         Replicates ``ReuseDistanceHistogram.mpa`` exactly: clamp to the
@@ -286,6 +528,43 @@ class _Stack:
         mslope = np.where(top_mask, 0.0, t_hi - t_lo)
         return mval, mslope
 
+    def _ginv_kernel(self, s: np.ndarray):
+        """``g_inverse`` and ``g_inverse_slope`` at every flat cell.
+
+        Replicates ``OccupancyModel.g_inverse`` exactly: ``bisect_left``
+        into the growth table (one ``searchsorted`` per profile, over
+        the cells sorted by profile), then the segment lerp, with the
+        flat-segment, below-first-step and saturation cases patched in
+        that order.
+        """
+        order = self.order
+        s_sorted = s[order]
+        idx_sorted = np.empty(order.size, dtype=np.int64)
+        for growth, a, b in self.groups:
+            idx_sorted[a:b] = np.searchsorted(growth, s_sorted[a:b], side="left")
+        idx = np.zeros(s.size, dtype=np.int64)
+        idx[order] = idx_sorted
+        sat_mask = s >= self.g_sat_cut
+        below = (s <= self.g_first) & ~sat_mask
+        idx_c = np.minimum(np.maximum(idx, 1), self.g_len_m1)
+        growth_flat = self.registry.growth_flat
+        g_lo = growth_flat[self.g_off_m1 + idx_c]
+        span = growth_flat[self.g_off + idx_c] - g_lo
+        nval = idx_c + (s - g_lo) / span
+        gslope = 1.0 / span
+        # Flat segments and saturation are rare, so their patches are
+        # skipped when they would change nothing.
+        flat_seg = span <= 0.0
+        if flat_seg.any():
+            np.copyto(nval, idx_c + 1, where=flat_seg)
+            np.copyto(gslope, np.inf, where=flat_seg)
+        np.copyto(nval, s / self.g_first, where=below)
+        np.copyto(gslope, self.inv_g_first, where=below)
+        if sat_mask.any():
+            np.copyto(nval, np.inf, where=sat_mask)
+            np.copyto(gslope, np.inf, where=sat_mask)
+        return nval, gslope
+
     def evaluate(self, x: np.ndarray) -> _StackState:
         """Full-stack residual + Jacobian-ingredient evaluation.
 
@@ -295,32 +574,14 @@ class _Stack:
         ``g_inverse_slope`` / ``mpa_slope`` lookups the Jacobian pass
         needs — the masks and segment indices are shared, so the extra
         slope outputs cost two vector ops, not a second table walk.
-        Rows whose state is junk (frozen or failed) evaluate to junk
-        harmlessly: all ops are element-wise, so no row contaminates
-        another.
+        Rows whose state is junk (failed this iteration) evaluate to
+        junk harmlessly: all ops are element-wise, so no row
+        contaminates another.  Pad cells get an Eq. 7 entry of exactly 0.
         """
         m, k = self.m, self.k
         s = x.reshape(-1)
         with np.errstate(all="ignore"):
-            # --- g_inverse + g_inverse_slope (grouped searchsorted) ---
-            idx = np.empty(s.size, dtype=np.int64)
-            for growth, cells in self.groups:
-                idx[cells] = np.searchsorted(growth, s[cells], side="left")
-            sat_mask = s >= self.g_sat_cut
-            below = (s <= self.g_first) & ~sat_mask
-            idx_c = np.minimum(np.maximum(idx, 1), self.g_len_m1)
-            growth_flat = self.registry.growth_flat
-            g_lo = growth_flat[self.g_off_m1 + idx_c]
-            g_hi = growth_flat[self.g_off + idx_c]
-            span = g_hi - g_lo
-            flat_seg = span <= 0.0
-            nval = idx_c + (s - g_lo) / span
-            nval = np.where(flat_seg, (idx_c + 1).astype(float), nval)
-            nval = np.where(below, s / self.g_first, nval)
-            nval = np.where(sat_mask, np.inf, nval)
-            gslope = np.where(flat_seg, np.inf, 1.0 / span)
-            gslope = np.where(below, self.inv_g_first, gslope)
-            gslope = np.where(sat_mask, np.inf, gslope)
+            nval, gslope = self._ginv_kernel(s)
             # --- mpa + mpa_slope -------------------------------------
             mval, mslope = self._mpa_kernel(s, slice(None))
             spi = self.alpha_flat * mval + self.beta_flat
@@ -339,22 +600,15 @@ class _Stack:
             value = np.where(
                 good,
                 (n1[:, None] * rate2[:, 1:]) / (nc * rate1[:, None]) - 1.0,
-                np.inf,
+                self.value_fill,
             )
             res = np.empty((m, k))
             res[:, 1:] = value
-            # The capacity sum and squared-norm accumulate column-by-
-            # column in the scalar's left-to-right order (float addition
-            # is not associative; a tree reduction would change bits).
-            total = x[:, 0].copy()
-            for c in range(1, k):
-                total += x[:, c]
-            vsq = value * value
-            sq = np.zeros(m)
-            for c in range(k - 1):
-                sq += vsq[:, c]
-            res0 = total - self.total_ways
+            # Pad columns add +0.0 to the capacity sum and the squared
+            # norm, which leaves both bit-unchanged.
+            res0 = _sum_columns(x) - self.total_ways
             res[:, 0] = res0
+            sq = _sum_columns(value * value) if k > 1 else np.zeros(m)
             sq += res0 * res0
             norm = np.sqrt(sq)
         return _StackState(
@@ -366,18 +620,59 @@ class _Stack:
             mslope=mslope.reshape(m, k),
         )
 
-    def final_curves(self, x: np.ndarray, rows: np.ndarray):
-        """``mpas``/``spis`` at the closed sizes for the given rows.
+    def newton_step(self, state: _StackState):
+        """The arrow-Jacobian Newton step at ``state``, all rows at once.
+
+        Returns ``(delta, bad)``; ``bad`` flags the rows the scalar
+        solver would reject as "singular Jacobian".  Per-cell
+        log-derivatives for every column take three 2-D ops (the scalar
+        loop's exact expression, issued matrix-wide); only the running
+        denominator/numerator stay as a column loop, because float
+        addition order is part of the bit contract.  Pad cells get
+        ``b = 1`` and ``a = 0``, so their ``ab``, ``rb`` and ``delta``
+        are 0 as well.
+        """
+        m, k = self.m, self.k
+        with np.errstate(all="ignore"):
+            res = state.res
+            nlog = state.gslope / state.n
+            rlog = self.alpha_neg * state.mslope / state.spi
+            head = nlog[:, 0] - rlog[:, 0]
+            q = res + 1.0
+            b_cols = q * (rlog - nlog)
+            a_cols = q * head[:, None]
+            if self.pad is not None:
+                b_cols[self.pad] = 1.0
+                a_cols[self.pad] = 0.0
+            b_tail = b_cols[:, 1:]
+            bad = ~np.isfinite(head) | (
+                (b_tail == 0.0) | ~np.isfinite(b_tail)
+            ).any(axis=1)
+            ab = a_cols / b_cols
+            rb = res / b_cols
+            denom = np.ones(m)
+            num = -res[:, 0]
+            for c in range(1, k):
+                denom = denom - ab[:, c]
+                num = num + rb[:, c]
+            bad |= (denom == 0.0) | ~np.isfinite(denom) | ~np.isfinite(num)
+            d1 = num / denom
+            delta = np.empty((m, k))
+            delta[:, 0] = d1
+            delta[:, 1:] = (-res[:, 1:] - a_cols[:, 1:] * d1[:, None]) / b_tail
+            bad |= ~np.isfinite(delta).all(axis=1)
+        return delta, bad
+
+    def final_curves(self, x: np.ndarray):
+        """``mpas``/``spis`` at the closed sizes ``x`` of every row.
 
         The vectorized equivalent of ``_finish``'s per-process
-        ``p.mpa(s)`` / ``p.alpha * m + p.beta``.
+        ``p.mpa(s)`` / ``p.alpha * m + p.beta``; pad cells hold junk.
         """
-        k = self.k
-        cells = (rows[:, None] * k + np.arange(k)).reshape(-1)
         with np.errstate(all="ignore"):
-            mval, _ = self._mpa_kernel(x.reshape(-1), cells)
-            spis = self.alpha_flat[cells] * mval + self.beta_flat[cells]
-        return mval.reshape(rows.size, k), spis.reshape(rows.size, k)
+            mval, _ = self._mpa_kernel(x.reshape(-1), slice(None))
+            spis = self.alpha_flat * mval + self.beta_flat
+        return mval.reshape(self.m, self.k), spis.reshape(self.m, self.k)
 
 
 class BatchNewtonSolver:
@@ -390,7 +685,9 @@ class BatchNewtonSolver:
         fallback_strategy: Strategy handed to
             :func:`solve_equilibrium` for rows the stack cannot or did
             not solve (see the module docstring's fallback ladder).
-        min_stack: Smallest same-``k`` row group worth vectorizing.
+        min_stack: Fewest stackable rows (of any ``k``) worth
+            vectorizing; a smaller batch, or one with fewer contended
+            rows, takes the scalar path.
     """
 
     name = "batch_newton"
@@ -432,47 +729,27 @@ class BatchNewtonSolver:
         if self.fallback_strategy == "bisection":
             # Nothing to vectorize: the batch kernels implement Newton.
             return [self._fallback(row, total_ways) for row in jobs]
-        stacks: Dict[int, List[int]] = {}
-        profiles: List[Optional[List[int]]] = [None] * len(jobs)
+        slots = _Slots(self._tables)
+        stackable: List[int] = []
+        stack_rows: List[List[int]] = []
         scalar_rows: List[int] = []
-        # The sniff test runs once per process per batch (hundreds of
-        # times per call), so its hit path is inlined and minimal: an
-        # id-keyed registry hit already proved the exact types at
-        # registration (the registry pins both objects, so a live id
-        # can only be the registered object); the per-process
-        # ``mpa_slope`` / ``__func__`` identities are all that can
-        # differ between processes sharing a profile.  Misses take the
-        # registry's full ``lookup``.
-        lookup = self._tables.lookup
-        index_get = self._tables._index.get
         for index, row in enumerate(jobs):
             if not row or total_ways < len(row):
                 # Scalar path raises the canonical validation error.
                 scalar_rows.append(index)
                 continue
-            prof: List[Optional[int]] = []
-            for p in row:
-                mpa = p.mpa
-                if (
-                    p.mpa_slope is None
-                    and getattr(mpa, "__func__", None) is _HISTOGRAM_MPA
-                ):
-                    pi = index_get((id(p.occupancy), id(mpa.__self__)))
-                    prof.append(pi if pi is not None else lookup(p))
-                else:
-                    prof.append(None)
-                    break
-            if None in prof:
+            cells = slots.row(row)
+            if cells is None:
                 scalar_rows.append(index)
                 continue
-            profiles[index] = prof  # type: ignore[assignment]
-            stacks.setdefault(len(row), []).append(index)
-        for _, members in sorted(stacks.items()):
-            if len(members) < self.min_stack:
-                scalar_rows.extend(members)
-                continue
-            unsolved = self._solve_stack(jobs, profiles, members, total_ways, results)
-            scalar_rows.extend(unsolved)
+            stackable.append(index)
+            stack_rows.append(cells)
+        if len(stackable) < self.min_stack:
+            scalar_rows.extend(stackable)
+        else:
+            scalar_rows.extend(
+                self._solve_stack(slots, stack_rows, stackable, total_ways, results)
+            )
         for index in sorted(scalar_rows):
             results[index] = self._fallback(jobs[index], total_ways)
         return results  # type: ignore[return-value]
@@ -486,106 +763,85 @@ class BatchNewtonSolver:
 
     def _solve_stack(
         self,
-        jobs: List[List[EquilibriumProcess]],
-        profiles: List[Optional[List[int]]],
+        slots: _Slots,
+        stack_rows: List[List[int]],
         members: List[int],
         total_ways: int,
         results: List[Optional[EquilibriumResult]],
     ) -> List[int]:
-        """Newton-iterate one same-``k`` stack; returns unsolved rows."""
-        stack = _Stack(
-            self._tables,
-            [jobs[i] for i in members],
-            [profiles[i] for i in members],  # type: ignore[list-item]
-            total_ways,
-        )
-        m, k = stack.m, stack.k
+        """Newton-iterate every stackable row at once; returns unsolved rows."""
+        stack = _Stack.build(slots, stack_rows, total_ways)
         lo = NEWTON_DOMAIN_FLOOR
         with np.errstate(all="ignore"):
             # Uncontended rows short-circuit on the (cheap) scalar path.
             demand = np.minimum(stack.sat, float(total_ways))
-            total_demand = demand[:, 0].copy()
-            for c in range(1, k):
-                total_demand += demand[:, c]
+            total_demand = _sum_columns(demand)
             contended = total_demand > total_ways + 1e-9
-            if not contended.all():
+            uncontended_rows = [members[i] for i in np.flatnonzero(~contended)]
+            if uncontended_rows:
                 keep = np.flatnonzero(contended)
                 if keep.size < self.min_stack:
                     return list(members)
-                uncontended_rows = [
-                    members[i] for i in np.flatnonzero(~contended)
-                ]
                 members = [members[i] for i in keep]
-                stack = _Stack(
-                    self._tables,
-                    [jobs[i] for i in members],
-                    [profiles[i] for i in members],  # type: ignore[list-item]
-                    total_ways,
-                )
-                m = stack.m
-                demand = demand[keep]
+                stack = stack.take(keep)
+                demand = demand[keep, : stack.k]
                 total_demand = total_demand[keep]
-            else:
-                uncontended_rows = []
             # Start guess and domain caps: same ops as the scalar
-            # _proportional_start / _newton_caps, stacked.
-            caps = np.minimum(stack.sat - 1e-3, total_ways - lo * (k - 1))
+            # _proportional_start / _newton_caps, stacked; each row's
+            # floor reserve uses its own k, and pad cells get cap 0.
+            caps = np.minimum(
+                stack.sat - 1e-3, (total_ways - lo * (stack.ks - 1))[:, None]
+            )
+            if stack.pad is not None:
+                caps[stack.pad] = 0.0
             scale = total_ways / total_demand
             x = np.minimum(np.maximum(demand * scale[:, None], lo), caps)
 
+            # The iteration runs on ``stack``, which sheds rows as they
+            # stop; the endgame regathers the converged rows' constants
+            # from their slot indices, so only those are kept here.
+            all_cells, all_ks, all_caps = stack.cells, stack.ks, caps
+            converged_at = np.zeros(stack.m, dtype=np.int64)
+            x_done = np.zeros((stack.m, stack.k))
+            norm_done = np.zeros(stack.m)
+            ids = np.arange(stack.m)
+            alive = np.ones(stack.m, dtype=bool)
             state = stack.evaluate(x)
-            active = np.ones(m, dtype=bool)
-            converged_at = np.zeros(m, dtype=np.int64)
             for iteration in range(1, self.max_iterations + 1):
-                # Scalar order: the finite check precedes the tol check.
-                nonfinite = active & ~np.isfinite(state.norm)
-                active &= ~nonfinite
-                newly_converged = active & (state.norm < self.tol)
-                converged_at[newly_converged] = iteration
-                active &= ~newly_converged
-                if not active.any():
-                    break
-                # --- arrow Jacobian + elimination, all rows at once ---
-                # Per-cell log-derivatives for every column in three 2-D
-                # ops (the scalar loop's exact expression, issued
-                # matrix-wide); only the running denominator/numerator
-                # stay as a column loop, because float addition order is
-                # part of the bit contract.
-                res = state.res
-                nlog = state.gslope / state.n
-                rlog = stack.alpha_neg * state.mslope / state.spi
-                head = nlog[:, 0] - rlog[:, 0]
-                q = res + 1.0
-                b_cols = q * (rlog - nlog)
-                a_cols = q * head[:, None]
-                b_tail = b_cols[:, 1:]
-                bad = active & (
-                    ~np.isfinite(head)
-                    | ((b_tail == 0.0) | ~np.isfinite(b_tail)).any(axis=1)
-                )
-                ab = a_cols / b_cols
-                rb = res / b_cols
-                denom = np.ones(m)
-                num = -res[:, 0]
-                for c in range(1, k):
-                    denom = denom - ab[:, c]
-                    num = num + rb[:, c]
-                bad |= active & (
-                    (denom == 0.0) | ~np.isfinite(denom) | ~np.isfinite(num)
-                )
-                d1 = num / denom
-                delta = np.empty((m, k))
-                delta[:, 0] = d1
-                delta[:, 1:] = (-res[:, 1:] - a_cols[:, 1:] * d1[:, None]) / b_tail
-                bad |= active & ~np.isfinite(delta).all(axis=1)
-                active &= ~bad
-                if not active.any():
-                    break
+                # Scalar order: the finite check precedes the tol check
+                # (a non-finite norm never compares below tol).
+                norm = state.norm
+                done = alive & (norm < self.tol)
+                if done.any():
+                    rows = np.flatnonzero(done)
+                    where = ids[rows]
+                    converged_at[where] = iteration
+                    norm_done[where] = norm[rows]
+                    x_done[where, : stack.k] = x[rows]
+                active = alive & ~done & np.isfinite(norm)
+                if not active.all():
+                    # Converged and failed rows leave the stack here.
+                    rows = np.flatnonzero(active)
+                    if rows.size == 0:
+                        break
+                    # ``stack.take(rows)``, with the old per-cell
+                    # constants released before the new ones are
+                    # gathered, so that the two never coexist.
+                    ks = stack.ks[rows]
+                    cells = stack.cells[rows, : int(ks.max())]
+                    stack = None
+                    stack = _Stack(slots, cells, ks, total_ways)
+                    x = x[rows, : stack.k]
+                    caps = caps[rows, : stack.k]
+                    state = state.take(rows, stack.k)
+                    ids = ids[rows]
+                delta, bad = stack.newton_step(state)
                 # --- damped line search, per-row damping ladder -------
-                pending = active.copy()
-                damping = np.ones(m)
+                pending = ~bad
+                if not pending.any():
+                    break
+                damping = np.ones(stack.m)
                 x_prev = x
-                x = x.copy()
                 for _ in range(30):
                     # Non-pending rows get junk trial values; harmless —
                     # evaluation is element-wise and only ``accepted``
@@ -595,83 +851,62 @@ class BatchNewtonSolver:
                     )
                     trial_state = stack.evaluate(trial)
                     accepted = pending & (trial_state.norm < state.norm)
+                    if accepted.all():
+                        # The common first round: every row improved.
+                        x, state = trial, trial_state
+                        pending = ~accepted
+                        break
                     if accepted.any():
+                        if x is x_prev:
+                            x = x.copy()
                         x[accepted] = trial[accepted]
                         state.merge_rows(trial_state, accepted)
                         pending &= ~accepted
                     if not pending.any():
                         break
                     damping[pending] *= 0.5
-                # Rows that exhausted the 30 halvings fail like the
-                # scalar "line search failed".
-                active &= ~pending
-                if not active.any():
-                    break
+                # Bad rows and rows that exhausted the 30 halvings fail
+                # like the scalar "singular Jacobian" / "line search
+                # failed"; they leave at the top of the next iteration.
+                alive = ~bad & ~pending
             # Rows still active exhausted the iteration budget → fallback.
         solved = np.flatnonzero(converged_at > 0)
         unsolved = [members[i] for i in np.flatnonzero(converged_at == 0)]
+        unsolved.extend(uncontended_rows)
         if solved.size == 0:
             return unsolved
-        # Endgame: close Eq. 1 per row.  The well-conditioned case of
-        # ``_redistribute_to_capacity`` — no entry saturates, one
-        # proportional pass closes within roundoff — is a fixed float64
-        # op sequence, so it vectorizes bit-exactly: clamp, left-to-right
-        # free sum, one scale, gap check.  Rows that hit a cap or leave
-        # a gap above the 1e-12 closure threshold rerun through the
-        # scalar routine (identical bits by construction: the vector
-        # pass only *commits* when it took the scalar fast path).
-        total_f = float(total_ways)
-        with np.errstate(all="ignore"):
-            xs = x[solved]
-            caps_s = caps[solved]
-            caps_sum = caps_s[:, 0].copy()
-            for c in range(1, k):
-                caps_sum += caps_s[:, c]
-            need = caps_sum > total_f
-            clamped = np.minimum(xs, caps_s)
-            free_sum = clamped[:, 0].copy()
-            for c in range(1, k):
-                free_sum += clamped[:, c]
-            scale_r = total_f / free_sum
-            scaled = clamped * scale_r[:, None]
-            out_sum = scaled[:, 0].copy()
-            for c in range(1, k):
-                out_sum += scaled[:, c]
-            gap = total_f - out_sum
-            tol_r = 1e-12 * max(1.0, abs(total_f))
-            fast = (
-                need
-                & (free_sum > 0.0)
-                & ~(scaled >= caps_s).any(axis=1)
-                & (np.abs(gap) <= tol_r)
-            )
-        closed = np.where(need[:, None], scaled, xs)
-        for out_row in np.flatnonzero(need & ~fast):
-            closed[out_row] = _redistribute_to_capacity(
-                xs[out_row].tolist(), caps_s[out_row].tolist(), total_f
-            )
-        mpas, spis = stack.final_curves(closed, solved)
+        ks = all_ks[solved]
+        width = int(ks.max())
+        pad = np.arange(width) >= ks[:, None]
+        closed = _close_capacity(
+            x_done[solved, :width], all_caps[solved, :width], pad, ks, total_ways
+        )
+        mpas, spis = _Stack(
+            slots, all_cells[solved, :width], ks, total_ways
+        ).final_curves(closed)
         strategy_label = self.fallback_strategy
         # Result construction is the batch's largest fixed per-row cost
         # (two frozen dataclasses per row, 512 per 256-mix batch), so
-        # the hot loop avoids both per-row numpy indexing (whole-matrix
-        # ``.tolist()`` yields the exact same Python floats as per-row
-        # ``.tolist()``) and the frozen-dataclass ``__init__``, whose
-        # per-field ``object.__setattr__`` calls alone cost more than
-        # the rest of the loop.  ``__dict__.update`` on a bare instance
-        # produces field-for-field identical objects (``==``/``hash``
-        # read the same attributes) at less than half the cost; every
-        # field is assigned explicitly, defaults included.
-        closed_l = closed.tolist()
-        mpas_l = mpas.tolist()
-        spis_l = spis.tolist()
-        norm_l = state.norm.tolist()
+        # the hot loop avoids both per-row numpy indexing (one
+        # ``.tolist()`` of each matrix's real cells, in row order, yields
+        # the exact same Python floats as per-row ``.tolist()``) and the
+        # frozen-dataclass ``__init__``, whose per-field
+        # ``object.__setattr__`` calls alone cost more than the rest of
+        # the loop.  ``__dict__.update`` on a bare instance produces
+        # field-for-field identical objects (``==``/``hash`` read the
+        # same attributes) at less than half the cost; every field is
+        # assigned explicitly, defaults included.
+        real = ~pad
+        sizes_it = iter(closed[real].tolist())
+        mpas_it = iter(mpas[real].tolist())
+        spis_it = iter(spis[real].tolist())
+        norm_l = norm_done.tolist()
         conv_l = converged_at.tolist()
         batch_name = self.name
         scalar_name = NewtonSolver.name
         new = object.__new__
-        for out_row, row in enumerate(solved):
-            iterations = int(conv_l[row])
+        for row, k_r in zip(solved.tolist(), ks.tolist()):
+            iterations = conv_l[row]
             telemetry = new(SolverTelemetry)
             telemetry.__dict__.update(
                 strategy=strategy_label,
@@ -684,15 +919,13 @@ class BatchNewtonSolver:
             )
             result = new(EquilibriumResult)
             result.__dict__.update(
-                sizes=tuple(closed_l[out_row]),
-                mpas=tuple(mpas_l[out_row]),
-                spis=tuple(spis_l[out_row]),
+                sizes=tuple(islice(sizes_it, k_r)),
+                mpas=tuple(islice(mpas_it, k_r)),
+                spis=tuple(islice(spis_it, k_r)),
                 solver=scalar_name,
                 iterations=iterations,
                 contended=True,
                 telemetry=telemetry,
             )
             results[members[row]] = result
-        for index in uncontended_rows:
-            unsolved.append(index)
         return unsolved

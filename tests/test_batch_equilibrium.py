@@ -13,11 +13,18 @@ their siblings.
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.batch_equilibrium import BATCH_MIN_STACK, BatchNewtonSolver
+from repro.core.batch_equilibrium import (
+    BATCH_MIN_STACK,
+    BatchNewtonSolver,
+    _Slots,
+    _Stack,
+    _StackState,
+)
 from repro.core.equilibrium import EquilibriumProcess, solve_equilibrium
 from repro.core.histogram import ReuseDistanceHistogram
 from repro.core.occupancy import OccupancyModel
@@ -118,6 +125,40 @@ def batches(draw):
     return batch
 
 
+def hostile_row():
+    """A mix whose Newton iteration fails (flat point-mass plateaus)."""
+    return [
+        make_process(make_profile(ReuseDistanceHistogram.point_mass(1))),
+        make_process(make_profile(ReuseDistanceHistogram.point_mass(10))),
+    ]
+
+
+@st.composite
+def mixed_width_batches(draw):
+    """Rows of 1 to 8 processes in one batch, plus one hostile row.
+
+    Most widths occur fewer than ``BATCH_MIN_STACK`` times, so these
+    rows reach the vector path only as padded rows of one shared
+    stack.  Returns the batch and the hostile row's index.
+    """
+    pool = draw(profile_pools())
+    n_mixes = draw(st.integers(min_value=BATCH_MIN_STACK, max_value=12))
+    batch = []
+    for _ in range(n_mixes):
+        k = draw(st.integers(min_value=1, max_value=8))
+        indices = draw(
+            st.lists(
+                st.integers(min_value=0, max_value=len(pool) - 1),
+                min_size=k,
+                max_size=k,
+            )
+        )
+        batch.append([make_process(pool[i]) for i in indices])
+    hostile_at = draw(st.integers(min_value=0, max_value=len(batch)))
+    batch.insert(hostile_at, hostile_row())
+    return batch, hostile_at
+
+
 class TestBatchScalarBitEquality:
     @given(batches())
     @settings(max_examples=25, deadline=None)
@@ -126,6 +167,39 @@ class TestBatchScalarBitEquality:
         batched = solver.solve_batch(batch, WAYS)
         for row, result in zip(batch, batched):
             assert_results_equal(result, solve_equilibrium(row, WAYS))
+
+    @given(mixed_width_batches())
+    @settings(max_examples=25, deadline=None)
+    def test_property_mixed_widths_equal_scalar_loop(self, case):
+        batch, hostile_at = case
+        batched = BatchNewtonSolver().solve_batch(batch, WAYS)
+        scalars = [solve_equilibrium(row, WAYS) for row in batch]
+        stacked = sum(s.contended for s in scalars) >= BATCH_MIN_STACK
+        for index, (result, scalar) in enumerate(zip(batched, scalars)):
+            assert_results_equal(result, scalar)
+            if index == hostile_at:
+                assert result.solver == "bisection"
+                assert result.telemetry.solver != "batch_newton"
+            elif stacked and scalar.contended and scalar.solver == "newton":
+                # Only rows Newton itself fails on leave the stack.
+                assert result.telemetry.solver == "batch_newton"
+
+    def test_four_widths_share_one_stack(self):
+        """One row each of k = 2..5: below ``min_stack`` per width, but
+        together they fill one padded stack and stay bit-equal."""
+        pool = [
+            make_profile(ReuseDistanceHistogram([1.0, 0.6, 0.3], 0.4)),
+            make_profile(ReuseDistanceHistogram([0.3, 0.9, 0.1], 0.6), api=0.03),
+        ]
+        batch = [
+            [make_process(pool[i % 2]) for i in range(k)] for k in (2, 5, 3, 4)
+        ]
+        assert len(batch) == BATCH_MIN_STACK
+        batched = BatchNewtonSolver().solve_batch(batch, WAYS)
+        for row, result in zip(batch, batched):
+            assert_results_equal(result, solve_equilibrium(row, WAYS))
+            assert result.telemetry.solver == "batch_newton"
+            assert len(result.sizes) == len(row)
 
     def test_benchmark_suite_sweep(self):
         """Deterministic sweep over the real benchmark profiles."""
@@ -261,6 +335,19 @@ class TestFallbackIsolation:
             assert_results_equal(result, solve_equilibrium(row, WAYS))
             assert result.telemetry.solver != "batch_newton"
 
+    def test_uncontended_row_survives_an_all_failed_stack(self):
+        """Every contended row failing Newton must not drop the
+        uncontended rows set aside before the iteration."""
+        small = make_profile(ReuseDistanceHistogram.point_mass(1))
+        batch = [hostile_row() for _ in range(BATCH_MIN_STACK)]
+        batch.append([make_process(small), make_process(small)])
+        batched = BatchNewtonSolver().solve_batch(batch, WAYS)
+        for row, result in zip(batch, batched):
+            assert result is not None
+            assert_results_equal(result, solve_equilibrium(row, WAYS))
+        assert [r.solver for r in batched[:-1]] == ["bisection"] * BATCH_MIN_STACK
+        assert not batched[-1].contended
+
     def test_validation_errors_match_scalar(self):
         batch = self._normal_batch()
         batch.append([])
@@ -273,6 +360,116 @@ class TestFallbackIsolation:
         ]
         with pytest.raises(ConfigurationError):
             solver.solve_batch(self._normal_batch() + [too_many], WAYS)
+
+
+def bits(array):
+    """The raw float64 bit patterns (``-0.0`` and NaN payloads count)."""
+    return np.ascontiguousarray(array, dtype=np.float64).view(np.uint64)
+
+
+class TestCompaction:
+    """Rows leave the stack through ``_Stack.take`` without changing bits."""
+
+    def _stack(self, batch):
+        slots = _Slots(BatchNewtonSolver()._tables)
+        rows = [slots.row(row) for row in batch]
+        return _Stack.build(slots, rows, WAYS), slots
+
+    def test_take_evaluates_like_the_full_stack(self):
+        pool = [
+            make_profile(ReuseDistanceHistogram([1.0, 0.6, 0.3], 0.4)),
+            make_profile(ReuseDistanceHistogram([0.3, 0.9, 0.1], 0.6), api=0.03),
+            make_profile(ReuseDistanceHistogram([0.5] * 6, 0.2), api=0.08),
+            make_profile(ReuseDistanceHistogram.point_mass(3)),
+        ]
+        rng = random.Random(13)
+        widths = [2, 7, 3, 5, 1, 4, 6, 2]
+        batch = [
+            [make_process(rng.choice(pool)) for _ in range(k)] for k in widths
+        ]
+        stack, slots = self._stack(batch)
+        assert stack.k == max(widths)
+        x = np.zeros((stack.m, stack.k))
+        for r, k in enumerate(widths):
+            # Sizes across every table regime, saturated ones included.
+            x[r, :k] = [rng.uniform(0.0, 13.0) for _ in range(k)]
+        full = stack.evaluate(x)
+        for rows in ([0, 2, 5], [1, 3, 6], [4], [7, 0, 3], list(range(8))):
+            rows = np.array(rows)
+            sub = stack.take(rows)
+            width = max(widths[r] for r in rows)
+            assert (sub.m, sub.k) == (rows.size, width)
+            part = sub.evaluate(x[rows, :width])
+            for field in _StackState.__slots__:
+                whole = getattr(full, field)
+                expected = whole[rows] if whole.ndim == 1 else whole[rows, :width]
+                assert np.array_equal(bits(getattr(part, field)), bits(expected)), field
+            # The per-profile searchsorted groups cover exactly the
+            # real cells, each under its own profile's growth table.
+            real = [
+                r * width + c
+                for r, row in enumerate(rows)
+                for c in range(widths[row])
+            ]
+            grouped = sorted(
+                cell for _, a, b in sub.groups for cell in sub.order[a:b].tolist()
+            )
+            assert grouped == real
+            flat = sub.cells.reshape(-1)
+            for growth, a, b in sub.groups:
+                for cell in sub.order[a:b]:
+                    profile = slots.prof[flat[cell]]
+                    assert stack.registry.growth_arrays[profile] is growth
+
+    def test_one_slow_row_among_many_fast_rows(self):
+        """Fast rows leave as they converge; the slow row iterates on
+        alone and every row stays bit-equal to the scalar loop."""
+        rng = random.Random(7)
+        fast, slow = [], None
+        for _ in range(300):
+            row = []
+            for _ in range(rng.randint(2, 4)):
+                size = rng.randint(1, 16)
+                hist = ReuseDistanceHistogram(
+                    [rng.uniform(0.01, 1.0) for _ in range(size)],
+                    rng.uniform(0.01, 1.0),
+                )
+                row.append(
+                    make_process(
+                        make_profile(
+                            hist,
+                            api=rng.uniform(0.005, 0.1),
+                            penalty=rng.uniform(50.0, 300.0),
+                            base=rng.uniform(0.3, 1.5),
+                        )
+                    )
+                )
+            scalar = solve_equilibrium(row, WAYS)
+            if scalar.solver != "newton" or not scalar.contended:
+                continue
+            if scalar.iterations <= 4:
+                fast.append(row)
+            if slow is None or scalar.iterations > slow[1]:
+                slow = (row, scalar.iterations)
+        assert len(fast) >= 20 and slow[1] >= 4 + 5
+        batch = fast[:10] + [slow[0]] + fast[10:20]
+        sizes = []
+        evaluate = _Stack.evaluate
+
+        def spy(stack, x):
+            sizes.append(stack.m)
+            return evaluate(stack, x)
+
+        _Stack.evaluate = spy
+        try:
+            batched = BatchNewtonSolver().solve_batch(batch, WAYS)
+        finally:
+            _Stack.evaluate = evaluate
+        for row, result in zip(batch, batched):
+            assert_results_equal(result, solve_equilibrium(row, WAYS))
+            assert result.telemetry.solver == "batch_newton"
+        assert sizes[0] == len(batch)
+        assert sizes[-1] == 1
 
 
 @pytest.fixture(scope="module")
