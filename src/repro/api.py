@@ -349,31 +349,23 @@ def predict_mixes(
     *,
     ways: int,
     strategy: str = "auto",
-    workers: Optional[int] = None,
-    chunk_size: Optional[int] = None,
-    engine: str = "auto",
     frequency_ratios: Optional[Sequence[Optional[Sequence[float]]]] = None,
 ) -> Tuple[MixPrediction, ...]:
-    """Price a batch of co-run combinations, optionally in parallel.
+    """Price a batch of co-run combinations in one stacked solve.
 
-    Results are ordered like ``mixes`` and are bit-identical for any
-    ``workers``/``engine`` value: the batch engines solve every mix
-    from the cold start (see :mod:`repro.parallel`), which is also
-    what each independent :func:`predict_mix` call does.
+    Results are ordered like ``mixes`` and are bit-identical to
+    independent :func:`predict_mix` calls: the batch predictor solves
+    every mix from the cold start (see :mod:`repro.parallel`), which
+    is also what each :func:`predict_mix` call does.
 
     Args:
         mixes: Co-run combinations, each a sequence of process names.
         suite: A :class:`ProfileSuiteResult` or path to a saved suite.
         ways: Associativity of the shared cache being modelled.
         strategy: Equilibrium solver strategy.
-        workers: Worker processes; ``None``/``0``/``1`` run serially.
-        chunk_size: Mixes shipped per worker round trip.
-        engine: ``"auto"`` / ``"serial"`` / ``"vectorized"`` /
-            ``"pool"`` — pure throughput knob (see
-            :class:`~repro.parallel.ParallelPredictor`).
         frequency_ratios: Optional per-mix core-clock ratios — one
             entry per mix, each ``None`` or a per-process ratio
-            sequence; identical across engines, bit for bit.
+            sequence.
     """
     from repro.parallel import predict_mixes as batch_predict
 
@@ -383,9 +375,6 @@ def predict_mixes(
         mixes,
         ways=ways,
         strategy=strategy,
-        workers=workers,
-        chunk_size=chunk_size,
-        engine=engine,
         frequency_ratios=frequency_ratios,
     )
     return tuple(
@@ -544,17 +533,13 @@ def solve_assignment(
     power_model: Union[CorePowerModel, Pathish],
     *,
     strategy: str = "auto",
-    workers: Optional[int] = None,
-    chunk_size: Optional[int] = None,
-    engine: str = "auto",
 ) -> FleetAssignment:
     """Solve a declarative assignment request (single machine or fleet).
 
     The successor to :func:`pick_assignment`: the problem lives in a
     frozen, JSON-round-trippable :class:`AssignmentRequest` (objective,
-    fleet inventory, power caps/budget, solver and search budget), and
-    everything passed here is an execution knob that cannot change the
-    returned bits.  Small instances can use the exhaustive oracle;
+    fleet inventory, power caps/budget, solver and search budget), so
+    the same request gives the same bits on any host.  Small instances can use the exhaustive oracle;
     ``greedy``/``anneal`` scale to fleets of thousands of machines with
     anytime best-so-far reporting (see :mod:`repro.fleet`).
 
@@ -563,10 +548,6 @@ def solve_assignment(
         suite: A :class:`ProfileSuiteResult` or path to a saved suite.
         power_model: A fitted :class:`CorePowerModel` or path to one.
         strategy: Equilibrium solver strategy.
-        workers / chunk_size / engine: Fan-out knobs for the co-run
-            closure priming (see
-            :class:`~repro.parallel.ParallelPredictor`); results are
-            bit-identical for every setting.
     """
     from repro.fleet import solve
     from repro.io import load_power_model
@@ -580,9 +561,6 @@ def solve_assignment(
         resolved.profiles,
         power_model,
         strategy=strategy,
-        workers=workers,
-        chunk_size=chunk_size,
-        engine=engine,
     )
 
 
@@ -598,12 +576,10 @@ def serve(
     *,
     host: str = "127.0.0.1",
     port: int = 0,
-    workers: Optional[int] = None,
     strategy: str = "auto",
     max_batch_size: int = 32,
     max_linger_ms: float = 2.0,
     max_queue: int = 256,
-    engine: str = "auto",
     result_cache_size: int = 4096,
     target_p95_ms: Optional[float] = None,
     max_body_bytes: int = 8 * 1024 * 1024,
@@ -622,17 +598,12 @@ def serve(
             :class:`CorePowerModel` instances, saved-JSON paths, or
             raw documents.
         host / port: Bind address (``port=0`` = ephemeral).
-        workers: Worker processes per prediction engine
-            (``None``/``0``/``1`` solve in-process).
         strategy: Equilibrium solver strategy.
         max_batch_size: Dispatch a batch at this many queued requests.
         max_linger_ms: Dispatch a partial batch after the oldest
             request has waited this long.
         max_queue: Admission bound; beyond it requests are shed with
             an explicit 429-style response.
-        engine: Batch execution engine per served predictor
-            (``"auto"`` / ``"serial"`` / ``"vectorized"`` /
-            ``"pool"`` — see :class:`~repro.parallel.ParallelPredictor`).
         result_cache_size: Canonical-mix result-cache capacity
             (``0`` disables caching; hits skip the solver but stay
             bit-identical — see :mod:`repro.serve.cache`).
@@ -647,12 +618,10 @@ def serve(
         models,
         host=host,
         port=port,
-        workers=workers,
         strategy=strategy,
         max_batch_size=max_batch_size,
         max_linger_ms=max_linger_ms,
         max_queue=max_queue,
-        engine=engine,
         result_cache_size=result_cache_size,
         target_p95_ms=target_p95_ms,
         max_body_bytes=max_body_bytes,

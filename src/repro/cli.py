@@ -181,10 +181,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
         raise ValueError("give process names to predict, or --batch FILE")
     if args.batch:
         mixes = _load_batch_mixes(args.batch)
-        results = predict_mixes(
-            mixes, args.suite, ways=args.ways, workers=args.workers,
-            engine=args.engine,
-        )
+        results = predict_mixes(mixes, args.suite, ways=args.ways)
         if getattr(args, "as_json", False):
             document = {
                 "kind": "mix_prediction_batch",
@@ -317,6 +314,11 @@ def cmd_assign(args: argparse.Namespace) -> int:
             "--greedy belongs to the legacy exhaustive pick; "
             "use --solver greedy instead"
         )
+    if args.workers is not None:
+        raise ValueError(
+            "--workers belongs to the legacy exhaustive pick; "
+            "the fleet solver runs in-process"
+        )
     from repro.api import AssignmentRequest, solve_assignment
     from repro.io import fleet_assignment_to_dict, fleet_spec_from_dict, load_json
 
@@ -335,9 +337,7 @@ def cmd_assign(args: argparse.Namespace) -> int:
         max_iterations=args.iterations,
         seed=args.seed,
     )
-    result = solve_assignment(
-        request, args.suite, args.power_model, workers=args.workers
-    )
+    result = solve_assignment(request, args.suite, args.power_model)
     print(json.dumps(fleet_assignment_to_dict(result), indent=2, sort_keys=True))
     return 0
 
@@ -375,12 +375,10 @@ def cmd_serve(args: argparse.Namespace) -> int:
     if args.http_workers < 1:
         raise ValueError("--http-workers must be >= 1")
     common = dict(
-        workers=args.workers,
         strategy=args.strategy,
         max_batch_size=args.max_batch,
         max_linger_ms=args.linger_ms,
         max_queue=args.max_queue,
-        engine=args.engine,
         result_cache_size=args.cache_size,
         target_p95_ms=args.target_p95_ms,
         max_body_bytes=args.max_body_bytes,
@@ -511,17 +509,6 @@ def build_parser() -> argparse.ArgumentParser:
         'or {"mixes": [...]}) instead of a single co-run',
     )
     predict.add_argument(
-        "--workers", type=int, default=None,
-        help="worker processes for --batch (results are bit-identical "
-        "to serial)",
-    )
-    predict.add_argument(
-        "--engine", choices=("auto", "serial", "vectorized", "pool"),
-        default="auto",
-        help="batch execution engine for --batch (bit-identical "
-        "results; 'vectorized' is the fastest single-core choice)",
-    )
-    predict.add_argument(
         "--json", dest="as_json", action="store_true",
         help="emit the prediction as JSON instead of a table",
     )
@@ -588,8 +575,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     assign.add_argument(
         "--workers", type=int, default=None,
-        help="score exhaustive candidates across this many worker "
-        "processes (same decision as serial)",
+        help="score the legacy exhaustive pick's candidates across this "
+        "many worker processes (same decision as serial; not valid with "
+        "fleet flags or objectives)",
     )
     _add_obs_flags(assign)
     assign.add_argument("names", nargs="+")
@@ -616,10 +604,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="publish an extra artifact under NAME (repeatable)",
     )
     serve.add_argument(
-        "--workers", type=int, default=None,
-        help="worker processes per prediction engine (default: in-process)",
-    )
-    serve.add_argument(
         "--strategy", default="auto", help="equilibrium solver strategy"
     )
     serve.add_argument(
@@ -633,12 +617,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--max-queue", type=int, default=256,
         help="admission bound; excess requests are shed with HTTP 429",
-    )
-    serve.add_argument(
-        "--engine", choices=("auto", "serial", "vectorized", "pool"),
-        default="auto",
-        help="batch execution engine per served predictor "
-        "(bit-identical responses)",
     )
     serve.add_argument(
         "--http-workers", type=int, default=1,

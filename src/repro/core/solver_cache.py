@@ -27,7 +27,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Hashable, List, Optional, Sequence
 
 from repro.errors import ConfigurationError
 from repro.obs import get_observer
@@ -58,8 +58,7 @@ class CacheStats:
         """Counter increments between two snapshots of one cache.
 
         ``entries``/``max_entries`` are states, not counters, and keep
-        their current values.  Used by the batch engine to ship only
-        the work one chunk did.
+        their current values.
         """
         return CacheStats(
             hits=self.hits - earlier.hits,
@@ -90,8 +89,7 @@ class EquilibriumCache:
             cold proportional-demand guess.  Cold solves depend only
             on the co-run itself — not on which solves happened
             before — which is what makes the :mod:`repro.parallel`
-            batch engine bit-identical between serial and parallel
-            execution.
+            batch predictor bit-identical to the scalar solver.
     """
 
     def __init__(self, max_entries: int = 4096, warm_start: bool = True):
@@ -106,7 +104,6 @@ class EquilibriumCache:
         self._misses = 0
         self._evictions = 0
         self._warm_starts = 0
-        self._absorbed_documents: set = set()
 
     # ------------------------------------------------------------------
     # Mapping interface
@@ -195,52 +192,6 @@ class EquilibriumCache:
         if observer.enabled:
             observer.counter("solver_cache.warm_starts").inc()
         return suggestion
-
-    # ------------------------------------------------------------------
-    # Batch-engine merge (repro.parallel)
-    # ------------------------------------------------------------------
-    def export_entries(self) -> List[Tuple[Hashable, Any]]:
-        """All ``(key, value)`` pairs, least recently used first.
-
-        Worker processes export their per-worker caches with this so
-        the parent can absorb the solutions after a batch.
-        """
-        with self._lock:
-            return list(self._data.items())
-
-    def absorb(
-        self,
-        entries: Optional[Sequence[Tuple[Hashable, Any]]] = None,
-        stats: Optional[CacheStats] = None,
-        document_id: Optional[Hashable] = None,
-    ) -> None:
-        """Merge a worker cache's entries and/or telemetry into this one.
-
-        ``entries`` are inserted through :meth:`put` (LRU/eviction
-        rules apply); ``stats`` counters are *added* to this cache's,
-        so the parent's telemetry reflects the whole fleet's work.
-
-        ``document_id`` makes the merge idempotent: each distinct id is
-        absorbed exactly once, so a worker chunk replayed after a pool
-        failure (same id) cannot double-count its counter deltas or
-        re-insert its entries (which would churn LRU order and inflate
-        eviction counts).  ``None`` keeps the unconditional merge for
-        callers that manage their own delivery semantics.
-        """
-        if document_id is not None:
-            with self._lock:
-                if document_id in self._absorbed_documents:
-                    return
-                self._absorbed_documents.add(document_id)
-        if entries is not None:
-            for key, value in entries:
-                self.put(key, value)
-        if stats is not None:
-            with self._lock:
-                self._hits += stats.hits
-                self._misses += stats.misses
-                self._evictions += stats.evictions
-                self._warm_starts += stats.warm_starts
 
     # ------------------------------------------------------------------
     # Telemetry

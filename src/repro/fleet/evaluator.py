@@ -12,18 +12,18 @@ fleet-scale search tractable:
   has at most two cores per domain — so every solve the search can
   possibly trigger is a co-run of at most ``domain width`` names.
 
-:class:`FleetEvaluator` exploits both.  :meth:`prime` fans the full
-co-run closure (every name multiset up to the widest domain) through
-:class:`~repro.parallel.ParallelPredictor` — inheriting its engine
-selection and serial/vectorized/pool bit-equality — after which every
-machine-state evaluation is pure cached arithmetic.  States themselves
-are memoised by canonical key, shared across the interchangeable
-machines of a group, so greedy packing and annealing over 10k+
-processes re-price only states they have never seen.
+:class:`FleetEvaluator` exploits both.  :meth:`prime` solves the full
+co-run closure (every name multiset up to the widest domain) as one
+batch through :class:`~repro.parallel.ParallelPredictor` — bit-equal
+to the scalar solver — after which every machine-state evaluation is
+pure cached arithmetic.  States themselves are memoised by canonical
+key, shared across the interchangeable machines of a group, so greedy
+packing and annealing over 10k+ processes re-price only states they
+have never seen.
 
 All equilibrium caches are built with ``warm_start=False``: solves are
 order-independent, which is what makes scores bit-identical across
-solvers, engines and runs (the determinism the tests pin).
+solvers and runs (the determinism the tests pin).
 """
 
 from __future__ import annotations
@@ -160,9 +160,6 @@ class FleetEvaluator:
         power_model: Fitted per-core power model.
         fleet: The machine inventory being packed.
         strategy: Equilibrium solver strategy.
-        workers / chunk_size / engine: Fan-out knobs handed to the
-            :class:`ParallelPredictor` used by :meth:`prime`; scores
-            are bit-identical for every setting.
     """
 
     def __init__(
@@ -173,18 +170,12 @@ class FleetEvaluator:
         fleet: FleetSpec,
         *,
         strategy: str = "auto",
-        workers: Optional[int] = None,
-        chunk_size: Optional[int] = None,
-        engine: str = "auto",
     ):
         self.features = dict(features)
         self.profiles = dict(profiles)
         self.power_model = power_model
         self.fleet = fleet
         self.strategy = strategy
-        self.workers = workers
-        self.chunk_size = chunk_size
-        self.engine = engine
         self._models_by_ways: Dict[int, PerformanceModel] = {}
         self._caches_by_ways: Dict[int, EquilibriumCache] = {}
         self._configs: Dict[
@@ -293,13 +284,12 @@ class FleetEvaluator:
         return mixes
 
     def prime(self, names: Sequence[str]) -> int:
-        """Solve the co-run closure up front through the batch engine.
+        """Solve the co-run closure up front as one batch per cache.
 
         Returns the number of mixes primed.  Optional for correctness
         (cold-start caches make later on-demand solves bit-identical);
         it exists so fleet-scale searches pay the equilibrium solves
-        once, through whichever engine (`serial`/`vectorized`/`pool`)
-        suits the host.
+        once, through the stacked batch solver.
         """
         self.check_processes(names)
         if not names:
@@ -321,13 +311,7 @@ class FleetEvaluator:
         primed = 0
         for ways, cache in sorted(self._caches_by_ways.items()):
             with ParallelPredictor(
-                self.features,
-                ways=ways,
-                strategy=self.strategy,
-                workers=self.workers,
-                chunk_size=self.chunk_size,
-                cache=cache,
-                engine=self.engine,
+                self.features, ways=ways, strategy=self.strategy, cache=cache
             ) as predictor:
                 predictions = predictor.predict_mixes(mixes)
             primed += len(predictions)

@@ -25,7 +25,7 @@ comparable bit-for-bit:
 Every tie is broken by ``(score, candidate index)`` — the first
 candidate in the deterministic enumeration order wins — and all state
 pricing goes through cold-start caches, so for a fixed request the
-result is bit-identical across runs, engines and worker counts.
+result is bit-identical across runs.
 """
 
 from __future__ import annotations
@@ -821,17 +821,14 @@ def solve(
     power_model: CorePowerModel,
     *,
     strategy: str = "auto",
-    workers: Optional[int] = None,
-    chunk_size: Optional[int] = None,
-    engine: str = "auto",
     max_candidates: Optional[int] = None,
     sweep_limit: Optional[int] = None,
 ) -> FleetAssignment:
     """Solve a declarative fleet-assignment request.
 
     The request says *what* to solve; everything here is an execution
-    knob (fan-out engine, worker count, enumeration caps) that cannot
-    change the returned bits — only how fast they arrive.
+    knob (solver strategy, enumeration caps) that cannot change the
+    returned bits — only how fast they arrive.
     """
     fleet = request.resolved_fleet()
     objective = canonical_objective(request.objective)
@@ -841,9 +838,6 @@ def solve(
         power_model,
         fleet,
         strategy=strategy,
-        workers=workers,
-        chunk_size=chunk_size,
-        engine=engine,
     )
     ctx = _Context(
         request=request,

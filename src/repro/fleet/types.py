@@ -2,11 +2,10 @@
 
 :class:`AssignmentRequest` is the single entry point's input: a frozen,
 JSON-round-trippable description of *what* to solve (processes,
-objective, fleet, constraints, search budget) with no execution knobs —
-engine/worker selection stays a keyword of
-:func:`repro.api.solve_assignment`, so the same document gives the same
-answer on any host.  :class:`FleetAssignment` is the matching result
-bundle.  Both round-trip bit-exactly through :mod:`repro.io`.
+objective, fleet, constraints, search budget) with no execution knobs,
+so the same document gives the same answer on any host.
+:class:`FleetAssignment` is the matching result bundle.  Both
+round-trip bit-exactly through :mod:`repro.io`.
 """
 
 from __future__ import annotations
@@ -154,12 +153,11 @@ class MachineAssignment:
 class FleetAssignment:
     """Result bundle of :func:`repro.api.solve_assignment`.
 
-    Deliberately free of wall-clock fields: for a given request (and
-    any engine/worker setting) the bundle is bit-identical across
-    runs, which the determinism tests pin.  ``improvements`` is the
-    anytime best-so-far trace — ``(iteration, score)`` each time the
-    incumbent improved, iteration 0 being the construction heuristic's
-    solution.
+    Deliberately free of wall-clock fields: for a given request the
+    bundle is bit-identical across runs, which the determinism tests
+    pin.  ``improvements`` is the anytime best-so-far trace —
+    ``(iteration, score)`` each time the incumbent improved, iteration
+    0 being the construction heuristic's solution.
     """
 
     objective: str

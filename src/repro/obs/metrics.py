@@ -232,8 +232,8 @@ class MetricsRegistry:
 
         Counters add, gauges take the absorbed (later) value, and
         histograms fold their streaming summaries together — the
-        merge the batch engine applies when worker metrics return to
-        the parent process.
+        merge the :mod:`repro.parallel` pools apply when worker
+        metrics return to the parent process.
         """
         for name, value in document.get("counters", {}).items():
             self.counter(name).inc(float(value))

@@ -177,8 +177,8 @@ class Tracer:
         """Graft exported span records into this tracer.
 
         ``spans`` is the ``spans`` list of another tracer's
-        :meth:`to_dict` document (e.g. from a worker process of the
-        :mod:`repro.parallel` batch engine).  Every record gets a
+        :meth:`to_dict` document (e.g. from a worker process of a
+        :mod:`repro.parallel` process pool).  Every record gets a
         fresh id from this tracer's counter; links *within* the batch
         are preserved via an old→new id map, and roots of the absorbed
         forest are re-parented under ``parent_id`` so a worker's spans

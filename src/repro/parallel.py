@@ -1,22 +1,21 @@
-"""repro.parallel — batched process-pool execution engine.
+"""repro.parallel — batched prediction and process-pool fan-out.
 
 Batch workloads — pricing many co-run mixes, scoring every candidate
 of an assignment search, running fleets of ground-truth simulations —
-are embarrassingly parallel, but fanning them out naively breaks the
-project's two core guarantees: deterministic results and coherent
-telemetry.  This module keeps both:
+must keep the project's two core guarantees: deterministic results
+and coherent telemetry.  This module keeps both:
 
-- **Bit-equality.**  Serial and parallel execution return *exactly*
-  the same floats.  Predictions are memoised in
-  :class:`~repro.core.solver_cache.EquilibriumCache` instances built
-  with ``warm_start=False``, so every cache miss is solved from the
-  cold proportional-demand guess and the result depends only on the
-  co-run itself, never on which solves happened before (a warm start
-  changes Newton's initial guess and therefore the result bits).
-  Candidate scoring shares
-  :func:`~repro.core.assignment.enumerate_candidates` with the serial
-  searcher and reduces by ``(score, candidate index)``, reproducing
-  the serial first-strictly-better tie-break.
+- **Bit-equality.**  :class:`ParallelPredictor` solves each batch
+  in-process with the stacked solver of
+  :meth:`~repro.core.performance_model.PerformanceModel.predict_batch`
+  over an :class:`~repro.core.solver_cache.EquilibriumCache` built with
+  ``warm_start=False``, so every cache miss is solved from the cold
+  proportional-demand guess and the result depends only on the co-run
+  itself, never on which solves happened before (a warm start changes
+  Newton's initial guess and therefore the result bits).  Candidate
+  scoring shares :func:`~repro.core.assignment.enumerate_candidates`
+  with the serial searcher and reduces by ``(score, candidate
+  index)``, reproducing the serial first-strictly-better tie-break.
 
 - **Deterministic seeds.**  Simulation tasks without an explicit seed
   draw per-task seeds from ``numpy.random.SeedSequence`` spawning
@@ -24,23 +23,21 @@ telemetry.  This module keeps both:
   independent across tasks and stable across worker counts, chunk
   sizes and scheduling order.
 
-- **Telemetry merge-back.**  Each worker runs chunks under its own
-  private cache and (when the parent observer is live) its own
-  :class:`~repro.obs.Observer`; chunk results ship the newly solved
-  cache entries, the cache-counter deltas and the worker's exported
-  trace/metrics documents back to the parent, which absorbs them into
-  its cache and observer — spans nest under the parent's batch span.
+- **Telemetry merge-back.**  Process pools remain only where the work
+  is CPU-bound per task: :func:`simulate_assignments` and
+  :func:`parallel_exhaustive_assignment`.  Each worker runs chunks
+  under its own :class:`~repro.obs.Observer` when the parent observer
+  is live, and ships its trace/metrics documents back to the parent,
+  which absorbs them so spans nest under the parent's batch span.
 
-Profiles are pickled once per worker (pool initializer), and tasks
+Pool inputs are pickled once per worker (pool initializer), and tasks
 travel in chunks to amortise the remaining IPC.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import multiprocessing
-import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import (
@@ -50,7 +47,6 @@ from typing import (
     Mapping,
     Optional,
     Sequence,
-    Set,
     Tuple,
     Union,
 )
@@ -90,9 +86,6 @@ __all__ = [
 
 #: Default number of tasks shipped to a worker per round trip.
 DEFAULT_CHUNK_SIZE = 8
-
-#: Process-wide predictor ids for idempotent cache-absorb documents.
-_ENGINE_IDS = itertools.count(1)
 
 
 # ----------------------------------------------------------------------
@@ -157,126 +150,30 @@ def _normalize_mix_ratios(
     return normalized
 
 
-#: Per-worker-process state installed by the pool initializers.
-_WORKER: Dict[str, Any] = {}
-
-
 # ----------------------------------------------------------------------
 # Batched co-run prediction
 # ----------------------------------------------------------------------
-def _init_predict_worker(
-    features: Sequence[FeatureVector], ways: int, strategy: str
-) -> None:
-    """Build this worker's model once; chunks then ship only mix names."""
-    model = PerformanceModel(
-        ways=ways, strategy=strategy, cache=EquilibriumCache(warm_start=False)
-    )
-    model.register_all(list(features))
-    _WORKER.clear()
-    _WORKER["model"] = model
-    _WORKER["shipped"] = set()
-
-
-def _predict_chunk(
-    chunk: Sequence[Tuple[int, Tuple[str, ...], Optional[Tuple[float, ...]]]],
-    observe: bool,
-) -> Tuple[
-    List[Tuple[int, CoRunPrediction]],
-    List[Tuple[Any, Any]],
-    CacheStats,
-    Optional[Dict],
-    Optional[Dict],
-]:
-    """Predict one chunk of ``(index, names, ratios)`` tasks in a worker.
-
-    ``ratios`` is the mix's per-process frequency-ratio tuple or
-    ``None`` for the homogeneous default.  Returns the indexed
-    predictions plus everything the parent merges back: cache entries
-    this worker has not shipped before, the cache counter increments
-    of this chunk, and (when observing) the worker-local trace/metrics
-    documents.
-    """
-    model: PerformanceModel = _WORKER["model"]
-    shipped: Set[Any] = _WORKER["shipped"]
-    before = model.cache.stats
-    observer = Observer() if observe else None
-    results: List[Tuple[int, CoRunPrediction]] = []
-    if observer is not None:
-        with use_observer(observer):
-            for index, names, ratios in chunk:
-                results.append(
-                    (
-                        index,
-                        model.predict(
-                            list(names),
-                            frequency_ratios=(
-                                list(ratios) if ratios is not None else None
-                            ),
-                        ),
-                    )
-                )
-    else:
-        for index, names, ratios in chunk:
-            results.append(
-                (
-                    index,
-                    model.predict(
-                        list(names),
-                        frequency_ratios=(
-                            list(ratios) if ratios is not None else None
-                        ),
-                    ),
-                )
-            )
-    entries = [
-        (key, value)
-        for key, value in model.cache.export_entries()
-        if key not in shipped
-    ]
-    shipped.update(key for key, _ in entries)
-    delta = model.cache.stats.delta_since(before)
-    trace_doc = observer.trace_dict() if observer is not None else None
-    metrics_doc = observer.metrics_dict() if observer is not None else None
-    return results, entries, delta, trace_doc, metrics_doc
-
-
 class ParallelPredictor:
-    """Reusable batched co-run predictor over a process pool.
+    """Reusable batched co-run predictor.
 
-    The pool persists across :meth:`predict_mixes` calls, so repeated
-    batches pay worker start-up and profile pickling once.  Use as a
-    context manager (or call :meth:`close`) to release the workers.
+    Every batch is solved in-process by
+    :meth:`PerformanceModel.predict_batch` — the stacked Newton solver,
+    which falls back to the scalar solver row by row where it must —
+    over one cold-start cache, so results are bit-identical to a
+    scalar :meth:`PerformanceModel.predict` loop.  The model is built
+    on first use and kept across :meth:`predict_mixes` calls.  Use as a
+    context manager (or call :meth:`close`) to retire the predictor.
 
     Args:
         features: Feature vectors of every process mixes may name
             (a sequence, or a ``name -> FeatureVector`` mapping).
         ways: Associativity of the shared cache being modelled.
         strategy: Equilibrium solver strategy.
-        workers: Process count; ``None``/``0``/``1`` run serially
-            in-process (same results, by construction).
-        chunk_size: Tasks per worker round trip (default: adaptive,
-            at most :data:`DEFAULT_CHUNK_SIZE`).
-        cache: Parent-side :class:`EquilibriumCache` that accumulates
-            every worker's solutions and telemetry.  Must have
+        cache: :class:`EquilibriumCache` that accumulates every
+            solution and its telemetry.  Must have
             ``warm_start=False`` — warm starts would make results
-            depend on solve order and break serial/parallel
-            bit-equality.
-        engine: How batches execute — all four return bit-identical
-            predictions, so this is purely a throughput knob:
-
-            - ``"serial"``: one scalar solve per mix, in-process.
-            - ``"vectorized"``: in-process stacked-numpy batch solve
-              (:meth:`PerformanceModel.predict_batch`) — the fastest
-              single-core engine, no pool to start.
-            - ``"pool"``: the process-pool fan-out (needs
-              ``workers > 1``).
-            - ``"auto"`` (default): ``vectorized`` when the predictor
-              is effectively single-core (``workers <= 1``, only one
-              CPU visible, or a batch too small to amortise chunk
-              IPC), otherwise ``pool``.
+            depend on solve order.
     """
-
-    _ENGINES = ("auto", "serial", "vectorized", "pool")
 
     def __init__(
         self,
@@ -284,46 +181,24 @@ class ParallelPredictor:
         *,
         ways: int,
         strategy: str = "auto",
-        workers: Optional[int] = None,
-        chunk_size: Optional[int] = None,
         cache: Optional[EquilibriumCache] = None,
-        engine: str = "auto",
     ):
         if isinstance(features, Mapping):
             features = [features[name] for name in sorted(features)]
-        if engine not in self._ENGINES:
-            raise ConfigurationError(
-                f"unknown engine {engine!r}; choose from {self._ENGINES}"
-            )
         self.features = list(features)
         self.ways = ways
         self.strategy = strategy
-        self.workers = _resolve_workers(workers)
-        if engine == "pool" and self.workers <= 1:
-            raise ConfigurationError(
-                "engine='pool' needs workers > 1; use 'vectorized' (or "
-                "'auto') for single-worker batches"
-            )
-        self.engine = engine
-        if chunk_size is not None and int(chunk_size) < 1:
-            raise ConfigurationError("chunk_size must be >= 1")
-        self.chunk_size = chunk_size
         if cache is None:
             cache = EquilibriumCache(warm_start=False)
         elif cache.warm_start:
             raise ConfigurationError(
-                "the batch engine needs a warm_start=False cache: warm starts "
-                "make solutions depend on solve order, breaking the "
-                "serial/parallel bit-equality guarantee"
+                "the batch predictor needs a warm_start=False cache: warm "
+                "starts make solutions depend on solve order, breaking "
+                "bit-equality with the scalar solver"
             )
         self.cache = cache
-        self._executor: Optional[ProcessPoolExecutor] = None
-        self._serial_model: Optional[PerformanceModel] = None
+        self._model: Optional[PerformanceModel] = None
         self._closed = False
-        self._batch_seq = 0
-        # Distinguishes this predictor's absorb documents from those of
-        # other predictors sharing the same parent cache.
-        self._engine_id = next(_ENGINE_IDS)
 
     # -- lifecycle ------------------------------------------------------
     def __enter__(self) -> "ParallelPredictor":
@@ -338,65 +213,40 @@ class ParallelPredictor:
         return self._closed
 
     def close(self) -> None:
-        """Shut the worker pool down (idempotent).
+        """Retire the predictor (idempotent).
 
         A closed predictor stays closed: later :meth:`predict_mixes` /
-        :meth:`warm_up` calls raise :class:`RuntimeError` instead of
-        silently restarting the pool (long-lived holders like the
-        serving layer rely on these strict reuse semantics).
+        :meth:`warm_up` calls raise :class:`RuntimeError` (long-lived
+        holders like the serving layer rely on a stopped engine
+        refusing work).
         """
         self._closed = True
-        if self._executor is not None:
-            self._executor.shutdown()
-            self._executor = None
 
     def _check_open(self) -> None:
         if self._closed:
             raise RuntimeError(
-                "ParallelPredictor is closed; its worker pool was shut "
-                "down — create a new predictor instead of reusing this one"
+                "ParallelPredictor is closed; create a new predictor "
+                "instead of reusing this one"
             )
-
-    def _ensure_executor(self) -> ProcessPoolExecutor:
-        if self._executor is None:
-            self._executor = ProcessPoolExecutor(
-                max_workers=self.workers,
-                mp_context=_pool_context(),
-                initializer=_init_predict_worker,
-                initargs=(self.features, self.ways, self.strategy),
-            )
-        return self._executor
 
     def warm_up(self) -> None:
-        """Spin up (and initialise) the workers before timing anything.
-
-        Benchmarks call this so pool start-up and profile pickling are
-        excluded from the measured batch.
-        """
+        """Build the model before timing anything."""
         self._check_open()
-        if self.workers <= 1 or self.engine in ("serial", "vectorized"):
-            self._serial()
-            return
-        executor = self._ensure_executor()
-        futures = [
-            executor.submit(_predict_chunk, [], False) for _ in range(self.workers)
-        ]
-        for future in futures:
-            future.result()
+        self._performance_model()
 
     # -- prediction -----------------------------------------------------
-    def _serial(self) -> PerformanceModel:
-        if self._serial_model is None:
+    def _performance_model(self) -> PerformanceModel:
+        if self._model is None:
             model = PerformanceModel(
                 ways=self.ways, strategy=self.strategy, cache=self.cache
             )
             model.register_all(self.features)
-            self._serial_model = model
-        return self._serial_model
+            self._model = model
+        return self._model
 
     @property
     def cache_stats(self) -> CacheStats:
-        """Parent-side cache telemetry (includes absorbed worker work)."""
+        """Telemetry of the predictor's cache."""
         return self.cache.stats
 
     def predict_mixes(
@@ -406,109 +256,36 @@ class ParallelPredictor:
             Sequence[Optional[Sequence[float]]]
         ] = None,
     ) -> Tuple[CoRunPrediction, ...]:
-        """Predict every mix; order and bits match serial execution.
+        """Predict every mix, in order, bit-equal to the scalar loop.
 
         Args:
             mixes: One name sequence per mix.
             frequency_ratios: Optional per-mix core-clock ratios: one
                 entry per mix, each either ``None`` (homogeneous) or a
-                per-process ratio sequence.  Every engine — serial,
-                vectorized, pool — routes them to the same scalar
-                model semantics, so results stay bit-identical across
-                engines at any ratio.
+                per-process ratio sequence.
         """
         self._check_open()
         normalized = [tuple(mix) for mix in mixes]
         ratios = _normalize_mix_ratios(normalized, frequency_ratios)
         observer = get_observer()
         if not observer.enabled:
-            return self._predict_mixes_impl(normalized, ratios, observe=False)
-        with observer.span(
-            "parallel.predict_mixes", mixes=len(normalized), workers=self.workers
-        ) as span:
-            results = self._predict_mixes_impl(
-                normalized,
-                ratios,
-                observe=True,
-                observer=observer,
-                parent_span_id=span.span_id,
-            )
+            return self._predict(normalized, ratios)
+        with observer.span("parallel.predict_mixes", mixes=len(normalized)):
+            results = self._predict(normalized, ratios)
             observer.counter("parallel.mixes").inc(len(normalized))
             return results
 
-    def _select_engine(self, n_mixes: int) -> str:
-        """Resolve ``"auto"`` to a concrete engine for this batch.
-
-        The pool only wins when there is real hardware parallelism
-        *and* enough mixes that every worker gets more than chunk-IPC
-        overhead; otherwise the in-process vectorized solver is faster
-        (it beats the serial loop by an order of magnitude on one
-        core, with nothing to fork).
-        """
-        if self.engine != "auto":
-            return self.engine
-        if self.workers <= 1:
-            return "vectorized"
-        if (os.cpu_count() or 1) < 2 or n_mixes < 2 * self.workers:
-            return "vectorized"
-        return "pool"
-
-    def _predict_mixes_impl(
+    def _predict(
         self,
         mixes: List[Tuple[str, ...]],
         ratios: List[Optional[Tuple[float, ...]]],
-        observe: bool,
-        observer: Optional[Observer] = None,
-        parent_span_id: Optional[int] = None,
     ) -> Tuple[CoRunPrediction, ...]:
         if not mixes:
             return ()
-        engine = self._select_engine(len(mixes))
-        if engine == "serial":
-            model = self._serial()
-            return tuple(
-                model.predict(
-                    list(names),
-                    frequency_ratios=(
-                        list(mix_ratios) if mix_ratios is not None else None
-                    ),
-                )
-                for names, mix_ratios in zip(mixes, ratios)
-            )
-        if engine == "vectorized":
-            return self._serial().predict_batch(
-                [list(n) for n in mixes],
-                frequency_ratios=[
-                    list(r) if r is not None else None for r in ratios
-                ],
-            )
-        self._batch_seq += 1
-        batch_seq = self._batch_seq
-        chunks = _chunked(
-            [
-                (index, names, mix_ratios)
-                for index, (names, mix_ratios) in enumerate(zip(mixes, ratios))
-            ],
-            self.workers,
-            self.chunk_size,
+        return self._performance_model().predict_batch(
+            [list(n) for n in mixes],
+            frequency_ratios=[list(r) if r is not None else None for r in ratios],
         )
-        executor = self._ensure_executor()
-        futures = [
-            executor.submit(_predict_chunk, chunk, observe) for chunk in chunks
-        ]
-        out: List[Optional[CoRunPrediction]] = [None] * len(mixes)
-        for chunk_index, future in enumerate(futures):
-            results, entries, delta, trace_doc, metrics_doc = future.result()
-            for index, prediction in results:
-                out[index] = prediction
-            self.cache.absorb(
-                entries=entries,
-                stats=delta,
-                document_id=("predict_mixes", self._engine_id, batch_seq, chunk_index),
-            )
-            if observe and observer is not None:
-                observer.absorb(trace_doc, metrics_doc, parent_span_id)
-        return tuple(out)  # type: ignore[arg-type]
 
 
 def predict_mixes(
@@ -517,21 +294,12 @@ def predict_mixes(
     *,
     ways: int,
     strategy: str = "auto",
-    workers: Optional[int] = None,
-    chunk_size: Optional[int] = None,
     cache: Optional[EquilibriumCache] = None,
-    engine: str = "auto",
     frequency_ratios: Optional[Sequence[Optional[Sequence[float]]]] = None,
 ) -> Tuple[CoRunPrediction, ...]:
     """One-shot batched prediction (see :class:`ParallelPredictor`)."""
     with ParallelPredictor(
-        features,
-        ways=ways,
-        strategy=strategy,
-        workers=workers,
-        chunk_size=chunk_size,
-        cache=cache,
-        engine=engine,
+        features, ways=ways, strategy=strategy, cache=cache
     ) as predictor:
         return predictor.predict_mixes(mixes, frequency_ratios=frequency_ratios)
 
@@ -701,6 +469,10 @@ def _simulate_impl(
 # ----------------------------------------------------------------------
 # Parallel exhaustive assignment search
 # ----------------------------------------------------------------------
+#: Per-worker-process state installed by the pool initializer.
+_WORKER: Dict[str, Any] = {}
+
+
 def _init_assign_worker(
     features: Sequence[FeatureVector],
     profiles: Mapping[str, ProfileVector],

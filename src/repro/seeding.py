@@ -2,8 +2,8 @@
 
 One master seed fans out into many independent streams: per-process
 trace generators, per-core scheduler jitter, per-domain replacement
-policies, the power meter, and — with the :mod:`repro.parallel` batch
-engine — one stream per task in a fan-out.  Child seeds used to be
+policies, the power meter, and — with the :mod:`repro.parallel`
+simulation fan-out — one stream per task.  Child seeds used to be
 derived affinely (``seed * 1_000_003 + pid`` for generators,
 ``seed * 7_919 + core`` for schedulers, ``seed + idx`` for policies),
 which collides across domains for small master seeds: seed 0 hands
@@ -78,7 +78,8 @@ def task_seeds(seed: int, count: int) -> Tuple[int, ...]:
     Uses ``SeedSequence.spawn`` on the batch's :data:`STREAM_TASK`
     child, so task ``i`` of a batch always receives the same seed
     regardless of chunking, worker count or completion order — the
-    invariant behind the batch engine's serial ≡ parallel guarantee —
+    invariant behind the simulation fan-out's serial ≡ parallel
+    guarantee —
     while different task indices get provably independent streams.
     """
     if count < 0:

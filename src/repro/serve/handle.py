@@ -98,12 +98,10 @@ def start_server(
     *,
     host: str = "127.0.0.1",
     port: int = 0,
-    workers: Optional[int] = None,
     strategy: str = "auto",
     max_batch_size: int = 32,
     max_linger_ms: float = 2.0,
     max_queue: int = 256,
-    engine: str = "auto",
     result_cache_size: int = 4096,
     target_p95_ms: Optional[float] = None,
     max_body_bytes: int = 8 * 1024 * 1024,
@@ -118,13 +116,9 @@ def start_server(
             (result bundles, fitted power models, saved-JSON paths or
             raw documents — see :meth:`ModelRegistry.publish`).
         host / port: Bind address; ``port=0`` picks an ephemeral port.
-        workers: Worker processes per prediction engine (default:
-            in-process serial — results are bit-identical either way).
         strategy: Equilibrium solver strategy for served predictions.
         max_batch_size / max_linger_ms / max_queue: Micro-batching
             and admission-control knobs.
-        engine: Batch execution engine per predictor (see
-            :class:`~repro.parallel.ParallelPredictor`).
         result_cache_size: Canonical-mix result-cache capacity; ``0``
             disables caching (see :mod:`repro.serve.cache`).
         target_p95_ms: End-to-end p95 latency SLO driving adaptive
@@ -140,12 +134,10 @@ def start_server(
         registry.publish(name, source)
     service = PredictionService(
         registry,
-        workers=workers,
         strategy=strategy,
         max_batch_size=max_batch_size,
         max_linger_s=max_linger_ms / 1000.0,
         max_queue=max_queue,
-        engine=engine,
         result_cache_size=result_cache_size,
         target_p95_ms=target_p95_ms,
     )

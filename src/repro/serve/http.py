@@ -131,19 +131,10 @@ class PredictionService:
 
     Args:
         registry: Artifact store (default: a fresh empty one).
-        workers: Worker processes per prediction engine;
-            ``None``/``0``/``1`` solve in-process (bit-identical).
         strategy: Equilibrium solver strategy for served predictions.
         max_batch_size / max_linger_s / max_queue: Batching and
             admission knobs, applied to every batcher (see
             :class:`MicroBatcher`).
-        engine: Batch execution engine handed to every
-            :class:`ParallelPredictor` (``"auto"`` / ``"serial"`` /
-            ``"vectorized"`` / ``"pool"``) — a pure throughput knob,
-            responses are bit-identical under all of them.  The
-            default ``"auto"`` uses the in-process stacked-numpy
-            solver on single-core hosts and the process pool when
-            ``workers > 1`` pays off.
         result_cache_size: Capacity of the canonical-mix prediction
             result cache (see :mod:`repro.serve.cache`); ``0``
             disables it.  Cache-hit responses are bit-identical to
@@ -158,19 +149,15 @@ class PredictionService:
         self,
         registry: Optional[ModelRegistry] = None,
         *,
-        workers: Optional[int] = None,
         strategy: str = "auto",
         max_batch_size: int = 32,
         max_linger_s: float = 0.002,
         max_queue: int = 256,
-        engine: str = "auto",
         result_cache_size: int = 4096,
         target_p95_ms: Optional[float] = None,
     ):
         self.registry = registry if registry is not None else ModelRegistry()
-        self.workers = workers
         self.strategy = strategy
-        self.engine = engine
         self.max_batch_size = max_batch_size
         self.max_linger_s = max_linger_s
         self.max_queue = max_queue
@@ -211,11 +198,7 @@ class PredictionService:
         batcher = self._batchers.get(key)
         if batcher is None:
             engine = ParallelPredictor(
-                artifact.obj.features,
-                ways=ways,
-                strategy=self.strategy,
-                workers=self.workers,
-                engine=self.engine,
+                artifact.obj.features, ways=ways, strategy=self.strategy
             )
             batcher = MicroBatcher(
                 engine,
@@ -395,8 +378,6 @@ class PredictionService:
                 suite.obj,
                 power_model,
                 strategy=self.strategy,
-                workers=self.workers,
-                engine=self.engine,
             ),
         )
         self.metrics.counter("serve.assign_v2.completed").inc()

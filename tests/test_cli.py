@@ -139,7 +139,7 @@ class TestBatchPredictFlow:
         batch.write_text(json.dumps([["gzip"], ["gzip", "gzip"]]))
         capsys.readouterr()
         code = main(["predict", "--suite", str(suite), "--ways", "4",
-                     "--batch", str(batch), "--workers", "2", "--json"])
+                     "--batch", str(batch), "--json"])
         assert code == 0
         data = json.loads(capsys.readouterr().out)
         assert data["kind"] == "mix_prediction_batch"
@@ -265,6 +265,30 @@ class TestAssignFlow:
         )
         assert code == 2
         assert "--solver greedy" in capsys.readouterr().err
+
+    def test_assign_fleet_path_rejects_workers(
+        self, tmp_path, capsys, synthetic_power_model
+    ):
+        suite = tmp_path / "suite.json"
+        model = tmp_path / "power.json"
+        save_power_model(synthetic_power_model, model)
+        assert main(
+            ["--sets", "32", "--quick", "profile",
+             "--machine", "2-core-workstation", "--out", str(suite),
+             "mcf", "gzip"]
+        ) == 0
+        common = ["--sets", "32", "assign", "--machine", "2-core-workstation",
+                  "--suite", str(suite), "--power-model", str(model),
+                  "--workers", "2"]
+        # --workers only feeds the legacy exhaustive pick; a fleet flag
+        # or a canonical objective next to it is a usage error.
+        for fleet_args in (["--solver", "greedy"], ["--objective", "min-power"]):
+            capsys.readouterr()
+            assert main(common + fleet_args + ["mcf", "gzip"]) == 2
+            assert "--workers" in capsys.readouterr().err
+        capsys.readouterr()
+        assert main(common + ["mcf", "gzip"]) == 0
+        assert json.loads(capsys.readouterr().out)["kind"] == "assignment_pick"
 
     def test_assign_fleet_file_with_hetero_spec(
         self, tmp_path, capsys, synthetic_power_model

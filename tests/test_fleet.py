@@ -11,8 +11,7 @@ Four layers, pinned separately:
 - **Monotonicity**: annealing never returns a worse score than the
   greedy packing it refines, on fleets far beyond the sweep limit.
 - **Determinism**: same seed ⇒ identical :class:`FleetAssignment`
-  (dataclass equality, so float-for-float) across repeated runs and
-  across ``engine="serial"`` vs ``engine="pool"``.
+  (dataclass equality, so float-for-float) across repeated runs.
 """
 
 import json
@@ -389,22 +388,6 @@ class TestDeterminism:
         first = solve_assignment(request, suite, power_model)
         second = solve_assignment(request, suite, power_model)
         assert first == second
-
-    def test_serial_and_pool_engines_agree(self, suite, power_model):
-        request = AssignmentRequest(
-            processes=("mcf", "gzip", "art", "vpr"),
-            machine="4-core-server",
-            sets=32,
-            solver="anneal",
-            seed=5,
-        )
-        serial = solve_assignment(
-            request, suite, power_model, engine="serial"
-        )
-        pool = solve_assignment(
-            request, suite, power_model, engine="pool", workers=2
-        )
-        assert serial == pool
 
     def test_different_seeds_may_differ_but_stay_valid(self, suite, power_model):
         fleet = FleetSpec(

@@ -1,9 +1,11 @@
-"""Unit tests for the repro.parallel batch execution engine.
+"""Unit tests for repro.parallel.
 
-The engine's contract is strong: for any worker count, chunking or
-scheduling order, results are *bit-identical* to serial execution,
-per-task RNG streams are independent, and worker cache/observer
-telemetry merges losslessly into the parent.  These tests check each
+The batch predictor's results are *bit-identical* to a scalar
+``PerformanceModel.predict`` loop over a cold-start cache.  The
+process pools behind simulations and exhaustive scoring return the
+same results for any worker count, chunking or scheduling order, give
+every task an independent RNG stream, and merge worker observer
+telemetry losslessly into the parent.  These tests check each
 guarantee with 2-worker pools (small enough for CI machines).
 """
 
@@ -39,6 +41,14 @@ MIXES = [
     ["mcf", "art", "vpr"],
     ["gzip", "gzip"],  # duplicates within a mix
     ["mcf", "gzip"],  # duplicate mix in the batch
+]
+#: Per-mix DVFS clock ratios for ``MIXES``.
+RATIOS = [
+    [0.8, 1.0],
+    None,  # per-mix optional: None means all-unit
+    [1.0, 0.6, 0.9],
+    [0.7, 0.7],
+    [0.8, 1.0],
 ]
 
 TINY_SCALE = SimulationScale(
@@ -82,71 +92,70 @@ def power_model():
     return CorePowerModel().fit(training, idle_core_watts=11.0)
 
 
+def _scalar_reference(features, mixes, frequency_ratios=None):
+    """One scalar ``predict`` per mix over a fresh cold-start cache."""
+    model = PerformanceModel(ways=8, cache=EquilibriumCache(warm_start=False))
+    model.register_all(features)
+    if frequency_ratios is None:
+        frequency_ratios = [None] * len(mixes)
+    return tuple(
+        model.predict(mix, frequency_ratios=ratios)
+        for mix, ratios in zip(mixes, frequency_ratios)
+    )
+
+
 class TestPredictMixes:
     def test_parallel_bit_equals_serial(self, features):
-        serial = batch_predict(features, MIXES, ways=8, workers=1)
-        parallel = batch_predict(features, MIXES, ways=8, workers=2, chunk_size=2)
-        assert serial == parallel  # frozen dataclasses: exact float equality
+        """The batch equals the scalar loop; ``==`` is exact float equality."""
+        with ParallelPredictor(features, ways=8) as predictor:
+            assert predictor.predict_mixes(MIXES) == _scalar_reference(
+                features, MIXES
+            )
+        with ParallelPredictor(features, ways=8) as predictor:
+            assert predictor.predict_mixes(
+                MIXES, frequency_ratios=RATIOS
+            ) == _scalar_reference(features, MIXES, RATIOS)
 
     def test_matches_independent_predictions(self, features):
         """Each batch entry equals a standalone cold-start prediction."""
-        batch = batch_predict(features, MIXES, ways=8, workers=2)
+        batch = batch_predict(features, MIXES, ways=8)
         for mix, got in zip(MIXES, batch):
             model = PerformanceModel(ways=8)
             model.register_all(features)
             assert model.predict(mix) == got
 
-    def test_chunking_does_not_change_results(self, features):
-        one = batch_predict(features, MIXES, ways=8, workers=2, chunk_size=1)
-        big = batch_predict(features, MIXES, ways=8, workers=2, chunk_size=64)
-        assert one == big
-
     def test_order_preserved(self, features):
-        results = batch_predict(features, MIXES, ways=8, workers=2)
+        results = batch_predict(features, MIXES, ways=8)
         for mix, result in zip(MIXES, results):
             assert [p.name for p in result.processes] == list(mix)
 
     def test_empty_batch(self, features):
-        assert batch_predict(features, [], ways=8, workers=2) == ()
+        assert batch_predict(features, [], ways=8) == ()
 
     def test_accepts_feature_mapping(self, features):
         mapping = {f.name: f for f in features}
-        assert batch_predict(mapping, MIXES[:2], ways=8, workers=1) == batch_predict(
-            features, MIXES[:2], ways=8, workers=1
+        assert batch_predict(mapping, MIXES[:2], ways=8) == batch_predict(
+            features, MIXES[:2], ways=8
         )
 
-    def test_worker_cache_merges_into_parent(self, features):
-        with ParallelPredictor(features, ways=8, workers=2) as engine:
-            engine.predict_mixes(MIXES)
-            stats = engine.cache_stats
-        # 4 distinct mixes were solved somewhere in the fleet and all
-        # solutions landed in the parent cache; the duplicate mix is a
-        # hit only if both copies hit the same worker, so just bound it.
-        assert stats.entries == 4
-        # The duplicate mix is a worker-cache hit only if both copies
-        # land in the same chunk, so bound the split instead of pinning.
-        assert 4 <= stats.misses <= 5
+    def test_fills_shared_cache(self, features):
+        cache = EquilibriumCache(warm_start=False)
+        with ParallelPredictor(features, ways=8, cache=cache) as predictor:
+            predictor.predict_mixes(MIXES)
+        stats = cache.stats
+        assert stats.entries == 4  # one per distinct canonical mix
         assert stats.hits + stats.misses == len(MIXES)
-        key = (8, "auto", (("gzip", 1.0), ("mcf", 1.0)))
-        assert key in engine.cache
+        assert (8, "auto", (("gzip", 1.0), ("mcf", 1.0))) in cache
 
-    def test_pool_reuse_across_batches(self, features):
-        with ParallelPredictor(features, ways=8, workers=2) as engine:
-            engine.warm_up()
-            first = engine.predict_mixes(MIXES[:2])
-            second = engine.predict_mixes(MIXES[2:])
-        assert first + second == batch_predict(features, MIXES, ways=8, workers=1)
-
-    def test_observer_absorbs_worker_spans(self, features):
+    def test_observer_records_batch_span(self, features):
         observer = obs.Observer()
         with obs.use_observer(observer):
-            batch_predict(features, MIXES, ways=8, workers=2)
+            batch_predict(features, MIXES, ways=8)
         spans = observer.trace_dict()["spans"]
         batch_spans = [s for s in spans if s["name"] == "parallel.predict_mixes"]
         assert len(batch_spans) == 1
         predict_spans = [s for s in spans if s["name"] == "predict"]
         assert len(predict_spans) == len(MIXES)
-        # Worker spans were re-parented under the parent batch span.
         assert {s["parent_id"] for s in predict_spans} == {batch_spans[0]["id"]}
         counters = observer.metrics_dict()["counters"]
         assert counters["predict.calls"] == len(MIXES)
@@ -154,24 +163,16 @@ class TestPredictMixes:
 
     def test_worker_errors_propagate(self, features):
         with pytest.raises(KeyError, match="no feature vector"):
-            batch_predict(features, [["mcf", "nosuch"]], ways=8, workers=2)
+            batch_predict(features, [["mcf", "nosuch"]], ways=8)
 
     def test_warm_start_cache_rejected(self, features):
         with pytest.raises(ConfigurationError, match="warm_start"):
             ParallelPredictor(features, ways=8, cache=EquilibriumCache())
 
-    def test_negative_workers_rejected(self, features):
-        with pytest.raises(ConfigurationError, match="workers"):
-            ParallelPredictor(features, ways=8, workers=-2)
-
-    def test_bad_chunk_size_rejected(self, features):
-        with pytest.raises(ConfigurationError, match="chunk_size"):
-            batch_predict(features, MIXES, ways=8, workers=2, chunk_size=0)
-
 
 class TestPredictorLifecycle:
     def test_predict_after_close_raises(self, features):
-        predictor = ParallelPredictor(features, ways=8, workers=1)
+        predictor = ParallelPredictor(features, ways=8)
         assert predictor.predict_mixes([["mcf", "gzip"]])
         assert not predictor.closed
         predictor.close()
@@ -182,14 +183,14 @@ class TestPredictorLifecycle:
             predictor.warm_up()
 
     def test_context_manager_exit_closes(self, features):
-        with ParallelPredictor(features, ways=8, workers=1) as predictor:
+        with ParallelPredictor(features, ways=8) as predictor:
             predictor.predict_mixes([["mcf"]])
         assert predictor.closed
         with pytest.raises(RuntimeError, match="create a new predictor"):
             predictor.predict_mixes([["mcf"]])
 
     def test_close_is_idempotent(self, features):
-        predictor = ParallelPredictor(features, ways=8, workers=1)
+        predictor = ParallelPredictor(features, ways=8)
         predictor.close()
         predictor.close()
         assert predictor.closed
@@ -204,7 +205,7 @@ class TestFacade:
             features={f.name: f for f in features},
             profiles={},
         )
-        batch = predict_mixes(MIXES, suite, ways=8, workers=2)
+        batch = predict_mixes(MIXES, suite, ways=8)
         assert len(batch) == len(MIXES)
         for mix, result in zip(MIXES, batch):
             assert result.names == tuple(mix)
@@ -406,92 +407,15 @@ class TestTable1Workers:
         ]
 
 
-class TestEngineSelection:
-    """The engine knob is a pure throughput choice: identical bits."""
-
-    def test_all_engines_bit_identical(self, features):
-        serial = batch_predict(features, MIXES, ways=8, engine="serial")
-        vectorized = batch_predict(features, MIXES, ways=8, engine="vectorized")
-        auto = batch_predict(features, MIXES, ways=8)
-        pool = batch_predict(features, MIXES, ways=8, workers=2, engine="pool")
-        assert serial == vectorized == auto == pool
-
-    def test_auto_prefers_vectorized_on_one_worker(self, features):
-        with ParallelPredictor(features, ways=8) as predictor:
-            assert predictor._select_engine(256) == "vectorized"
-
-    def test_auto_pool_needs_cpus_and_batch_size(self, features, monkeypatch):
-        import repro.parallel as parallel_module
-
-        with ParallelPredictor(features, ways=8, workers=4) as predictor:
-            monkeypatch.setattr(parallel_module.os, "cpu_count", lambda: 8)
-            assert predictor._select_engine(256) == "pool"
-            # Too few mixes to amortise chunk IPC across 4 workers.
-            assert predictor._select_engine(7) == "vectorized"
-            # Single visible CPU: the pool cannot win.
-            monkeypatch.setattr(parallel_module.os, "cpu_count", lambda: 1)
-            assert predictor._select_engine(256) == "vectorized"
-
-    def test_explicit_engine_is_never_overridden(self, features, monkeypatch):
-        import repro.parallel as parallel_module
-
-        monkeypatch.setattr(parallel_module.os, "cpu_count", lambda: 8)
-        with ParallelPredictor(
-            features, ways=8, workers=4, engine="vectorized"
-        ) as predictor:
-            assert predictor._select_engine(256) == "vectorized"
-
-    def test_pool_engine_requires_workers(self, features):
-        with pytest.raises(ConfigurationError, match="workers > 1"):
-            ParallelPredictor(features, ways=8, engine="pool")
-
-    def test_unknown_engine_rejected(self, features):
-        with pytest.raises(ConfigurationError, match="engine"):
-            ParallelPredictor(features, ways=8, engine="warp")
-
-    def test_vectorized_fills_shared_cache(self, features):
-        cache = EquilibriumCache(warm_start=False)
-        with ParallelPredictor(
-            features, ways=8, engine="vectorized", cache=cache
-        ) as predictor:
-            predictor.predict_mixes(MIXES)
-        stats = cache.stats
-        assert stats.entries == 4  # one per distinct canonical mix
-        assert stats.hits + stats.misses == len(MIXES)
-
-
 class TestFrequencyRatios:
-    """Per-mix DVFS frequency ratios thread through every engine."""
-
-    RATIOS = [
-        [0.8, 1.0],
-        None,  # per-mix optional: None means all-unit
-        [1.0, 0.6, 0.9],
-        [0.7, 0.7],
-        [0.8, 1.0],
-    ]
-
-    def test_all_engines_bit_identical_with_ratios(self, features):
-        serial = batch_predict(
-            features, MIXES, ways=8, engine="serial",
-            frequency_ratios=self.RATIOS,
-        )
-        vectorized = batch_predict(
-            features, MIXES, ways=8, engine="vectorized",
-            frequency_ratios=self.RATIOS,
-        )
-        pool = batch_predict(
-            features, MIXES, ways=8, workers=2, engine="pool",
-            frequency_ratios=self.RATIOS,
-        )
-        assert serial == vectorized == pool
+    """Per-mix DVFS frequency ratios thread through the batch predictor."""
 
     def test_matches_independent_scalar_predictions(self, features):
         """Each ratio-carrying entry equals a cold standalone predict."""
         batch = batch_predict(
-            features, MIXES, ways=8, frequency_ratios=self.RATIOS
+            features, MIXES, ways=8, frequency_ratios=RATIOS
         )
-        for mix, ratios, got in zip(MIXES, self.RATIOS, batch):
+        for mix, ratios, got in zip(MIXES, RATIOS, batch):
             model = PerformanceModel(ways=8)
             model.register_all(features)
             assert model.predict(mix, frequency_ratios=ratios) == got

@@ -8,7 +8,7 @@ from repro.core.feature import FeatureVector, ProfileVector
 from repro.core.histogram import ReuseDistanceHistogram
 from repro.core.performance_model import PerformanceModel
 from repro.core.power_model import CorePowerModel, PowerTrainingSet
-from repro.core.solver_cache import CacheStats, EquilibriumCache
+from repro.core.solver_cache import EquilibriumCache
 from repro.core.spi import SpiModel
 from repro.errors import ConfigurationError
 from repro.events import RATE_EVENTS
@@ -246,43 +246,3 @@ class TestCombinedModelSharedCache:
         combined.estimate_assignment_power(assignment)
         combined.estimate_assignment_throughput(assignment)
         assert combined.corun_cache_stats.hits > 0
-
-
-class TestAbsorbIdempotency:
-    def test_same_document_absorbed_once(self):
-        parent = EquilibriumCache(warm_start=False)
-        entries = [("k1", "v1"), ("k2", "v2")]
-        delta = CacheStats(
-            hits=3, misses=2, evictions=1, warm_starts=0,
-            entries=2, max_entries=4096,
-        )
-        parent.absorb(entries=entries, stats=delta, document_id=("chunk", 0))
-        first = parent.stats
-        # A replayed delivery of the same worker document (e.g. after a
-        # pool retry) must not double-count counters or re-churn LRU.
-        parent.absorb(entries=entries, stats=delta, document_id=("chunk", 0))
-        second = parent.stats
-        assert first == second
-        assert second.hits == 3 and second.misses == 2
-        assert parent.get("k1") == "v1"
-
-    def test_distinct_documents_both_absorbed(self):
-        parent = EquilibriumCache(warm_start=False)
-        delta = CacheStats(
-            hits=1, misses=1, evictions=0, warm_starts=0,
-            entries=0, max_entries=4096,
-        )
-        parent.absorb(stats=delta, document_id=("chunk", 0))
-        parent.absorb(stats=delta, document_id=("chunk", 1))
-        assert parent.stats.hits == 2
-        assert parent.stats.misses == 2
-
-    def test_none_document_id_keeps_unconditional_merge(self):
-        parent = EquilibriumCache(warm_start=False)
-        delta = CacheStats(
-            hits=1, misses=0, evictions=0, warm_starts=0,
-            entries=0, max_entries=4096,
-        )
-        parent.absorb(stats=delta)
-        parent.absorb(stats=delta)
-        assert parent.stats.hits == 2
