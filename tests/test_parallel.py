@@ -170,6 +170,18 @@ class TestPredictMixes:
             ParallelPredictor(features, ways=8, cache=EquilibriumCache())
 
 
+class TestEngineSelection:
+    """Every batch entry point solves through the one in-process engine."""
+
+    def test_all_engines_bit_identical(self, features):
+        """One-shot call, fresh predictor, cache-served repeat, scalar loop."""
+        one_shot = batch_predict(features, MIXES, ways=8)
+        with ParallelPredictor(features, ways=8) as predictor:
+            fresh = predictor.predict_mixes(MIXES)
+            repeat = predictor.predict_mixes(MIXES)
+        assert one_shot == fresh == repeat == _scalar_reference(features, MIXES)
+
+
 class TestPredictorLifecycle:
     def test_predict_after_close_raises(self, features):
         predictor = ParallelPredictor(features, ways=8)
@@ -409,6 +421,17 @@ class TestTable1Workers:
 
 class TestFrequencyRatios:
     """Per-mix DVFS frequency ratios thread through the batch predictor."""
+
+    def test_all_engines_bit_identical_with_ratios(self, features):
+        one_shot = batch_predict(
+            features, MIXES, ways=8, frequency_ratios=RATIOS
+        )
+        with ParallelPredictor(features, ways=8) as predictor:
+            fresh = predictor.predict_mixes(MIXES, frequency_ratios=RATIOS)
+            repeat = predictor.predict_mixes(MIXES, frequency_ratios=RATIOS)
+        assert one_shot == fresh == repeat == _scalar_reference(
+            features, MIXES, RATIOS
+        )
 
     def test_matches_independent_scalar_predictions(self, features):
         """Each ratio-carrying entry equals a cold standalone predict."""
