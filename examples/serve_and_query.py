@@ -28,7 +28,6 @@ from repro.api import (
     solve_assignment,
     train_power,
 )
-from repro.io import assignment_request_to_dict, fleet_assignment_to_dict
 from repro.serve import ServeClient
 
 MACHINE = "2-core-workstation"
@@ -74,7 +73,7 @@ def main() -> None:
             request = AssignmentRequest(
                 processes=tuple(NAMES), machine=MACHINE, sets=32
             )
-            response = client.assign_v2(assignment_request_to_dict(request))
+            response = client.assign_v2(request.to_dict())
             local = solve_assignment(request, suite, power.model)
             assignment = response["assignment"]
             print(f"\nPOST /v2/assign {NAMES} "
@@ -83,7 +82,7 @@ def main() -> None:
                   f"({assignment['objective']})")
             print(
                 "  bit-identical to api.solve_assignment: "
-                f"{assignment == fleet_assignment_to_dict(local)}"
+                f"{assignment == local.to_dict()}"
             )
 
             metrics = client.metrics()

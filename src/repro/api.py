@@ -19,7 +19,7 @@ scripts, notebooks and the CLI all drive the same four entry points:
   (:mod:`repro.serve`).
 
 Every result type round-trips through plain JSON via ``to_dict()`` /
-``from_dict()`` (converters live in :mod:`repro.io`), and all functions
+``from_dict()`` (one codec in :mod:`repro.io`), and all functions
 honour the process-wide observer installed with
 :func:`repro.obs.use_observer`.
 """
@@ -52,6 +52,14 @@ from repro.fleet.types import (
     AssignmentRequest,
     FleetAssignment,
     MachineAssignment,
+)
+from repro.io import (
+    document,
+    load_fleet_assignment,
+    load_json,
+    load_power_model,
+    save_json,
+    save_power_model,
 )
 from repro.machine.topology import STANDARD_MACHINES
 from repro.workloads.spec import BENCHMARKS
@@ -96,6 +104,7 @@ def __getattr__(name: str):
 # ----------------------------------------------------------------------
 # Result bundles
 # ----------------------------------------------------------------------
+@document("profile_suite", defaults={"machine": "", "features": {}, "profiles": {}})
 @dataclass(frozen=True)
 class ProfileSuiteResult:
     """Everything :func:`profile_suite` learned about a benchmark set."""
@@ -108,24 +117,12 @@ class ProfileSuiteResult:
     def names(self) -> Tuple[str, ...]:
         return tuple(sorted(self.features))
 
-    def to_dict(self) -> dict:
-        from repro.io import profile_suite_result_to_dict
-
-        return profile_suite_result_to_dict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ProfileSuiteResult":
-        from repro.io import profile_suite_result_from_dict
-
-        return profile_suite_result_from_dict(data)
-
     def save(self, path: Pathish) -> None:
         """Write the suite to JSON (loadable by :func:`load_suite`)."""
-        from repro.io import save_json
-
         save_json(self.to_dict(), path)
 
 
+@document("mix_prediction")
 @dataclass(frozen=True)
 class MixPrediction:
     """Predicted co-run steady state from :func:`predict_mix`."""
@@ -134,24 +131,12 @@ class MixPrediction:
     names: Tuple[str, ...]
     prediction: CoRunPrediction
 
-    def to_dict(self) -> dict:
-        from repro.io import mix_prediction_to_dict
-
-        return mix_prediction_to_dict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "MixPrediction":
-        from repro.io import mix_prediction_from_dict
-
-        return mix_prediction_from_dict(data)
-
     def save(self, path: Pathish) -> None:
         """Write the prediction to JSON (loadable by :func:`load_prediction`)."""
-        from repro.io import save_json
-
         save_json(self.to_dict(), path)
 
 
+@document("power_training_result")
 @dataclass(frozen=True)
 class PowerTrainingResult:
     """Fitted Eq. 9 model plus its training provenance."""
@@ -161,24 +146,12 @@ class PowerTrainingResult:
     training_windows: int
     r_squared: float
 
-    def to_dict(self) -> dict:
-        from repro.io import power_training_result_to_dict
-
-        return power_training_result_to_dict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "PowerTrainingResult":
-        from repro.io import power_training_result_from_dict
-
-        return power_training_result_from_dict(data)
-
     def save(self, path: Pathish) -> None:
         """Write just the fitted model to JSON (io conventions)."""
-        from repro.io import save_power_model
-
         save_power_model(self.model, path)
 
 
+@document("assignment_pick")
 @dataclass(frozen=True)
 class AssignmentPick:
     """Outcome of :func:`pick_assignment`."""
@@ -191,21 +164,8 @@ class AssignmentPick:
     def assignment(self) -> Dict[int, Tuple[str, ...]]:
         return self.decision.assignment
 
-    def to_dict(self) -> dict:
-        from repro.io import assignment_pick_to_dict
-
-        return assignment_pick_to_dict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "AssignmentPick":
-        from repro.io import assignment_pick_from_dict
-
-        return assignment_pick_from_dict(data)
-
     def save(self, path: Pathish) -> None:
         """Write the pick to JSON (loadable by :func:`load_pick`)."""
-        from repro.io import save_json
-
         save_json(self.to_dict(), path)
 
 
@@ -248,23 +208,17 @@ def load_suite(path: Pathish) -> ProfileSuiteResult:
     Both writers emit ``kind: profile_suite`` documents; the facade
     additionally records the machine name (absent → empty string).
     """
-    from repro.io import load_json, profile_suite_result_from_dict
-
-    return profile_suite_result_from_dict(load_json(path))
+    return ProfileSuiteResult.from_dict(load_json(path))
 
 
 def load_prediction(path: Pathish) -> MixPrediction:
     """Load a prediction saved by :meth:`MixPrediction.save`."""
-    from repro.io import load_json, mix_prediction_from_dict
-
-    return mix_prediction_from_dict(load_json(path))
+    return MixPrediction.from_dict(load_json(path))
 
 
 def load_pick(path: Pathish) -> AssignmentPick:
     """Load a decision saved by :meth:`AssignmentPick.save`."""
-    from repro.io import assignment_pick_from_dict, load_json
-
-    return assignment_pick_from_dict(load_json(path))
+    return AssignmentPick.from_dict(load_json(path))
 
 
 # ----------------------------------------------------------------------
@@ -482,8 +436,6 @@ def _pick_assignment_impl(
             :mod:`repro.parallel`).  Incompatible with ``greedy``,
             which is inherently sequential.
     """
-    from repro.io import load_power_model
-
     if workers is not None and workers > 1 and greedy:
         raise ConfigurationError(
             "greedy assignment places processes sequentially and cannot "
@@ -550,7 +502,6 @@ def solve_assignment(
         strategy: Equilibrium solver strategy.
     """
     from repro.fleet import solve
-    from repro.io import load_power_model
 
     resolved = _resolve_suite(suite)
     if not isinstance(power_model, CorePowerModel):
@@ -562,13 +513,6 @@ def solve_assignment(
         power_model,
         strategy=strategy,
     )
-
-
-def load_fleet_assignment(path: Pathish) -> FleetAssignment:
-    """Load a bundle saved by :meth:`FleetAssignment.save`."""
-    from repro.io import load_fleet_assignment as _load
-
-    return _load(path)
 
 
 def serve(

@@ -319,12 +319,12 @@ def cmd_assign(args: argparse.Namespace) -> int:
             "--workers belongs to the legacy exhaustive pick; "
             "the fleet solver runs in-process"
         )
-    from repro.api import AssignmentRequest, solve_assignment
-    from repro.io import fleet_assignment_to_dict, fleet_spec_from_dict, load_json
+    from repro.api import AssignmentRequest, FleetSpec, solve_assignment
+    from repro.io import load_json
 
     fleet = None
     if getattr(args, "fleet", None) is not None:
-        fleet = fleet_spec_from_dict(load_json(args.fleet))
+        fleet = FleetSpec.from_dict(load_json(args.fleet))
     request = AssignmentRequest(
         processes=tuple(args.names),
         objective=args.objective,
@@ -338,7 +338,7 @@ def cmd_assign(args: argparse.Namespace) -> int:
         seed=args.seed,
     )
     result = solve_assignment(request, args.suite, args.power_model)
-    print(json.dumps(fleet_assignment_to_dict(result), indent=2, sort_keys=True))
+    print(json.dumps(result.to_dict(), indent=2, sort_keys=True))
     return 0
 
 

@@ -20,6 +20,7 @@ from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence, 
 
 from repro.core.combined import Assignment, CombinedModel
 from repro.errors import AssignmentTooLargeError, ConfigurationError
+from repro.io import document
 from repro.obs import get_observer
 
 #: Objective functions mapping (power_watts, throughput_ips) -> score
@@ -84,6 +85,7 @@ def check_enumeration_size(
     return count
 
 
+@document("assignment_decision")
 @dataclass(frozen=True)
 class AssignmentDecision:
     """Outcome of an assignment search."""
@@ -94,18 +96,6 @@ class AssignmentDecision:
     objective: str
     score: float
     candidates_evaluated: int
-
-    def to_dict(self) -> dict:
-        """Plain-JSON representation (see :mod:`repro.io`)."""
-        from repro.io import assignment_decision_to_dict
-
-        return assignment_decision_to_dict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "AssignmentDecision":
-        from repro.io import assignment_decision_from_dict
-
-        return assignment_decision_from_dict(data)
 
 
 def score_assignment(

@@ -41,6 +41,7 @@ import numpy as np
 
 from repro.core.occupancy import OccupancyModel
 from repro.errors import ConfigurationError, ConvergenceError
+from repro.io import document
 from repro.obs import get_observer
 
 
@@ -78,6 +79,7 @@ class EquilibriumProcess:
         return self.api / (self.alpha * self.mpa(size) + self.beta)
 
 
+@document("solver_telemetry")
 @dataclass(frozen=True)
 class SolverTelemetry:
     """Per-solve observability record.
@@ -106,19 +108,8 @@ class SolverTelemetry:
     warm_started: bool = False
     fallback_reason: Optional[str] = None
 
-    def to_dict(self) -> dict:
-        """Plain-JSON representation (see :mod:`repro.io`)."""
-        from repro.io import telemetry_to_dict
 
-        return telemetry_to_dict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "SolverTelemetry":
-        from repro.io import telemetry_from_dict
-
-        return telemetry_from_dict(data)
-
-
+@document("equilibrium_result")
 @dataclass(frozen=True)
 class EquilibriumResult:
     """Solved steady state of co-running, cache-sharing processes."""
@@ -134,18 +125,6 @@ class EquilibriumResult:
     @property
     def total_size(self) -> float:
         return float(sum(self.sizes))
-
-    def to_dict(self) -> dict:
-        """Plain-JSON representation (see :mod:`repro.io`)."""
-        from repro.io import equilibrium_result_to_dict
-
-        return equilibrium_result_to_dict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "EquilibriumResult":
-        from repro.io import equilibrium_result_from_dict
-
-        return equilibrium_result_from_dict(data)
 
 
 def _finish(
@@ -566,45 +545,6 @@ class NewtonSolver:
                 res[i] = q[i] - 1.0
         return res, q, nlog, rlog
 
-    def _arrow_delta(
-        self,
-        res: np.ndarray,
-        q: np.ndarray,
-        nlog: np.ndarray,
-        rlog: np.ndarray,
-        iteration: int,
-        norm: float,
-    ) -> np.ndarray:
-        """Solve J·Δ = -res exploiting the arrow structure of J.
-
-        Row 0 of J is all ones (capacity constraint); row i has only
-        two nonzeros, ``a_i = ∂F_i/∂S_1`` and ``b_i = ∂F_i/∂S_i``.
-        Eliminating the ``Δ_i`` against row 0 solves the system in
-        O(k) with no matrix assembly.
-        """
-        a = q * (nlog[0] - rlog[0])
-        b = q * (rlog - nlog)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            inv_b = 1.0 / b[1:]
-        if not np.all(np.isfinite(inv_b)):
-            raise ConvergenceError(
-                "singular Jacobian", iterations=iteration, residual=norm
-            )
-        denom = 1.0 - float(a[1:] @ inv_b)
-        num = -float(res[0]) + float(res[1:] @ inv_b)
-        if not math.isfinite(denom) or denom == 0.0 or not math.isfinite(num):
-            raise ConvergenceError(
-                "singular Jacobian", iterations=iteration, residual=norm
-            )
-        delta = np.empty(res.shape)
-        delta[0] = num / denom
-        delta[1:] = (-res[1:] - a[1:] * delta[0]) * inv_b
-        if not np.all(np.isfinite(delta)):
-            raise ConvergenceError(
-                "singular Jacobian", iterations=iteration, residual=norm
-            )
-        return delta
-
     def _caps(
         self, processes: Sequence[EquilibriumProcess], total_ways: int, lo: float
     ) -> np.ndarray:
@@ -735,8 +675,11 @@ class NewtonSolver:
         The hot loop deliberately avoids numpy: for the k <= 16
         processes a cache domain can hold, Python-float segment
         lookups beat small-ndarray round trips by an order of
-        magnitude, and the arrow structure makes the linear solve an
-        O(k) elimination (see :meth:`_arrow_delta` for the algebra).
+        magnitude.  The Jacobian has arrow structure: row 0 (the
+        capacity constraint) is all ones and row i has nonzeros only
+        at columns 0 and i.  The "arrow elimination" loop below solves
+        J·Δ = -res by eliminating each Δ_i against row 0, in O(k) with
+        no matrix assembly.
         """
         k = len(processes)
         g_inv = [p.occupancy.g_inverse for p in processes]

@@ -14,14 +14,42 @@ assignments without running them.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Dict
 
 from repro.core.histogram import ReuseDistanceHistogram
 from repro.core.occupancy import OccupancyModel
 from repro.core.spi import SpiModel
 from repro.errors import ConfigurationError
+from repro.io import decode_field, document
 from repro.workloads.spec import SyntheticBenchmark
 
 
+def _feature_to_dict(feature: "FeatureVector") -> Dict:
+    # The document flattens spi_model into alpha / beta / spi_fit_r2.
+    return {
+        "name": feature.name,
+        "api": feature.api,
+        "alpha": feature.alpha,
+        "beta": feature.beta,
+        "spi_fit_r2": feature.spi_model.r_squared,
+        "histogram": feature.histogram.to_dict(),
+    }
+
+
+def _feature_from_dict(data: Dict, path: str) -> "FeatureVector":
+    return FeatureVector(
+        name=decode_field(data, "name", str, path),
+        histogram=decode_field(data, "histogram", ReuseDistanceHistogram, path),
+        api=decode_field(data, "api", float, path),
+        spi_model=SpiModel(
+            alpha=decode_field(data, "alpha", float, path),
+            beta=decode_field(data, "beta", float, path),
+            r_squared=decode_field(data, "spi_fit_r2", float, path, 1.0),
+        ),
+    )
+
+
+@document("feature_vector", encode=_feature_to_dict, decode=_feature_from_dict)
 @dataclass(frozen=True)
 class FeatureVector:
     """Performance-model inputs for one process (Section 3.4)."""
@@ -88,6 +116,7 @@ class FeatureVector:
         )
 
 
+@document("profile_vector")
 @dataclass(frozen=True)
 class ProfileVector:
     """Power-side profiling record PF_i for one process (Section 5).

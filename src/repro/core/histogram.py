@@ -30,11 +30,24 @@ from typing import (
 import numpy as np
 
 from repro.errors import ConfigurationError
+from repro.io import decode_field, document
 
 Distance = Union[int, float]  # float only for math.inf
 T = TypeVar("T")
 
 
+def _histogram_to_dict(histogram: "ReuseDistanceHistogram") -> Dict:
+    return {"probs": histogram.probs.tolist(), "inf_mass": histogram.inf_mass}
+
+
+def _histogram_from_dict(data: Dict, path: str) -> "ReuseDistanceHistogram":
+    return ReuseDistanceHistogram(
+        decode_field(data, "probs", Tuple[float, ...], path),
+        decode_field(data, "inf_mass", float, path),
+    )
+
+
+@document(encode=_histogram_to_dict, decode=_histogram_from_dict)
 class ReuseDistanceHistogram:
     """Discrete reuse-distance distribution with an infinity bucket.
 

@@ -20,9 +20,11 @@ from repro.core.equilibrium import (
 from repro.core.feature import FeatureVector
 from repro.core.solver_cache import CacheStats, EquilibriumCache
 from repro.errors import ConfigurationError, ConvergenceError
+from repro.io import document
 from repro.obs import get_observer
 
 
+@document("process_prediction")
 @dataclass(frozen=True)
 class ProcessPrediction:
     """Predicted steady state of one process in a co-run."""
@@ -42,19 +44,8 @@ class ProcessPrediction:
         """Instructions per second."""
         return 1.0 / self.spi
 
-    def to_dict(self) -> dict:
-        """Plain-JSON representation (see :mod:`repro.io`)."""
-        from repro.io import process_prediction_to_dict
 
-        return process_prediction_to_dict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ProcessPrediction":
-        from repro.io import process_prediction_from_dict
-
-        return process_prediction_from_dict(data)
-
-
+@document("corun_prediction")
 @dataclass(frozen=True)
 class CoRunPrediction:
     """Predicted steady state of a set of cache-sharing processes."""
@@ -72,18 +63,6 @@ class CoRunPrediction:
     @property
     def total_size(self) -> float:
         return sum(p.effective_size for p in self.processes)
-
-    def to_dict(self) -> dict:
-        """Plain-JSON representation (see :mod:`repro.io`)."""
-        from repro.io import corun_prediction_to_dict
-
-        return corun_prediction_to_dict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "CoRunPrediction":
-        from repro.io import corun_prediction_from_dict
-
-        return corun_prediction_from_dict(data)
 
 
 class PerformanceModel:

@@ -23,6 +23,7 @@ import numpy as np
 from repro.core.regression import LinearRegression
 from repro.errors import ConfigurationError, ModelNotFittedError
 from repro.events import PAPER_NAMES, RATE_EVENTS, Event
+from repro.io import decode_field, document
 
 RateVector = Tuple[float, float, float, float, float]
 
@@ -75,6 +76,33 @@ class PowerTrainingSet:
         return np.asarray(self.rows, dtype=float), np.asarray(self.targets, dtype=float)
 
 
+def _power_model_to_dict(model: "CorePowerModel") -> Dict:
+    return {
+        "p_idle": model.p_idle,
+        "coefficients": model.coefficients,
+        "r_squared": model.r_squared,
+    }
+
+
+def _power_model_from_dict(data: Dict, path: str) -> "CorePowerModel":
+    # Restore the fitted state directly (the document *is* the model:
+    # slopes, pinned intercept, training R²), so documents round-trip
+    # bit-exactly — the repro.api property tests rely on that.
+    p_idle = decode_field(data, "p_idle", float, path)
+    coefficients = decode_field(data, "coefficients", Dict[str, float], path)
+    slopes = [
+        decode_field(coefficients, PAPER_NAMES[event], float, f"{path}.coefficients")
+        for event in RATE_EVENTS
+    ]
+    recorded_r2 = decode_field(data, "r_squared", Optional[float], path, None)
+    model = CorePowerModel()
+    model._regression.coefficients = np.asarray(slopes, dtype=float)
+    model._regression.intercept = p_idle
+    model._regression.r_squared = 1.0 if recorded_r2 is None else recorded_r2
+    return model
+
+
+@document("power_model", encode=_power_model_to_dict, decode=_power_model_from_dict)
 class CorePowerModel:
     """Fitted Eq. 9 model with per-core intercept (idle power)."""
 

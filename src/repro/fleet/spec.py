@@ -20,6 +20,7 @@ from typing import Optional, Tuple
 
 from repro.errors import ConfigurationError
 from repro.hetero.types import HeteroMachineSpec
+from repro.io import document
 from repro.machine.topology import MachineTopology, STANDARD_MACHINES
 
 __all__ = ["MachineGroup", "FleetSpec"]
@@ -76,6 +77,7 @@ class MachineGroup:
         return STANDARD_MACHINES[self.machine](sets=self.sets)
 
 
+@document("fleet_spec", root="fleet")
 @dataclass(frozen=True)
 class FleetSpec:
     """A heterogeneous machine inventory (ordered groups with counts)."""
@@ -122,14 +124,3 @@ class FleetSpec:
         return sum(
             group.count * group.topology().num_cores for group in self.groups
         )
-
-    def to_dict(self) -> dict:
-        from repro.io import fleet_spec_to_dict
-
-        return fleet_spec_to_dict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "FleetSpec":
-        from repro.io import fleet_spec_from_dict
-
-        return fleet_spec_from_dict(data)

@@ -16,6 +16,7 @@ from typing import Dict, Optional, Tuple
 from repro.errors import ConfigurationError
 from repro.fleet.evaluator import canonical_objective
 from repro.fleet.spec import FleetSpec
+from repro.io import document, save_json
 from repro.machine.topology import STANDARD_MACHINES
 
 __all__ = ["SOLVERS", "AssignmentRequest", "MachineAssignment", "FleetAssignment"]
@@ -25,6 +26,7 @@ __all__ = ["SOLVERS", "AssignmentRequest", "MachineAssignment", "FleetAssignment
 SOLVERS = ("auto", "exhaustive", "greedy", "anneal")
 
 
+@document("assignment_request")
 @dataclass(frozen=True)
 class AssignmentRequest:
     """A declarative fleet-assignment problem.
@@ -115,18 +117,8 @@ class AssignmentRequest:
             return self.fleet
         return FleetSpec.single(self.machine, sets=self.sets)
 
-    def to_dict(self) -> dict:
-        from repro.io import assignment_request_to_dict
 
-        return assignment_request_to_dict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "AssignmentRequest":
-        from repro.io import assignment_request_from_dict
-
-        return assignment_request_from_dict(data)
-
-
+@document("machine_assignment")
 @dataclass(frozen=True)
 class MachineAssignment:
     """One machine's share of a fleet assignment.
@@ -149,6 +141,10 @@ class MachineAssignment:
     pstates: Optional[Dict[int, int]] = None
 
 
+@document(
+    "fleet_assignment",
+    defaults={"refinement": "none", "evaluations": 0, "iterations": 0},
+)
 @dataclass(frozen=True)
 class FleetAssignment:
     """Result bundle of :func:`repro.api.solve_assignment`.
@@ -178,19 +174,6 @@ class FleetAssignment:
     def busy_machines(self) -> Tuple[MachineAssignment, ...]:
         return tuple(m for m in self.machines if m.assignment)
 
-    def to_dict(self) -> dict:
-        from repro.io import fleet_assignment_to_dict
-
-        return fleet_assignment_to_dict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "FleetAssignment":
-        from repro.io import fleet_assignment_from_dict
-
-        return fleet_assignment_from_dict(data)
-
     def save(self, path) -> None:
         """Write the bundle to JSON (io conventions)."""
-        from repro.io import save_json
-
         save_json(self.to_dict(), path)

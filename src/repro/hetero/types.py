@@ -34,6 +34,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Tuple
 
 from repro.errors import ConfigurationError
+from repro.io import document
 from repro.machine.topology import STANDARD_MACHINES
 
 
@@ -184,6 +185,7 @@ class CoreType:
         return best
 
 
+@document("hetero_machine_spec")
 @dataclass(frozen=True)
 class HeteroMachineSpec:
     """Core types bound to the cores of a standard machine topology.
@@ -269,17 +271,6 @@ class HeteroMachineSpec:
         path, which keeps them bit-identical to a plain machine.
         """
         return all(core_type.is_unit for core_type in self.core_types)
-
-    def to_dict(self) -> Dict[str, object]:
-        from repro.io import hetero_spec_to_dict
-
-        return hetero_spec_to_dict(self)
-
-    @staticmethod
-    def from_dict(data: Dict[str, object]) -> "HeteroMachineSpec":
-        from repro.io import hetero_spec_from_dict
-
-        return hetero_spec_from_dict(data)
 
 
 # Catalog of big/little-style core designs.  The big core is the paper's

@@ -1,47 +1,127 @@
-"""JSON persistence for profiles and fitted models.
+"""JSON persistence for profiles, fitted models and result types.
 
 Profiling is the expensive step of the paper's methodology (O(A)
 machine runs per process), so real deployments profile once and reuse
-the vectors across scheduling decisions.  This module round-trips the
-three artefacts a deployment needs to persist:
+the vectors across scheduling decisions.  Every artefact worth keeping
+— feature and profile vectors, fitted Eq. 9 power models, equilibrium
+solutions, predictions, assignment decisions, fleet requests and
+plans, and the :mod:`repro.api` result bundles — is a JSON document
+with an explicit ``kind``/``version`` header, so files are
+self-describing.
 
-- :class:`~repro.core.feature.FeatureVector` (performance side),
-- :class:`~repro.core.feature.ProfileVector` (power side, PF_i),
-- :class:`~repro.core.power_model.CorePowerModel` (fitted Eq. 9).
+One codec handles every document type.  A type opts in with the
+:func:`document` class decorator, which registers it under its
+``kind`` and installs ``to_dict()`` / ``from_dict()``.  The codec
+reads the dataclass fields and their type hints once per class:
 
-Beyond the persisted artefacts, every public *result* type —
-equilibrium solutions, predictions, assignment decisions, and the
-:mod:`repro.api` result bundles — has a ``<type>_to_dict`` /
-``<type>_from_dict`` converter pair here, and the dataclasses expose
-them as ``to_dict()`` / ``from_dict()`` methods.  All conversions
-round-trip exactly (a property test pins this).
+- fields are emitted in declaration order;
+- ``Tuple[X, ...]`` and fixed-length tuples are JSON lists;
+- ``Dict[K, X]`` is a JSON object (``int`` keys become strings);
+- ``Optional[X]`` is ``null`` or ``X``;
+- nested dataclasses recurse.  Registered kinds carry their header
+  wherever they appear; other dataclasses (``MachineGroup``,
+  ``CoreType``, ``PState``) are plain objects.
 
-The format is plain JSON with an explicit ``kind``/``version`` header
-so files are self-describing and future-proof.
+Decoding casts each field to its annotated type.  A missing field
+takes its dataclass default (or the decorator's document ``defaults``);
+without one, the error names the field path
+(``fleet.groups[0].machine is missing``), and so does any value that
+does not cast (``assignment_request.seed has invalid value inf``).
+Types that do not map field by field register small ``encode`` /
+``decode`` hooks instead.  All conversions round-trip exactly.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import json
 import math
 import pathlib
-from typing import Any, Dict, Union
+from typing import Any, Callable, Dict, Optional, Union, get_args, get_origin, get_type_hints
 
-import numpy as np
-
-from repro.core.assignment import AssignmentDecision
-from repro.core.equilibrium import EquilibriumResult, SolverTelemetry
-from repro.core.feature import FeatureVector, ProfileVector
-from repro.core.histogram import ReuseDistanceHistogram
-from repro.core.performance_model import CoRunPrediction, ProcessPrediction
-from repro.core.power_model import CorePowerModel
-from repro.core.spi import SpiModel
 from repro.errors import ConfigurationError
-from repro.events import PAPER_NAMES, RATE_EVENTS
 
 Pathish = Union[str, pathlib.Path]
 
 FORMAT_VERSION = 1
+
+_MISSING = object()
+
+
+@dataclasses.dataclass(frozen=True)
+class _Spec:
+    kind: Optional[str]
+    root: str
+    defaults: Dict[str, Any]
+    encode: Optional[Callable[[Any], Dict]]
+    decode: Optional[Callable[[Dict, str], Any]]
+
+
+#: Registered document types, and the same types by ``kind``.
+_SPECS: Dict[type, _Spec] = {}
+_KINDS: Dict[str, type] = {}
+
+
+def document(
+    kind: Optional[str] = None,
+    *,
+    root: Optional[str] = None,
+    defaults: Optional[Dict[str, Any]] = None,
+    encode: Optional[Callable[[Any], Dict]] = None,
+    decode: Optional[Callable[[Dict, str], Any]] = None,
+):
+    """Class decorator: register a JSON document type with the codec.
+
+    Args:
+        kind: Header ``kind`` of the document (``None``: no header).
+        root: First segment of error paths when decoding a top-level
+            document (default: ``kind``).
+        defaults: Document values for fields the dataclass gives no
+            default; a missing field decodes as if it held this value.
+        encode / decode: Hooks for types the field-by-field rules do
+            not fit.  ``encode(obj)`` returns the body without the
+            header; ``decode(data, path)`` gets a header-checked dict.
+    """
+
+    def register(cls):
+        spec = _Spec(kind, root or kind or cls.__name__, defaults or {}, encode, decode)
+        _SPECS[cls] = spec
+        if kind is not None:
+            _KINDS[kind] = cls
+        cls.to_dict = _to_dict
+        cls.from_dict = classmethod(_from_dict)
+        return cls
+
+    return register
+
+
+def _to_dict(self) -> Dict:
+    """Plain-JSON document of this object (see :mod:`repro.io`)."""
+    return _encoder(type(self))(self)
+
+
+def _from_dict(cls, data: Dict):
+    """Decode a document written by :meth:`to_dict` (see :mod:`repro.io`)."""
+    return _decoder(cls)(data, _SPECS[cls].root)
+
+
+def from_document(data: Dict) -> Any:
+    """Decode any registered document, dispatching on its ``kind``."""
+    kind = data.get("kind") if isinstance(data, dict) else None
+    if kind not in _KINDS:
+        raise ConfigurationError(f"unknown document kind {kind!r}")
+    return _KINDS[kind].from_dict(data)
+
+
+def decode_field(data: Dict, key: str, hint: Any, path: str, default: Any = _MISSING) -> Any:
+    """Decode ``data[key]`` as type ``hint`` (the building block of hooks)."""
+    field_path = f"{path}.{key}"
+    if key in data:
+        return _value_decoder(hint)(data[key], field_path)
+    if default is _MISSING:
+        raise ConfigurationError(f"{field_path} is missing")
+    return default
 
 
 def _check_header(data: Dict, kind: str) -> None:
@@ -58,804 +138,193 @@ def _check_header(data: Dict, kind: str) -> None:
         )
 
 
-# ----------------------------------------------------------------------
-# Histograms
-# ----------------------------------------------------------------------
-def histogram_to_dict(histogram: ReuseDistanceHistogram) -> Dict:
-    """Plain-JSON representation of a histogram."""
-    return {
-        "probs": [float(p) for p in histogram.probs],
-        "inf_mass": histogram.inf_mass,
-    }
+def _is_document_class(hint: Any) -> bool:
+    return hint in _SPECS or (isinstance(hint, type) and dataclasses.is_dataclass(hint))
 
 
-def histogram_from_dict(data: Dict) -> ReuseDistanceHistogram:
-    try:
-        return ReuseDistanceHistogram(data["probs"], data["inf_mass"])
-    except KeyError as missing:
-        raise ConfigurationError(f"histogram document missing {missing}") from None
+def _optional_inner(hint: Any) -> Any:
+    args = [arg for arg in get_args(hint) if arg is not type(None)]
+    if len(args) != 1:
+        raise TypeError(f"no JSON codec for {hint!r}")
+    return args[0]
 
 
 # ----------------------------------------------------------------------
-# Feature vectors
+# Encoding
 # ----------------------------------------------------------------------
-def feature_to_dict(feature: FeatureVector) -> Dict:
-    return {
-        "kind": "feature_vector",
-        "version": FORMAT_VERSION,
-        "name": feature.name,
-        "api": feature.api,
-        "alpha": feature.alpha,
-        "beta": feature.beta,
-        "spi_fit_r2": feature.spi_model.r_squared,
-        "histogram": histogram_to_dict(feature.histogram),
-    }
+@functools.lru_cache(maxsize=None)
+def _encoder(cls: type) -> Callable[[Any], Dict]:
+    """Compiled ``obj -> document`` function for one class."""
+    spec = _SPECS.get(cls)
+    header = {"kind": spec.kind, "version": FORMAT_VERSION} if spec and spec.kind else {}
+    if spec is not None and spec.encode is not None:
+        hook = spec.encode
+
+        def encode_hooked(obj) -> Dict:
+            encoded = dict(header)
+            encoded.update(hook(obj))
+            return encoded
+
+        return encode_hooked
+
+    hints = get_type_hints(cls)
+    fields = tuple(
+        (field.name, _value_encoder(hints[field.name]))
+        for field in dataclasses.fields(cls)
+    )
+
+    def encode(obj) -> Dict:
+        encoded = dict(header)
+        for name, inner in fields:
+            value = getattr(obj, name)
+            encoded[name] = value if inner is None else inner(value)
+        return encoded
+
+    return encode
 
 
-def feature_from_dict(data: Dict) -> FeatureVector:
-    _check_header(data, "feature_vector")
-    try:
-        return FeatureVector(
-            name=data["name"],
-            histogram=histogram_from_dict(data["histogram"]),
-            api=data["api"],
-            spi_model=SpiModel(
-                alpha=data["alpha"],
-                beta=data["beta"],
-                r_squared=data.get("spi_fit_r2", 1.0),
-            ),
-        )
-    except KeyError as missing:
-        raise ConfigurationError(f"feature document missing {missing}") from None
-
-
-# ----------------------------------------------------------------------
-# Profile vectors
-# ----------------------------------------------------------------------
-def profile_to_dict(profile: ProfileVector) -> Dict:
-    return {
-        "kind": "profile_vector",
-        "version": FORMAT_VERSION,
-        "name": profile.name,
-        "p_alone": profile.p_alone,
-        "l1rpi": profile.l1rpi,
-        "l2rpi": profile.l2rpi,
-        "brpi": profile.brpi,
-        "fppi": profile.fppi,
-    }
-
-
-def profile_from_dict(data: Dict) -> ProfileVector:
-    _check_header(data, "profile_vector")
-    try:
-        return ProfileVector(
-            name=data["name"],
-            p_alone=data["p_alone"],
-            l1rpi=data["l1rpi"],
-            l2rpi=data["l2rpi"],
-            brpi=data["brpi"],
-            fppi=data["fppi"],
-        )
-    except KeyError as missing:
-        raise ConfigurationError(f"profile document missing {missing}") from None
-
-
-# ----------------------------------------------------------------------
-# Power models
-# ----------------------------------------------------------------------
-def power_model_to_dict(model: CorePowerModel) -> Dict:
-    coefficients = model.coefficients
-    return {
-        "kind": "power_model",
-        "version": FORMAT_VERSION,
-        "p_idle": model.p_idle,
-        "coefficients": coefficients,
-        "r_squared": model.r_squared,
-    }
-
-
-def power_model_from_dict(data: Dict) -> CorePowerModel:
-    _check_header(data, "power_model")
-    try:
-        p_idle = float(data["p_idle"])
-        coefficients = [
-            float(data["coefficients"][PAPER_NAMES[event]]) for event in RATE_EVENTS
+@functools.lru_cache(maxsize=None)
+def _value_encoder(hint: Any) -> Optional[Callable[[Any], Any]]:
+    """Encoder for one type hint; ``None`` when values pass through."""
+    if _is_document_class(hint):
+        return _encoder(hint)
+    origin = get_origin(hint)
+    if origin is Union:
+        inner = _value_encoder(_optional_inner(hint))
+        if inner is None:
+            return None
+        return lambda value: None if value is None else inner(value)
+    if origin is tuple:
+        args = get_args(hint)
+        if len(args) == 2 and args[1] is Ellipsis:
+            inner = _value_encoder(args[0])
+            if inner is None:
+                return list
+            return lambda value: [inner(item) for item in value]
+        inners = [_value_encoder(arg) for arg in args]
+        if all(inner is None for inner in inners):
+            return list
+        return lambda value: [
+            item if inner is None else inner(item)
+            for inner, item in zip(inners, value)
         ]
-    except KeyError as missing:
-        raise ConfigurationError(f"power-model document missing {missing}") from None
-    # Restore the fitted state directly (the document *is* the model:
-    # slopes, pinned intercept, training R²), so documents round-trip
-    # bit-exactly — the repro.api property tests rely on that.
-    model = CorePowerModel()
-    model._regression.coefficients = np.asarray(coefficients, dtype=float)
-    model._regression.intercept = p_idle
-    recorded_r2 = data.get("r_squared")
-    model._regression.r_squared = (
-        float(recorded_r2) if recorded_r2 is not None else 1.0
-    )
-    return model
+    if origin is dict:
+        inner = _value_encoder(get_args(hint)[1])
+        if inner is None:
+            return lambda value: {str(key): item for key, item in value.items()}
+        return lambda value: {str(key): inner(item) for key, item in value.items()}
+    return None
 
 
 # ----------------------------------------------------------------------
-# Solver telemetry and equilibrium results
+# Decoding
 # ----------------------------------------------------------------------
-def telemetry_to_dict(telemetry: SolverTelemetry) -> Dict:
-    return {
-        "kind": "solver_telemetry",
-        "version": FORMAT_VERSION,
-        "strategy": telemetry.strategy,
-        "solver": telemetry.solver,
-        "jacobian": telemetry.jacobian,
-        "iterations": telemetry.iterations,
-        "residual_norm": telemetry.residual_norm,
-        "warm_started": telemetry.warm_started,
-        "fallback_reason": telemetry.fallback_reason,
-    }
-
-
-def telemetry_from_dict(data: Dict) -> SolverTelemetry:
-    _check_header(data, "solver_telemetry")
-    try:
-        return SolverTelemetry(
-            strategy=data["strategy"],
-            solver=data["solver"],
-            jacobian=data["jacobian"],
-            iterations=int(data["iterations"]),
-            residual_norm=float(data["residual_norm"]),
-            warm_started=bool(data.get("warm_started", False)),
-            fallback_reason=data.get("fallback_reason"),
+@functools.lru_cache(maxsize=None)
+def _decoder(cls: type) -> Callable[[Any, str], Any]:
+    """Compiled ``(document, path) -> obj`` function for one class."""
+    spec = _SPECS.get(cls)
+    kind = spec.kind if spec is not None else None
+    if spec is not None and spec.decode is not None:
+        body = spec.decode
+    else:
+        hints = get_type_hints(cls)
+        defaults = spec.defaults if spec is not None else {}
+        fields = tuple(
+            (
+                field.name,
+                _value_decoder(hints[field.name]),
+                field.name not in defaults
+                and field.default is dataclasses.MISSING
+                and field.default_factory is dataclasses.MISSING,
+            )
+            for field in dataclasses.fields(cls)
+            if field.init
         )
-    except KeyError as missing:
-        raise ConfigurationError(f"telemetry document missing {missing}") from None
+
+        def body(data: Dict, path: str):
+            kwargs = {}
+            for name, inner, required in fields:
+                if name in data:
+                    kwargs[name] = inner(data[name], f"{path}.{name}")
+                elif name in defaults:
+                    kwargs[name] = inner(defaults[name], f"{path}.{name}")
+                elif required:
+                    raise ConfigurationError(f"{path}.{name} is missing")
+            return cls(**kwargs)
+
+    def decode(data: Any, path: str):
+        if kind is not None:
+            _check_header(data, kind)
+        elif not isinstance(data, dict):
+            raise ConfigurationError(f"{path} must be a JSON object")
+        return body(data, path)
+
+    return decode
 
 
-def equilibrium_result_to_dict(result: EquilibriumResult) -> Dict:
-    return {
-        "kind": "equilibrium_result",
-        "version": FORMAT_VERSION,
-        "sizes": [float(s) for s in result.sizes],
-        "mpas": [float(m) for m in result.mpas],
-        "spis": [float(s) for s in result.spis],
-        "solver": result.solver,
-        "iterations": result.iterations,
-        "contended": result.contended,
-        "telemetry": (
-            telemetry_to_dict(result.telemetry)
-            if result.telemetry is not None
-            else None
-        ),
-    }
+@functools.lru_cache(maxsize=None)
+def _value_decoder(hint: Any) -> Callable[[Any, str], Any]:
+    """Decoder ``(value, path) -> typed value`` for one type hint."""
+    if _is_document_class(hint):
+        return _decoder(hint)
+    origin = get_origin(hint)
+    if origin is Union:
+        inner = _value_decoder(_optional_inner(hint))
+        return lambda value, path: None if value is None else inner(value, path)
+    if origin is tuple:
+        args = get_args(hint)
+        if len(args) == 2 and args[1] is Ellipsis:
+            inner = _value_decoder(args[0])
 
-
-def equilibrium_result_from_dict(data: Dict) -> EquilibriumResult:
-    _check_header(data, "equilibrium_result")
-    try:
-        telemetry_doc = data.get("telemetry")
-        return EquilibriumResult(
-            sizes=tuple(float(s) for s in data["sizes"]),
-            mpas=tuple(float(m) for m in data["mpas"]),
-            spis=tuple(float(s) for s in data["spis"]),
-            solver=data["solver"],
-            iterations=int(data["iterations"]),
-            contended=bool(data["contended"]),
-            telemetry=(
-                telemetry_from_dict(telemetry_doc)
-                if telemetry_doc is not None
-                else None
-            ),
-        )
-    except KeyError as missing:
-        raise ConfigurationError(
-            f"equilibrium-result document missing {missing}"
-        ) from None
-
-
-# ----------------------------------------------------------------------
-# Predictions
-# ----------------------------------------------------------------------
-def process_prediction_to_dict(prediction: ProcessPrediction) -> Dict:
-    return {
-        "kind": "process_prediction",
-        "version": FORMAT_VERSION,
-        "name": prediction.name,
-        "effective_size": prediction.effective_size,
-        "mpa": prediction.mpa,
-        "spi": prediction.spi,
-    }
-
-
-def process_prediction_from_dict(data: Dict) -> ProcessPrediction:
-    _check_header(data, "process_prediction")
-    try:
-        return ProcessPrediction(
-            name=data["name"],
-            effective_size=float(data["effective_size"]),
-            mpa=float(data["mpa"]),
-            spi=float(data["spi"]),
-        )
-    except KeyError as missing:
-        raise ConfigurationError(
-            f"process-prediction document missing {missing}"
-        ) from None
-
-
-def corun_prediction_to_dict(prediction: CoRunPrediction) -> Dict:
-    return {
-        "kind": "corun_prediction",
-        "version": FORMAT_VERSION,
-        "processes": [process_prediction_to_dict(p) for p in prediction.processes],
-        "solver": prediction.solver,
-        "contended": prediction.contended,
-    }
-
-
-def corun_prediction_from_dict(data: Dict) -> CoRunPrediction:
-    _check_header(data, "corun_prediction")
-    try:
-        return CoRunPrediction(
-            processes=tuple(
-                process_prediction_from_dict(p) for p in data["processes"]
-            ),
-            solver=data["solver"],
-            contended=bool(data["contended"]),
-        )
-    except KeyError as missing:
-        raise ConfigurationError(
-            f"corun-prediction document missing {missing}"
-        ) from None
-
-
-# ----------------------------------------------------------------------
-# Assignment decisions
-# ----------------------------------------------------------------------
-def assignment_decision_to_dict(decision: AssignmentDecision) -> Dict:
-    return {
-        "kind": "assignment_decision",
-        "version": FORMAT_VERSION,
-        # JSON object keys are strings; core ids are re-parsed on load.
-        "assignment": {
-            str(core): list(names) for core, names in decision.assignment.items()
-        },
-        "predicted_watts": decision.predicted_watts,
-        "predicted_ips": decision.predicted_ips,
-        "objective": decision.objective,
-        "score": decision.score,
-        "candidates_evaluated": decision.candidates_evaluated,
-    }
-
-
-def assignment_decision_from_dict(data: Dict) -> AssignmentDecision:
-    _check_header(data, "assignment_decision")
-    try:
-        return AssignmentDecision(
-            assignment={
-                int(core): tuple(names)
-                for core, names in data["assignment"].items()
-            },
-            predicted_watts=float(data["predicted_watts"]),
-            predicted_ips=float(data["predicted_ips"]),
-            objective=data["objective"],
-            score=float(data["score"]),
-            candidates_evaluated=int(data["candidates_evaluated"]),
-        )
-    except KeyError as missing:
-        raise ConfigurationError(
-            f"assignment-decision document missing {missing}"
-        ) from None
-
-
-# ----------------------------------------------------------------------
-# Facade result bundles (repro.api)
-# ----------------------------------------------------------------------
-def profile_suite_result_to_dict(result) -> Dict:
-    # Same ``profile_suite`` kind as :func:`save_profile_suite` (plus a
-    # ``machine`` key), so facade-written files stay loadable by
-    # :func:`load_profile_suite` and vice versa.
-    return {
-        "kind": "profile_suite",
-        "version": FORMAT_VERSION,
-        "machine": result.machine,
-        "features": {
-            name: feature_to_dict(f) for name, f in result.features.items()
-        },
-        "profiles": {
-            name: profile_to_dict(p) for name, p in result.profiles.items()
-        },
-    }
-
-
-def profile_suite_result_from_dict(data: Dict):
-    from repro.api import ProfileSuiteResult
-
-    _check_header(data, "profile_suite")
-    return ProfileSuiteResult(
-        machine=data.get("machine", ""),
-        features={
-            name: feature_from_dict(d)
-            for name, d in data.get("features", {}).items()
-        },
-        profiles={
-            name: profile_from_dict(d)
-            for name, d in data.get("profiles", {}).items()
-        },
-    )
-
-
-def mix_prediction_to_dict(result) -> Dict:
-    return {
-        "kind": "mix_prediction",
-        "version": FORMAT_VERSION,
-        "ways": result.ways,
-        "names": list(result.names),
-        "prediction": corun_prediction_to_dict(result.prediction),
-    }
-
-
-def mix_prediction_from_dict(data: Dict):
-    from repro.api import MixPrediction
-
-    _check_header(data, "mix_prediction")
-    try:
-        return MixPrediction(
-            ways=int(data["ways"]),
-            names=tuple(data["names"]),
-            prediction=corun_prediction_from_dict(data["prediction"]),
-        )
-    except KeyError as missing:
-        raise ConfigurationError(
-            f"mix-prediction document missing {missing}"
-        ) from None
-
-
-def power_training_result_to_dict(result) -> Dict:
-    return {
-        "kind": "power_training_result",
-        "version": FORMAT_VERSION,
-        "machine": result.machine,
-        "model": power_model_to_dict(result.model),
-        "training_windows": result.training_windows,
-        "r_squared": result.r_squared,
-    }
-
-
-def power_training_result_from_dict(data: Dict):
-    from repro.api import PowerTrainingResult
-
-    _check_header(data, "power_training_result")
-    try:
-        return PowerTrainingResult(
-            machine=data["machine"],
-            model=power_model_from_dict(data["model"]),
-            training_windows=int(data["training_windows"]),
-            r_squared=float(data["r_squared"]),
-        )
-    except KeyError as missing:
-        raise ConfigurationError(
-            f"power-training-result document missing {missing}"
-        ) from None
-
-
-def assignment_pick_to_dict(result) -> Dict:
-    return {
-        "kind": "assignment_pick",
-        "version": FORMAT_VERSION,
-        "machine": result.machine,
-        "strategy": result.strategy,
-        "decision": assignment_decision_to_dict(result.decision),
-    }
-
-
-def assignment_pick_from_dict(data: Dict):
-    from repro.api import AssignmentPick
-
-    _check_header(data, "assignment_pick")
-    try:
-        return AssignmentPick(
-            machine=data["machine"],
-            strategy=data["strategy"],
-            decision=assignment_decision_from_dict(data["decision"]),
-        )
-    except KeyError as missing:
-        raise ConfigurationError(
-            f"assignment-pick document missing {missing}"
-        ) from None
-
-
-# ----------------------------------------------------------------------
-# Fleet assignment (repro.fleet)
-# ----------------------------------------------------------------------
-def _field(data: Any, key: str, path: str) -> Any:
-    """Required-field lookup that names the exact JSON path on failure.
-
-    The fleet documents are accepted over HTTP (``/v2/assign``), where
-    "``fleet.groups[1].count`` is missing" beats a bare ``KeyError``.
-    """
-    if not isinstance(data, dict):
-        raise ConfigurationError(f"{path} must be a JSON object")
-    if key not in data:
-        raise ConfigurationError(f"{path}.{key} is missing")
-    return data[key]
-
-
-def _cast(value: Any, caster, path: str) -> Any:
-    try:
-        return caster(value)
-    except (TypeError, ValueError):
-        raise ConfigurationError(
-            f"{path} has invalid value {value!r}"
-        ) from None
-
-
-def _optional(data: Dict, key: str, caster, path: str) -> Any:
-    value = data.get(key)
-    if value is None:
-        return None
-    return _cast(value, caster, f"{path}.{key}")
-
-
-def hetero_spec_to_dict(spec) -> Dict:
-    return {
-        "kind": "hetero_machine_spec",
-        "version": FORMAT_VERSION,
-        "machine": spec.machine,
-        "core_types": [
-            {
-                "name": core_type.name,
-                "perf_scale": core_type.perf_scale,
-                "dynamic_scale": core_type.dynamic_scale,
-                "static_scale": core_type.static_scale,
-                "pstates": [
-                    {
-                        "name": pstate.name,
-                        "frequency_ratio": pstate.frequency_ratio,
-                        "voltage_ratio": pstate.voltage_ratio,
-                    }
-                    for pstate in core_type.pstates
-                ],
-            }
-            for core_type in spec.core_types
-        ],
-        "core_type_of": list(spec.core_type_of),
-    }
-
-
-def hetero_spec_from_dict(data: Dict, path: str = "hetero_machine_spec"):
-    from repro.hetero.types import CoreType, HeteroMachineSpec, PState
-
-    _check_header(data, "hetero_machine_spec")
-    core_types_doc = _field(data, "core_types", path)
-    if not isinstance(core_types_doc, list):
-        raise ConfigurationError(f"{path}.core_types must be a list")
-    core_types = []
-    for index, type_doc in enumerate(core_types_doc):
-        type_path = f"{path}.core_types[{index}]"
-        if not isinstance(type_doc, dict):
-            raise ConfigurationError(f"{type_path} must be a JSON object")
-        pstates_doc = type_doc.get("pstates", [{"name": "nominal"}])
-        if not isinstance(pstates_doc, list):
-            raise ConfigurationError(f"{type_path}.pstates must be a list")
-        pstates = []
-        for pstate_index, pstate_doc in enumerate(pstates_doc):
-            pstate_path = f"{type_path}.pstates[{pstate_index}]"
-            if not isinstance(pstate_doc, dict):
-                raise ConfigurationError(f"{pstate_path} must be a JSON object")
-            pstates.append(
-                PState(
-                    name=_cast(
-                        _field(pstate_doc, "name", pstate_path),
-                        str,
-                        f"{pstate_path}.name",
-                    ),
-                    frequency_ratio=_cast(
-                        pstate_doc.get("frequency_ratio", 1.0),
-                        float,
-                        f"{pstate_path}.frequency_ratio",
-                    ),
-                    voltage_ratio=_cast(
-                        pstate_doc.get("voltage_ratio", 1.0),
-                        float,
-                        f"{pstate_path}.voltage_ratio",
-                    ),
+            def decode_sequence(value, path):
+                if not isinstance(value, (list, tuple)):
+                    raise ConfigurationError(f"{path} must be a list")
+                return tuple(
+                    inner(item, f"{path}[{index}]") for index, item in enumerate(value)
                 )
-            )
-        core_types.append(
-            CoreType(
-                name=_cast(
-                    _field(type_doc, "name", type_path),
-                    str,
-                    f"{type_path}.name",
-                ),
-                perf_scale=_cast(
-                    type_doc.get("perf_scale", 1.0),
-                    float,
-                    f"{type_path}.perf_scale",
-                ),
-                dynamic_scale=_cast(
-                    type_doc.get("dynamic_scale", 1.0),
-                    float,
-                    f"{type_path}.dynamic_scale",
-                ),
-                static_scale=_cast(
-                    type_doc.get("static_scale", 1.0),
-                    float,
-                    f"{type_path}.static_scale",
-                ),
-                pstates=tuple(pstates),
-            )
-        )
-    core_type_of_doc = _field(data, "core_type_of", path)
-    if not isinstance(core_type_of_doc, list):
-        raise ConfigurationError(f"{path}.core_type_of must be a list")
-    return HeteroMachineSpec(
-        machine=_cast(_field(data, "machine", path), str, f"{path}.machine"),
-        core_types=tuple(core_types),
-        core_type_of=tuple(
-            _cast(value, int, f"{path}.core_type_of[{index}]")
-            for index, value in enumerate(core_type_of_doc)
-        ),
-    )
 
+            return decode_sequence
+        inners = [_value_decoder(arg) for arg in args]
 
-def fleet_spec_to_dict(spec) -> Dict:
-    return {
-        "kind": "fleet_spec",
-        "version": FORMAT_VERSION,
-        "groups": [
-            {
-                "machine": group.machine,
-                "count": group.count,
-                "sets": group.sets,
-                "power_cap_watts": group.power_cap_watts,
-                "hetero": (
-                    hetero_spec_to_dict(group.hetero)
-                    if group.hetero is not None
-                    else None
-                ),
+        def decode_fixed(value, path):
+            if not isinstance(value, (list, tuple)) or len(value) != len(inners):
+                raise ConfigurationError(f"{path} must be a list of {len(inners)} items")
+            return tuple(
+                inner(item, f"{path}[{index}]")
+                for index, (inner, item) in enumerate(zip(inners, value))
+            )
+
+        return decode_fixed
+    if origin is dict:
+        key_type, value_type = get_args(hint)
+        decode_key = _value_decoder(key_type)
+        inner = _value_decoder(value_type)
+
+        def decode_mapping(value, path):
+            if not isinstance(value, dict):
+                raise ConfigurationError(f"{path} must be a JSON object")
+            return {
+                decode_key(key, f"{path}[{key!r}]"): inner(item, f"{path}[{key!r}]")
+                for key, item in value.items()
             }
-            for group in spec.groups
-        ],
-    }
+
+        return decode_mapping
+    if hint in (str, int, float, bool):
+        return functools.partial(_cast, hint)
+    raise TypeError(f"no JSON codec for {hint!r}")
 
 
-def fleet_spec_from_dict(data: Dict, path: str = "fleet"):
-    from repro.fleet.spec import FleetSpec, MachineGroup
-
-    _check_header(data, "fleet_spec")
-    groups_doc = _field(data, "groups", path)
-    if not isinstance(groups_doc, list):
-        raise ConfigurationError(f"{path}.groups must be a list")
-    groups = []
-    for index, group_doc in enumerate(groups_doc):
-        group_path = f"{path}.groups[{index}]"
-        if not isinstance(group_doc, dict):
-            raise ConfigurationError(f"{group_path} must be a JSON object")
-        hetero_doc = group_doc.get("hetero")
-        hetero = (
-            hetero_spec_from_dict(hetero_doc, path=f"{group_path}.hetero")
-            if hetero_doc is not None
-            else None
-        )
-        groups.append(
-            MachineGroup(
-                machine=_cast(
-                    _field(group_doc, "machine", group_path),
-                    str,
-                    f"{group_path}.machine",
-                ),
-                count=_cast(
-                    group_doc.get("count", 1), int, f"{group_path}.count"
-                ),
-                sets=_cast(group_doc.get("sets", 128), int, f"{group_path}.sets"),
-                power_cap_watts=_optional(
-                    group_doc, "power_cap_watts", float, group_path
-                ),
-                hetero=hetero,
-            )
-        )
-    return FleetSpec(groups=tuple(groups))
-
-
-def assignment_request_to_dict(request) -> Dict:
-    return {
-        "kind": "assignment_request",
-        "version": FORMAT_VERSION,
-        "processes": list(request.processes),
-        "objective": request.objective,
-        "solver": request.solver,
-        "fleet": (
-            fleet_spec_to_dict(request.fleet)
-            if request.fleet is not None
-            else None
-        ),
-        "machine": request.machine,
-        "sets": request.sets,
-        "max_per_core": request.max_per_core,
-        "power_budget_watts": request.power_budget_watts,
-        "machine_power_cap_watts": request.machine_power_cap_watts,
-        "budget_s": request.budget_s,
-        "max_iterations": request.max_iterations,
-        "seed": request.seed,
-    }
-
-
-def assignment_request_from_dict(data: Dict):
-    from repro.fleet.types import AssignmentRequest
-
-    _check_header(data, "assignment_request")
-    path = "assignment_request"
-    processes = _field(data, "processes", path)
-    if not isinstance(processes, list) or not all(
-        isinstance(name, str) for name in processes
-    ):
-        raise ConfigurationError(f"{path}.processes must be a list of strings")
-    fleet_doc = data.get("fleet")
-    fleet = (
-        fleet_spec_from_dict(fleet_doc, path=f"{path}.fleet")
-        if fleet_doc is not None
-        else None
-    )
-    return AssignmentRequest(
-        processes=tuple(processes),
-        objective=_cast(
-            data.get("objective", "min-power"), str, f"{path}.objective"
-        ),
-        solver=_cast(data.get("solver", "auto"), str, f"{path}.solver"),
-        fleet=fleet,
-        machine=_cast(
-            data.get("machine", "4-core-server"), str, f"{path}.machine"
-        ),
-        sets=_cast(data.get("sets", 128), int, f"{path}.sets"),
-        max_per_core=_optional(data, "max_per_core", int, path),
-        power_budget_watts=_optional(data, "power_budget_watts", float, path),
-        machine_power_cap_watts=_optional(
-            data, "machine_power_cap_watts", float, path
-        ),
-        budget_s=_optional(data, "budget_s", float, path),
-        max_iterations=_optional(data, "max_iterations", int, path),
-        seed=_cast(data.get("seed", 0), int, f"{path}.seed"),
-    )
-
-
-def machine_assignment_to_dict(machine) -> Dict:
-    return {
-        "kind": "machine_assignment",
-        "version": FORMAT_VERSION,
-        "machine": machine.machine,
-        "group": machine.group,
-        "index": machine.index,
-        # JSON object keys are strings; core ids are re-parsed on load.
-        "assignment": {
-            str(core): list(names) for core, names in machine.assignment.items()
-        },
-        "predicted_watts": machine.predicted_watts,
-        "predicted_ips": machine.predicted_ips,
-        "pstates": (
-            {str(core): pstate for core, pstate in machine.pstates.items()}
-            if machine.pstates is not None
-            else None
-        ),
-    }
-
-
-def machine_assignment_from_dict(data: Dict, path: str = "machine_assignment"):
-    from repro.fleet.types import MachineAssignment
-
-    _check_header(data, "machine_assignment")
-    assignment_doc = _field(data, "assignment", path)
-    if not isinstance(assignment_doc, dict):
-        raise ConfigurationError(f"{path}.assignment must be a JSON object")
-    pstates_doc = data.get("pstates")
-    if pstates_doc is not None and not isinstance(pstates_doc, dict):
-        raise ConfigurationError(f"{path}.pstates must be a JSON object")
-    pstates = (
-        {
-            _cast(core, int, f"{path}.pstates[{core!r}]"): _cast(
-                pstate, int, f"{path}.pstates[{core!r}]"
-            )
-            for core, pstate in pstates_doc.items()
-        }
-        if pstates_doc is not None
-        else None
-    )
-    return MachineAssignment(
-        machine=_cast(_field(data, "machine", path), str, f"{path}.machine"),
-        group=_cast(_field(data, "group", path), int, f"{path}.group"),
-        index=_cast(_field(data, "index", path), int, f"{path}.index"),
-        assignment={
-            _cast(core, int, f"{path}.assignment[{core!r}]"): tuple(names)
-            for core, names in assignment_doc.items()
-        },
-        predicted_watts=_cast(
-            _field(data, "predicted_watts", path),
-            float,
-            f"{path}.predicted_watts",
-        ),
-        predicted_ips=_cast(
-            _field(data, "predicted_ips", path), float, f"{path}.predicted_ips"
-        ),
-        pstates=pstates,
-    )
-
-
-def fleet_assignment_to_dict(result) -> Dict:
-    return {
-        "kind": "fleet_assignment",
-        "version": FORMAT_VERSION,
-        "objective": result.objective,
-        "solver": result.solver,
-        "refinement": result.refinement,
-        "fleet": fleet_spec_to_dict(result.fleet),
-        "processes": list(result.processes),
-        "machines": [machine_assignment_to_dict(m) for m in result.machines],
-        "predicted_watts": result.predicted_watts,
-        "predicted_ips": result.predicted_ips,
-        "score": result.score,
-        "evaluations": result.evaluations,
-        "iterations": result.iterations,
-        "improvements": [
-            [iteration, score] for iteration, score in result.improvements
-        ],
-        "seed": result.seed,
-    }
-
-
-def fleet_assignment_from_dict(data: Dict):
-    from repro.fleet.types import FleetAssignment
-
-    _check_header(data, "fleet_assignment")
-    path = "fleet_assignment"
-    machines_doc = _field(data, "machines", path)
-    if not isinstance(machines_doc, list):
-        raise ConfigurationError(f"{path}.machines must be a list")
-    improvements_doc = data.get("improvements", [])
-    improvements = tuple(
-        (
-            _cast(entry[0], int, f"{path}.improvements[{index}][0]"),
-            _cast(entry[1], float, f"{path}.improvements[{index}][1]"),
-        )
-        for index, entry in enumerate(improvements_doc)
-    )
-    return FleetAssignment(
-        objective=_cast(
-            _field(data, "objective", path), str, f"{path}.objective"
-        ),
-        solver=_cast(_field(data, "solver", path), str, f"{path}.solver"),
-        refinement=_cast(
-            data.get("refinement", "none"), str, f"{path}.refinement"
-        ),
-        fleet=fleet_spec_from_dict(
-            _field(data, "fleet", path), path=f"{path}.fleet"
-        ),
-        processes=tuple(_field(data, "processes", path)),
-        machines=tuple(
-            machine_assignment_from_dict(doc, path=f"{path}.machines[{index}]")
-            for index, doc in enumerate(machines_doc)
-        ),
-        predicted_watts=_cast(
-            _field(data, "predicted_watts", path),
-            float,
-            f"{path}.predicted_watts",
-        ),
-        predicted_ips=_cast(
-            _field(data, "predicted_ips", path), float, f"{path}.predicted_ips"
-        ),
-        score=_cast(_field(data, "score", path), float, f"{path}.score"),
-        evaluations=_cast(
-            data.get("evaluations", 0), int, f"{path}.evaluations"
-        ),
-        iterations=_cast(data.get("iterations", 0), int, f"{path}.iterations"),
-        improvements=improvements,
-        seed=_cast(data.get("seed", 0), int, f"{path}.seed"),
-    )
-
-
-def load_fleet_assignment(path: Pathish):
-    """Load a bundle saved by :meth:`FleetAssignment.save`."""
-    return fleet_assignment_from_dict(load_json(path))
+def _cast(caster: type, value: Any, path: str) -> Any:
+    if value is not None and not isinstance(value, (dict, list)):
+        try:
+            return caster(value)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    raise ConfigurationError(f"{path} has invalid value {value!r}")
 
 
 # ----------------------------------------------------------------------
-# Suites and files
+# Files
 # ----------------------------------------------------------------------
 def _require_finite(node: Any, path: str = "$") -> None:
     """Reject NaN/Infinity anywhere in a JSON-bound structure.
@@ -914,31 +383,35 @@ def load_json(path: Pathish) -> Dict:
     return json.loads(pathlib.Path(path).read_text())
 
 
-def save_feature(feature: FeatureVector, path: Pathish) -> None:
+def _load(path: Pathish, kind: str):
+    return _KINDS[kind].from_dict(load_json(path))
+
+
+def save_feature(feature, path: Pathish) -> None:
     """Write one feature vector to a JSON file."""
-    save_json(feature_to_dict(feature), path)
+    save_json(feature.to_dict(), path)
 
 
-def load_feature(path: Pathish) -> FeatureVector:
+def load_feature(path: Pathish):
     """Read one feature vector from a JSON file."""
-    return feature_from_dict(load_json(path))
+    return _load(path, "feature_vector")
 
 
-def save_profile_suite(
-    features: Dict[str, FeatureVector],
-    profiles: Dict[str, ProfileVector],
-    path: Pathish,
-) -> None:
-    """Persist a whole profiled suite (features + PF vectors) to JSON."""
+def save_profile_suite(features: Dict, profiles: Dict, path: Pathish) -> None:
+    """Persist a whole profiled suite (features + PF vectors) to JSON.
+
+    The document is a ``profile_suite`` without the facade's
+    ``machine`` key, which decodes as the empty string.
+    """
     if set(features) != set(profiles):
         raise ConfigurationError("features and profiles must cover the same names")
-    document = {
+    suite = {
         "kind": "profile_suite",
         "version": FORMAT_VERSION,
-        "features": {name: feature_to_dict(f) for name, f in features.items()},
-        "profiles": {name: profile_to_dict(p) for name, p in profiles.items()},
+        "features": {name: f.to_dict() for name, f in features.items()},
+        "profiles": {name: p.to_dict() for name, p in profiles.items()},
     }
-    save_json(document, path)
+    save_json(suite, path)
 
 
 def load_profile_suite(path: Pathish):
@@ -947,22 +420,20 @@ def load_profile_suite(path: Pathish):
     Returns:
         ``(features, profiles)`` dictionaries keyed by process name.
     """
-    data = load_json(path)
-    _check_header(data, "profile_suite")
-    features = {
-        name: feature_from_dict(d) for name, d in data.get("features", {}).items()
-    }
-    profiles = {
-        name: profile_from_dict(d) for name, d in data.get("profiles", {}).items()
-    }
-    return features, profiles
+    suite = _load(path, "profile_suite")
+    return suite.features, suite.profiles
 
 
-def save_power_model(model: CorePowerModel, path: Pathish) -> None:
+def save_power_model(model, path: Pathish) -> None:
     """Persist a fitted Eq. 9 model to JSON."""
-    save_json(power_model_to_dict(model), path)
+    save_json(model.to_dict(), path)
 
 
-def load_power_model(path: Pathish) -> CorePowerModel:
+def load_power_model(path: Pathish):
     """Load a fitted Eq. 9 model from JSON."""
-    return power_model_from_dict(load_json(path))
+    return _load(path, "power_model")
+
+
+def load_fleet_assignment(path: Pathish):
+    """Load a bundle saved by :meth:`FleetAssignment.save`."""
+    return _load(path, "fleet_assignment")

@@ -214,8 +214,8 @@ class ServeClient:
         """POST an ``assignment_request`` document to ``/v2/assign``.
 
         ``request`` is the JSON form of
-        :class:`repro.api.AssignmentRequest` (see
-        :func:`repro.io.assignment_request_to_dict`); the server solves
+        :class:`repro.api.AssignmentRequest` (its ``to_dict()``); the
+        server solves
         it against the published suite and power model and returns a
         ``serve_fleet_assignment`` document.
         """

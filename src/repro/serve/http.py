@@ -349,10 +349,9 @@ class PredictionService:
         document = payload.get("request")
         if not isinstance(document, dict):
             raise _BadRequest("field 'request' must be a JSON object")
-        from repro.api import solve_assignment
-        from repro.io import assignment_request_from_dict, fleet_assignment_to_dict
+        from repro.api import AssignmentRequest, solve_assignment
 
-        request = assignment_request_from_dict(document)
+        request = AssignmentRequest.from_dict(document)
         if len(request.processes) > MAX_FLEET_PROCESSES:
             raise FleetTooLargeError(
                 f"request has {len(request.processes)} processes; this "
@@ -386,7 +385,7 @@ class PredictionService:
             "version": SERVE_FORMAT_VERSION,
             "suite": suite.ref,
             "power_model": power.ref,
-            "assignment": fleet_assignment_to_dict(result),
+            "assignment": result.to_dict(),
         }
 
     @staticmethod

@@ -7,7 +7,7 @@ registry is the single place the server looks them up:
 
 - **Publishing** accepts the in-memory result bundles, fitted models,
   saved-JSON paths or raw documents, normalises everything through the
-  :mod:`repro.io` converters (the same bit-exact restore path
+  :mod:`repro.io` codec (the same bit-exact restore path
   ``api.load_suite`` / ``load_power_model`` use), and assigns a
   monotonically increasing version per name.
 - **Content hashes.**  Every version records the SHA-256 of its
@@ -32,34 +32,16 @@ import threading
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple, Union
 
-from repro.serve.errors import UnknownModelError
 from repro.errors import ConfigurationError
+from repro.io import from_document, load_json
+from repro.serve.errors import UnknownModelError
 
 Pathish = Union[str, pathlib.Path]
 
 __all__ = ["Artifact", "ModelRegistry", "parse_model_ref"]
 
-#: Document kinds the registry knows how to decode.
-_DECODERS = {}
-
-
-def _decoders():
-    """``kind -> from_dict`` map, built lazily to avoid import cycles."""
-    if not _DECODERS:
-        from repro.io import (
-            power_model_from_dict,
-            power_training_result_from_dict,
-            profile_suite_result_from_dict,
-        )
-
-        _DECODERS.update(
-            {
-                "profile_suite": profile_suite_result_from_dict,
-                "power_model": power_model_from_dict,
-                "power_training_result": power_training_result_from_dict,
-            }
-        )
-    return _DECODERS
+#: Document kinds the registry serves (decoded by :mod:`repro.io`).
+_SERVABLE_KINDS = ("power_model", "power_training_result", "profile_suite")
 
 
 def content_digest(document: Dict) -> str:
@@ -158,13 +140,13 @@ class ModelRegistry:
             )
         document, obj = self._as_document(source)
         kind = document.get("kind")
-        if kind not in _decoders():
+        if kind not in _SERVABLE_KINDS:
             raise ConfigurationError(
                 f"cannot serve documents of kind {kind!r}; supported: "
-                f"{sorted(_decoders())}"
+                f"{sorted(_SERVABLE_KINDS)}"
             )
         if obj is None:
-            obj = _decoders()[kind](document)
+            obj = from_document(document)
         digest = content_digest(document)
         with self._lock:
             versions = self._versions.setdefault(name, [])
@@ -200,17 +182,9 @@ class ModelRegistry:
         if isinstance(source, dict):
             return source, None
         if isinstance(source, (str, pathlib.Path)):
-            from repro.io import load_json
-
             return load_json(source), None
         if hasattr(source, "to_dict"):
             return source.to_dict(), source
-        from repro.core.power_model import CorePowerModel
-
-        if isinstance(source, CorePowerModel):
-            from repro.io import power_model_to_dict
-
-            return power_model_to_dict(source), source
         raise ConfigurationError(
             f"cannot publish {type(source).__name__}: expected a result "
             "bundle, a fitted power model, a JSON path, or a document"

@@ -294,7 +294,6 @@ class TestAssignFlow:
         self, tmp_path, capsys, synthetic_power_model
     ):
         from repro.hetero import big_little_spec
-        from repro.io import fleet_spec_to_dict
 
         suite = tmp_path / "suite.json"
         model = tmp_path / "power.json"
@@ -314,7 +313,7 @@ class TestAssignFlow:
                 ),
             )
         )
-        fleet_file.write_text(json.dumps(fleet_spec_to_dict(fleet)))
+        fleet_file.write_text(json.dumps(fleet.to_dict()))
         capsys.readouterr()
         code = main(
             ["assign", "--machine", "2-core-workstation",

@@ -24,6 +24,7 @@ from hypothesis import strategies as st
 
 from repro.api import (
     AssignmentRequest,
+    FleetAssignment,
     FleetSpec,
     MachineGroup,
     ProfileSuiteResult,
@@ -44,13 +45,6 @@ from repro.fleet import (
     CANONICAL_OBJECTIVES,
     canonical_objective,
     fleet_score,
-)
-from repro.io import (
-    assignment_request_from_dict,
-    assignment_request_to_dict,
-    fleet_assignment_from_dict,
-    fleet_assignment_to_dict,
-    fleet_spec_from_dict,
 )
 from repro.workloads.spec import BENCHMARKS
 
@@ -139,9 +133,7 @@ class TestAssignmentRequest:
             assert canonical_objective(request.objective) in CANONICAL_OBJECTIVES
         # Aliases survive the JSON round-trip unrewritten.
         request = AssignmentRequest(processes=("mcf",), objective="power")
-        assert assignment_request_from_dict(
-            assignment_request_to_dict(request)
-        ) == request
+        assert AssignmentRequest.from_dict(request.to_dict()) == request
 
     def test_hetero_field_path_in_errors(self):
         # The hetero subdocument reports the same dotted field paths
@@ -150,7 +142,7 @@ class TestAssignmentRequest:
             ConfigurationError,
             match=r"fleet\.groups\[0\]\.hetero\.core_types is missing",
         ):
-            fleet_spec_from_dict(
+            FleetSpec.from_dict(
                 {
                     "kind": "fleet_spec",
                     "version": 1,
@@ -187,21 +179,21 @@ class TestAssignmentRequest:
             max_iterations=777,
             seed=42,
         )
-        wire = json.loads(json.dumps(assignment_request_to_dict(request)))
-        assert assignment_request_from_dict(wire) == request
+        wire = json.loads(json.dumps(request.to_dict()))
+        assert AssignmentRequest.from_dict(wire) == request
 
     def test_field_path_in_errors(self):
         with pytest.raises(
             ConfigurationError, match=r"assignment_request\.processes is missing"
         ):
-            assignment_request_from_dict(
+            AssignmentRequest.from_dict(
                 {"kind": "assignment_request", "version": 1}
             )
         with pytest.raises(
             ConfigurationError,
             match=r"fleet\.groups\[0\]\.machine is missing",
         ):
-            fleet_spec_from_dict(
+            FleetSpec.from_dict(
                 {"kind": "fleet_spec", "version": 1, "groups": [{}]}
             )
 
@@ -223,8 +215,8 @@ class TestFleetAssignmentResult:
             seed=3,
         )
         result = solve_assignment(request, suite, power_model)
-        wire = json.loads(json.dumps(fleet_assignment_to_dict(result)))
-        assert fleet_assignment_from_dict(wire) == result
+        wire = json.loads(json.dumps(result.to_dict()))
+        assert FleetAssignment.from_dict(wire) == result
 
     def test_save_and_load(self, tmp_path, suite, power_model):
         from repro.api import load_fleet_assignment

@@ -44,7 +44,6 @@ from repro.hetero import (
     big_little_spec,
     unit_spec,
 )
-from repro.io import fleet_spec_from_dict, fleet_spec_to_dict
 from repro.workloads.spec import BENCHMARKS
 
 NAMES = ["mcf", "gzip", "art"]
@@ -232,18 +231,18 @@ class TestHeteroIO:
 
     def test_fleet_spec_round_trips_with_hetero(self):
         fleet = _hetero_fleet()
-        document = fleet_spec_to_dict(fleet)
-        assert fleet_spec_from_dict(document) == fleet
+        document = fleet.to_dict()
+        assert FleetSpec.from_dict(document) == fleet
         assert document["groups"][0]["hetero"]["kind"] == "hetero_machine_spec"
 
     def test_homogeneous_groups_serialise_null_hetero(self):
         fleet = FleetSpec(groups=(MachineGroup(machine=MACHINE),))
-        document = fleet_spec_to_dict(fleet)
+        document = fleet.to_dict()
         assert document["groups"][0]["hetero"] is None
-        assert fleet_spec_from_dict(document) == fleet
+        assert FleetSpec.from_dict(document) == fleet
 
     def test_field_path_on_bad_ratio(self):
-        document = fleet_spec_to_dict(_hetero_fleet())
+        document = _hetero_fleet().to_dict()
         hetero = document["groups"][0]["hetero"]
         hetero["core_types"][0]["pstates"][1]["frequency_ratio"] = "fast"
         with pytest.raises(
@@ -251,25 +250,25 @@ class TestHeteroIO:
             match=r"fleet\.groups\[0\]\.hetero\.core_types\[0\]"
             r"\.pstates\[1\]\.frequency_ratio",
         ):
-            fleet_spec_from_dict(document)
+            FleetSpec.from_dict(document)
 
     def test_field_path_on_missing_core_type_name(self):
-        document = fleet_spec_to_dict(_hetero_fleet())
+        document = _hetero_fleet().to_dict()
         del document["groups"][0]["hetero"]["core_types"][1]["name"]
         with pytest.raises(
             ConfigurationError,
             match=r"fleet\.groups\[0\]\.hetero\.core_types\[1\]\.name is missing",
         ):
-            fleet_spec_from_dict(document)
+            FleetSpec.from_dict(document)
 
     def test_field_path_on_bad_core_type_of(self):
-        document = fleet_spec_to_dict(_hetero_fleet())
+        document = _hetero_fleet().to_dict()
         document["groups"][0]["hetero"]["core_type_of"][1] = "little"
         with pytest.raises(
             ConfigurationError,
             match=r"fleet\.groups\[0\]\.hetero\.core_type_of\[1\]",
         ):
-            fleet_spec_from_dict(document)
+            FleetSpec.from_dict(document)
 
     def test_request_round_trips_with_hetero_fleet(self):
         request = AssignmentRequest(

@@ -2,6 +2,7 @@
 
 import json
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -16,29 +17,17 @@ from repro.core.power_model import CorePowerModel, PowerTrainingSet
 from repro.errors import ConfigurationError
 from repro.events import Event, RATE_EVENTS
 from repro.io import (
-    assignment_decision_from_dict,
-    assignment_decision_to_dict,
-    corun_prediction_from_dict,
-    corun_prediction_to_dict,
-    equilibrium_result_from_dict,
-    equilibrium_result_to_dict,
-    feature_from_dict,
-    feature_to_dict,
+    _KINDS,
+    from_document,
     load_feature,
     load_json,
     load_power_model,
     load_profile_suite,
-    power_model_from_dict,
-    power_model_to_dict,
-    profile_from_dict,
-    profile_to_dict,
     sanitize_non_finite,
     save_feature,
     save_json,
     save_power_model,
     save_profile_suite,
-    telemetry_from_dict,
-    telemetry_to_dict,
 )
 from repro.workloads.spec import BENCHMARKS
 
@@ -75,7 +64,7 @@ def power_model():
 
 class TestFeatureRoundtrip:
     def test_dict_roundtrip(self, feature):
-        recovered = feature_from_dict(feature_to_dict(feature))
+        recovered = FeatureVector.from_dict(feature.to_dict())
         assert recovered.name == feature.name
         assert recovered.api == pytest.approx(feature.api)
         assert recovered.alpha == pytest.approx(feature.alpha)
@@ -89,26 +78,26 @@ class TestFeatureRoundtrip:
         assert recovered.histogram.mpa(8) == pytest.approx(feature.histogram.mpa(8))
 
     def test_wrong_kind_rejected(self, feature, profile):
-        data = profile_to_dict(profile)
+        data = profile.to_dict()
         with pytest.raises(ConfigurationError, match="expected kind"):
-            feature_from_dict(data)
+            FeatureVector.from_dict(data)
 
     def test_bad_version_rejected(self, feature):
-        data = feature_to_dict(feature)
+        data = feature.to_dict()
         data["version"] = 999
         with pytest.raises(ConfigurationError, match="version"):
-            feature_from_dict(data)
+            FeatureVector.from_dict(data)
 
     def test_missing_field_rejected(self, feature):
-        data = feature_to_dict(feature)
+        data = feature.to_dict()
         del data["api"]
         with pytest.raises(ConfigurationError, match="missing"):
-            feature_from_dict(data)
+            FeatureVector.from_dict(data)
 
 
 class TestProfileRoundtrip:
     def test_dict_roundtrip(self, profile):
-        recovered = profile_from_dict(profile_to_dict(profile))
+        recovered = ProfileVector.from_dict(profile.to_dict())
         assert recovered == profile
 
 
@@ -137,14 +126,14 @@ class TestSuiteRoundtrip:
 
 class TestPowerModelRoundtrip:
     def test_dict_roundtrip_exact(self, power_model):
-        recovered = power_model_from_dict(power_model_to_dict(power_model))
+        recovered = CorePowerModel.from_dict(power_model.to_dict())
         assert recovered.p_idle == power_model.p_idle
         assert recovered.coefficients == power_model.coefficients
         assert recovered.r_squared == power_model.r_squared
 
     def test_document_roundtrip_is_identity(self, power_model):
-        doc = power_model_to_dict(power_model)
-        assert power_model_to_dict(power_model_from_dict(doc)) == doc
+        doc = power_model.to_dict()
+        assert CorePowerModel.from_dict(doc).to_dict() == doc
 
     def test_predictions_preserved(self, power_model, tmp_path):
         path = tmp_path / "model.json"
@@ -217,20 +206,20 @@ class TestResultRoundtrips:
     @settings(max_examples=30, deadline=None)
     @given(telemetry=telemetries())
     def test_telemetry_property(self, telemetry):
-        doc = json.loads(json.dumps(telemetry_to_dict(telemetry)))
-        assert telemetry_from_dict(doc) == telemetry
+        doc = json.loads(json.dumps(telemetry.to_dict()))
+        assert SolverTelemetry.from_dict(doc) == telemetry
 
     @settings(max_examples=30, deadline=None)
     @given(result=equilibrium_results())
     def test_equilibrium_result_property(self, result):
-        doc = json.loads(json.dumps(equilibrium_result_to_dict(result)))
-        assert equilibrium_result_from_dict(doc) == result
+        doc = json.loads(json.dumps(result.to_dict()))
+        assert EquilibriumResult.from_dict(doc) == result
 
     @settings(max_examples=30, deadline=None)
     @given(decision=assignment_decisions())
     def test_assignment_decision_property(self, decision):
-        doc = json.loads(json.dumps(assignment_decision_to_dict(decision)))
-        assert assignment_decision_from_dict(doc) == decision
+        doc = json.loads(json.dumps(decision.to_dict()))
+        assert AssignmentDecision.from_dict(doc) == decision
 
     def test_corun_prediction_roundtrip(self):
         prediction = CoRunPrediction(
@@ -245,8 +234,8 @@ class TestResultRoundtrips:
             solver="newton",
             contended=True,
         )
-        doc = json.loads(json.dumps(corun_prediction_to_dict(prediction)))
-        assert corun_prediction_from_dict(doc) == prediction
+        doc = json.loads(json.dumps(prediction.to_dict()))
+        assert CoRunPrediction.from_dict(doc) == prediction
 
     def test_methods_mirror_converters(self):
         telemetry = SolverTelemetry(
@@ -265,7 +254,7 @@ class TestResultRoundtrips:
             iterations=1, residual_norm=0.0,
         )
         with pytest.raises(ConfigurationError, match="expected kind"):
-            equilibrium_result_from_dict(telemetry_to_dict(telemetry))
+            EquilibriumResult.from_dict(telemetry.to_dict())
 
 
 class TestNonFiniteRejection:
@@ -332,3 +321,84 @@ class TestSanitizeNonFinite:
         doc = sanitize_non_finite({"v": float("nan"), "w": [float("inf")]})
         save_json(doc, tmp_path / "ok.json")
         assert load_json(tmp_path / "ok.json") == {"v": "NaN", "w": ["Infinity"]}
+
+
+# ----------------------------------------------------------------------
+# Golden corpus and codec rules
+# ----------------------------------------------------------------------
+CORPUS = json.loads(
+    (pathlib.Path(__file__).parent / "data" / "io_documents.json").read_text()
+)
+
+
+class TestGoldenCorpus:
+    """Documents written by the hand-written converters the codec replaced.
+
+    ``written`` holds one document per kind; ``reencoded`` holds what
+    those converters wrote after decoding a document whose histograms
+    renormalise by an ulp; ``defaults`` pairs each minimal document
+    with the full document it must decode to.
+    """
+
+    @pytest.mark.parametrize("name", sorted(CORPUS["written"]))
+    def test_decode_then_encode_is_byte_identical(self, name):
+        document = CORPUS["written"][name]
+        expected = CORPUS["reencoded"].get(name, document)
+        assert json.dumps(from_document(document).to_dict()) == json.dumps(expected)
+
+    @pytest.mark.parametrize("name", sorted(CORPUS["defaults"]))
+    def test_minimal_document_decodes_to_full_twin(self, name):
+        pair = CORPUS["defaults"][name]
+        minimal = from_document(pair["minimal"]).to_dict()
+        assert json.dumps(minimal) == json.dumps(from_document(pair["full"]).to_dict())
+
+    def test_every_kind_is_covered(self):
+        assert {doc["kind"] for doc in CORPUS["written"].values()} == set(_KINDS)
+
+    def test_saved_profile_suite_loads(self, tmp_path):
+        path = tmp_path / "suite.json"
+        path.write_text(json.dumps(CORPUS["defaults"]["profile_suite_file"]["minimal"]))
+        features, profiles = load_profile_suite(path)
+        assert sorted(features) == sorted(profiles) == ["gzip", "mcf"]
+
+
+class TestCodecRules:
+    def test_each_kind_owns_its_methods(self):
+        for cls in _KINDS.values():
+            assert "to_dict" in vars(cls) and "from_dict" in vars(cls), cls
+
+    def test_missing_field_names_its_path(self):
+        document = CORPUS["written"]["corun_prediction"]
+        broken = json.loads(json.dumps(document))
+        del broken["processes"][1]["mpa"]
+        with pytest.raises(
+            ConfigurationError, match=r"^corun_prediction\.processes\[1\]\.mpa is missing$"
+        ):
+            CoRunPrediction.from_dict(broken)
+
+    @pytest.mark.parametrize("bad", [float("inf"), float("nan"), "x", None, [1]])
+    def test_uncastable_int_names_its_path(self, bad):
+        document = dict(CORPUS["written"]["solver_telemetry"], iterations=bad)
+        with pytest.raises(
+            ConfigurationError, match=r"^solver_telemetry\.iterations has invalid value"
+        ):
+            SolverTelemetry.from_dict(document)
+
+    def test_dict_keys_are_cast(self):
+        document = CORPUS["written"]["assignment_decision"]
+        decision = AssignmentDecision.from_dict(document)
+        assert all(isinstance(core, int) for core in decision.assignment)
+        broken = dict(document, assignment={"zero": ["mcf"]})
+        with pytest.raises(
+            ConfigurationError, match=r"assignment_decision\.assignment\['zero'\]"
+        ):
+            AssignmentDecision.from_dict(broken)
+
+    def test_sequence_must_be_a_list(self):
+        document = dict(CORPUS["written"]["mix_prediction"], names=7)
+        with pytest.raises(ConfigurationError, match=r"^mix_prediction\.names must be a list$"):
+            from_document(document)
+
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(ConfigurationError, match="unknown document kind 'trace'"):
+            from_document({"kind": "trace", "version": 1})

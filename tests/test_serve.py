@@ -487,7 +487,6 @@ class TestV2Assign:
 
     def test_v2_assign_matches_local_solve(self, client, suite, power_model):
         from repro.api import AssignmentRequest, solve_assignment
-        from repro.io import assignment_request_from_dict, fleet_assignment_to_dict
 
         document = self._request_doc()
         status, response = client._request(
@@ -497,11 +496,11 @@ class TestV2Assign:
         assert response["kind"] == "serve_fleet_assignment"
         assert response["suite"] == "default@1"
         assert response["power_model"] == "power@1"
-        request = assignment_request_from_dict(document)
+        request = AssignmentRequest.from_dict(document)
         assert isinstance(request, AssignmentRequest)
         local = solve_assignment(request, suite, power_model)
         assert response["assignment"] == json.loads(
-            json.dumps(fleet_assignment_to_dict(local))
+            json.dumps(local.to_dict())
         )
 
     def test_v1_assign_response_shape_is_frozen(self, client):
@@ -532,6 +531,39 @@ class TestV2Assign:
             )
         assert err.value.status == 400
         assert "assignment_request.processes is missing" in str(err.value)
+
+    @pytest.mark.parametrize("seed", [b"1e400", b"Infinity"])
+    def test_v2_non_finite_int_is_400_with_path(self, server, seed):
+        # json.loads reads both as float('inf'); int(inf) overflows.
+        import http.client
+
+        body = (
+            b'{"request": {"kind": "assignment_request", "version": 1, '
+            b'"processes": ["mcf"], "seed": ' + seed + b"}}"
+        )
+        connection = http.client.HTTPConnection(
+            server.host, server.port, timeout=10
+        )
+        connection.request(
+            "POST", "/v2/assign", body=body,
+            headers={"Content-Type": "application/json"},
+        )
+        response = connection.getresponse()
+        document = json.loads(response.read())
+        connection.close()
+        assert response.status == 400
+        assert "assignment_request.seed has invalid value inf" in document["error"]
+
+    @pytest.mark.parametrize("api", ["fast", None])
+    def test_publish_feature_with_bad_api_is_400_with_path(self, client, suite, api):
+        document = suite.to_dict()
+        document["features"]["mcf"]["api"] = api
+        with pytest.raises(ServeClientError) as err:
+            client.publish("hostile", document)
+        assert err.value.status == 400
+        assert f"profile_suite.features['mcf'].api has invalid value {api!r}" in str(
+            err.value
+        )
 
     def test_v2_request_must_be_an_object(self, client):
         with pytest.raises(ServeClientError) as err:
