@@ -20,6 +20,11 @@ cap.  Both are exact invariants, asserted on every run.
 The exhaustive oracle is unreachable at this size (the P-state choices
 multiply the placement space): the bench pins that asking for it raises
 :class:`~repro.errors.AssignmentTooLargeError` immediately.
+
+A suite object keeps the co-runs its solves priced, so the bench also
+times a repeat of the anneal on the same suite (warm store) against the
+same anneal on a freshly built suite (cold store).  Both plans must
+equal the first anneal exactly; the times are reported, not gated.
 """
 
 import sys
@@ -131,7 +136,7 @@ def _measure(quick: bool):
     fleet = _fleet(count)
     loose_budget = fleet.total_machines * 1e6
 
-    def run(solver, budget, **kwargs):
+    def run(solver, budget, on=suite, **kwargs):
         request = AssignmentRequest(
             processes=processes,
             fleet=fleet,
@@ -143,12 +148,15 @@ def _measure(quick: bool):
             **kwargs,
         )
         start = time.perf_counter()
-        result = solve_assignment(request, suite, power_model)
+        result = solve_assignment(request, on, power_model)
         return result, time.perf_counter() - start
 
     greedy, greedy_s = run("greedy", loose_budget)
     anneal, anneal_s = run("anneal", loose_budget, max_iterations=iterations)
-    anneal_again, _ = run("anneal", loose_budget, max_iterations=iterations)
+    anneal_again, warm_s = run("anneal", loose_budget, max_iterations=iterations)
+    anneal_cold, cold_s = run(
+        "anneal", loose_budget, on=_suite(), max_iterations=iterations
+    )
 
     capped_budget = anneal.predicted_watts * CAP_FRACTION
     capped, capped_s = run("anneal", capped_budget, max_iterations=iterations)
@@ -168,6 +176,9 @@ def _measure(quick: bool):
         "anneal": anneal,
         "anneal_s": anneal_s,
         "anneal_again": anneal_again,
+        "warm_s": warm_s,
+        "anneal_cold": anneal_cold,
+        "cold_s": cold_s,
         "capped": capped,
         "capped_s": capped_s,
         "capped_budget": capped_budget,
@@ -193,6 +204,22 @@ def _render(result) -> str:
             result["anneal"].predicted_watts,
             len(result["anneal"].busy_machines),
             f"{result['ratio']:.4f}",
+        ),
+        (
+            "anneal (repeat, warm store)",
+            result["warm_s"],
+            result["anneal_again"].score,
+            result["anneal_again"].predicted_watts,
+            len(result["anneal_again"].busy_machines),
+            "-",
+        ),
+        (
+            "anneal (fresh suite, cold store)",
+            result["cold_s"],
+            result["anneal_cold"].score,
+            result["anneal_cold"].predicted_watts,
+            len(result["anneal_cold"].busy_machines),
+            "-",
         ),
         (
             "anneal (capped)",
@@ -241,6 +268,12 @@ def _check(result) -> None:
     )
     assert result["anneal"].machines == result["anneal_again"].machines, (
         "seeded anneal placements differ between identical runs"
+    )
+    assert result["anneal_again"] == result["anneal"], (
+        "a repeat solve on the same suite (warm store) changed the plan"
+    )
+    assert result["anneal_again"] == result["anneal_cold"], (
+        "a warm-store plan differs from the plan on a freshly built suite"
     )
     assert result["capped"].predicted_watts <= result["capped_budget"], (
         "capped solve exceeded its power budget "

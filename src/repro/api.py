@@ -47,6 +47,7 @@ from repro.core.feature import FeatureVector, ProfileVector
 from repro.core.performance_model import CoRunPrediction, PerformanceModel
 from repro.core.power_model import CorePowerModel
 from repro.errors import ConfigurationError
+from repro.fleet.evaluator import SolvedCoRuns
 from repro.fleet.spec import FleetSpec, MachineGroup
 from repro.fleet.types import (
     AssignmentRequest,
@@ -107,7 +108,13 @@ def __getattr__(name: str):
 @document("profile_suite", defaults={"machine": "", "features": {}, "profiles": {}})
 @dataclass(frozen=True)
 class ProfileSuiteResult:
-    """Everything :func:`profile_suite` learned about a benchmark set."""
+    """Everything :func:`profile_suite` learned about a benchmark set.
+
+    A suite object also keeps the co-runs its fleet solves priced (see
+    :class:`~repro.fleet.SolvedCoRuns`), outside the dataclass fields:
+    they are not part of ``to_dict``, ``==``, ``repr`` or pickled state,
+    and they are freed together with the suite.
+    """
 
     machine: str
     features: Dict[str, FeatureVector]
@@ -116,6 +123,20 @@ class ProfileSuiteResult:
     @property
     def names(self) -> Tuple[str, ...]:
         return tuple(sorted(self.features))
+
+    @property
+    def solved_coruns(self) -> SolvedCoRuns:
+        """This suite's store of cold-start models (built on first use)."""
+        try:
+            return self.__dict__["_solved_coruns"]
+        except KeyError:
+            return self.__dict__.setdefault("_solved_coruns", SolvedCoRuns())
+
+    def __getstate__(self) -> dict:
+        # A copy (pickled, or copy.copy) starts with an empty store.
+        state = self.__dict__.copy()
+        state.pop("_solved_coruns", None)
+        return state
 
     def save(self, path: Pathish) -> None:
         """Write the suite to JSON (loadable by :func:`load_suite`)."""
@@ -498,6 +519,9 @@ def solve_assignment(
     Args:
         request: What to solve.
         suite: A :class:`ProfileSuiteResult` or path to a saved suite.
+            A suite object keeps the co-runs each solve prices, so
+            later solves on it skip those equilibria; a path loads a
+            fresh suite per call.
         power_model: A fitted :class:`CorePowerModel` or path to one.
         strategy: Equilibrium solver strategy.
     """
@@ -512,6 +536,7 @@ def solve_assignment(
         resolved.profiles,
         power_model,
         strategy=strategy,
+        models=resolved.solved_coruns,
     )
 
 

@@ -15,6 +15,7 @@ Most callers should use the facade entry point
 from repro.fleet.evaluator import (
     CANONICAL_OBJECTIVES,
     FleetEvaluator,
+    SolvedCoRuns,
     canonical_objective,
     fleet_score,
 )
@@ -42,6 +43,7 @@ __all__ = [
     "FleetSpec",
     "MachineAssignment",
     "MachineGroup",
+    "SolvedCoRuns",
     "canonical_objective",
     "fleet_score",
     "solve",

@@ -1,7 +1,7 @@
 """Memoised per-machine evaluation behind the fleet solvers.
 
 The expensive part of pricing a fleet placement is the equilibrium
-solve behind each co-run combination.  Two structural facts make
+solve behind each co-run combination.  Three structural facts make
 fleet-scale search tractable:
 
 - Machine scores decompose: a fleet candidate's power/throughput is
@@ -11,30 +11,40 @@ fleet-scale search tractable:
   process per busy core of a cache domain, and every standard machine
   has at most two cores per domain — so every solve the search can
   possibly trigger is a co-run of at most ``domain width`` names.
+- A co-run's equilibrium depends only on the profiles, not on the
+  request: it belongs to the suite.
 
-:class:`FleetEvaluator` exploits both.  :meth:`prime` solves the full
-co-run closure (every name multiset up to the widest domain) as one
-batch through :class:`~repro.parallel.ParallelPredictor` — bit-equal
-to the scalar solver — after which every machine-state evaluation is
-pure cached arithmetic.  States themselves are memoised by canonical
-key, shared across the interchangeable machines of a group, so greedy
+:class:`FleetEvaluator` exploits all three.  Its performance models
+come from a :class:`SolvedCoRuns` store, one cold-start model per
+``(ways, strategy)``.  A :class:`~repro.api.ProfileSuiteResult` owns
+one store for as long as the suite object lives, so every solve on
+that suite reuses the co-runs earlier solves priced; a bare-mapping
+:func:`repro.fleet.solve` builds a private store per call.
+:meth:`FleetEvaluator.prime` prices the unit-clock co-run closure
+(every name multiset up to the widest domain) as one batch — all cache
+hits once the store is warm — and seeds each machine config's
+operating points from it.  Co-runs at non-unit P-states are solved
+lazily, one at a time, the first time any solve on the store needs
+them.  States themselves are memoised per request by canonical key,
+shared across the interchangeable machines of a group, so greedy
 packing and annealing over 10k+ processes re-price only states they
 have never seen.
 
 All equilibrium caches are built with ``warm_start=False``: solves are
 order-independent, which is what makes scores bit-identical across
-solvers and runs (the determinism the tests pin).
+solvers, runs, and cold or warm stores (the determinism the tests pin).
 """
 
 from __future__ import annotations
 
 import itertools
+import threading
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.core.combined import CombinedModel
 from repro.core.feature import FeatureVector, ProfileVector
-from repro.core.performance_model import PerformanceModel
+from repro.core.performance_model import CoRunPrediction, PerformanceModel
 from repro.core.power_model import CorePowerModel
 from repro.core.solver_cache import EquilibriumCache
 from repro.errors import ConfigurationError
@@ -47,12 +57,12 @@ from repro.hetero.model import (
 from repro.hetero.types import HeteroMachineSpec
 from repro.machine.topology import MachineTopology
 from repro.obs import get_observer
-from repro.parallel import ParallelPredictor
 
 __all__ = [
     "CANONICAL_OBJECTIVES",
     "OBJECTIVE_ALIASES",
     "FleetEvaluator",
+    "SolvedCoRuns",
     "canonical_objective",
     "canonical_state",
     "fleet_score",
@@ -133,6 +143,62 @@ def canonical_state(assignment: Mapping[int, Sequence[str]]) -> MachineState:
     )
 
 
+class SolvedCoRuns:
+    """Cold-start performance models kept for the life of their owner.
+
+    Holds one :class:`PerformanceModel` per ``(ways, strategy)``, each
+    over its own ``EquilibriumCache(warm_start=False)``, so every solve
+    that shares the store reuses the co-runs earlier solves priced.
+    Cold-start solves do not depend on what the cache holds, so reuse
+    cannot change an answer.
+
+    A model is served only while the features it registered are the
+    very objects the caller holds now: replace any of them and the
+    next :meth:`model` call builds a fresh model in its place.  One
+    lock guards the table and every :meth:`predict_batch` (the batch
+    solver's table registry is not thread-safe); the scalar
+    ``predict`` path is safe to share through the locked cache.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._models: Dict[
+            Tuple[int, str], Tuple[Dict[str, FeatureVector], PerformanceModel]
+        ] = {}
+
+    def model(
+        self, ways: int, strategy: str, features: Mapping[str, FeatureVector]
+    ) -> PerformanceModel:
+        """The stored model for ``(ways, strategy)`` over ``features``."""
+        key = (ways, strategy)
+        with self._lock:
+            entry = self._models.get(key)
+            if entry is not None:
+                registered, model = entry
+                if len(registered) == len(features) and all(
+                    features.get(name) is feature
+                    for name, feature in registered.items()
+                ):
+                    return model
+            model = PerformanceModel(
+                ways=ways,
+                strategy=strategy,
+                cache=EquilibriumCache(warm_start=False),
+            )
+            model.register_all(list(features.values()))
+            # The snapshot pins the feature objects, so an identity
+            # match can never be a recycled id.
+            self._models[key] = (dict(features), model)
+            return model
+
+    def predict_batch(
+        self, model: PerformanceModel, mixes: Sequence[Sequence[str]]
+    ) -> Tuple[CoRunPrediction, ...]:
+        """``model.predict_batch(mixes)``, one batch at a time."""
+        with self._lock:
+            return model.predict_batch(mixes)
+
+
 @dataclass
 class _MachineConfig:
     """Shared evaluation state for one ``(machine, sets, hetero)`` triple."""
@@ -160,6 +226,9 @@ class FleetEvaluator:
         power_model: Fitted per-core power model.
         fleet: The machine inventory being packed.
         strategy: Equilibrium solver strategy.
+        models: Store to take the per-ways performance models from
+            (a suite's, so its solved co-runs outlive this request);
+            ``None`` builds a private one.
     """
 
     def __init__(
@@ -170,14 +239,15 @@ class FleetEvaluator:
         fleet: FleetSpec,
         *,
         strategy: str = "auto",
+        models: Optional[SolvedCoRuns] = None,
     ):
         self.features = dict(features)
         self.profiles = dict(profiles)
         self.power_model = power_model
         self.fleet = fleet
         self.strategy = strategy
+        self._store = models if models is not None else SolvedCoRuns()
         self._models_by_ways: Dict[int, PerformanceModel] = {}
-        self._caches_by_ways: Dict[int, EquilibriumCache] = {}
         self._configs: Dict[
             Tuple[str, int, Optional[HeteroMachineSpec]], _MachineConfig
         ] = {}
@@ -199,13 +269,8 @@ class FleetEvaluator:
     def _model_for(self, ways: int) -> PerformanceModel:
         model = self._models_by_ways.get(ways)
         if model is None:
-            cache = EquilibriumCache(warm_start=False)
-            model = PerformanceModel(
-                ways=ways, strategy=self.strategy, cache=cache
-            )
-            model.register_all(list(self.features.values()))
+            model = self._store.model(ways, self.strategy, self.features)
             self._models_by_ways[ways] = model
-            self._caches_by_ways[ways] = cache
         return model
 
     def _config_for(
@@ -256,7 +321,7 @@ class FleetEvaluator:
         return config
 
     # ------------------------------------------------------------------
-    # Closure priming (the ParallelPredictor fan-out)
+    # Closure priming
     # ------------------------------------------------------------------
     def check_processes(self, names: Sequence[str]) -> None:
         unknown = sorted(
@@ -284,12 +349,13 @@ class FleetEvaluator:
         return mixes
 
     def prime(self, names: Sequence[str]) -> int:
-        """Solve the co-run closure up front as one batch per cache.
+        """Price the unit-clock co-run closure as one batch per model.
 
         Returns the number of mixes primed.  Optional for correctness
         (cold-start caches make later on-demand solves bit-identical);
         it exists so fleet-scale searches pay the equilibrium solves
-        once, through the stacked batch solver.
+        once per store, through the stacked batch solver.  On a warm
+        store every row is a cache hit.
         """
         self.check_processes(names)
         if not names:
@@ -309,14 +375,11 @@ class FleetEvaluator:
 
     def _prime_impl(self, mixes: List[Tuple[str, ...]]) -> int:
         primed = 0
-        for ways, cache in sorted(self._caches_by_ways.items()):
-            with ParallelPredictor(
-                self.features, ways=ways, strategy=self.strategy, cache=cache
-            ) as predictor:
-                predictions = predictor.predict_mixes(mixes)
+        for ways, model in sorted(self._models_by_ways.items()):
+            predictions = self._store.predict_batch(model, mixes)
             primed += len(predictions)
             # Seed each combined model's operating-point cache so
-            # machine scoring never re-enters the predictor.
+            # homogeneous scoring never re-enters the model.
             for config in self._configs.values():
                 for domain_idx, domain in enumerate(config.topology.domains):
                     if domain.geometry.ways != ways:

@@ -46,6 +46,7 @@ from repro.errors import AssignmentTooLargeError, ConfigurationError
 from repro.fleet.evaluator import (
     FleetEvaluator,
     MachineState,
+    SolvedCoRuns,
     canonical_objective,
     canonical_state,
     fleet_score,
@@ -823,12 +824,14 @@ def solve(
     strategy: str = "auto",
     max_candidates: Optional[int] = None,
     sweep_limit: Optional[int] = None,
+    models: Optional[SolvedCoRuns] = None,
 ) -> FleetAssignment:
     """Solve a declarative fleet-assignment request.
 
     The request says *what* to solve; everything here is an execution
-    knob (solver strategy, enumeration caps) that cannot change the
-    returned bits — only how fast they arrive.
+    knob (solver strategy, enumeration caps, the store of solved
+    co-runs to reuse) that cannot change the returned bits — only how
+    fast they arrive.
     """
     fleet = request.resolved_fleet()
     objective = canonical_objective(request.objective)
@@ -838,6 +841,7 @@ def solve(
         power_model,
         fleet,
         strategy=strategy,
+        models=models,
     )
     ctx = _Context(
         request=request,

@@ -36,7 +36,7 @@ from repro.core.combined import CombinedModel
 from repro.core.feature import ProfileVector
 from repro.core.timesharing import core_set_power, process_combinations
 from repro.errors import ConfigurationError
-from repro.hetero.types import HeteroMachineSpec
+from repro.hetero.types import HeteroMachineSpec, OperatingPoint
 from repro.machine.topology import MachineTopology
 
 # A hetero machine state: (core, names, pstate_index) per busy core,
@@ -90,14 +90,20 @@ class HeteroPricer:
         self.combined = combined
         self.profiles = profiles
         self.p_idle = combined.power_model.p_idle
+        # Both are fixed by the (frozen) spec, so resolve them once
+        # instead of on every state.
+        self.is_unit = spec.is_unit
+        self._points: Dict[Tuple[int, int], OperatingPoint] = {
+            (core, index): spec.operating_point(core, index)
+            for core in range(spec.num_cores)
+            for index in range(len(spec.core_type(core).pstates))
+        }
         self.idle_core_watts: Tuple[float, ...] = tuple(
-            spec.operating_point(
-                core, spec.core_type(core).idle_pstate_index
-            ).static_multiplier
+            self._points[core, spec.core_type(core).idle_pstate_index].static_multiplier
             * self.p_idle
             for core in range(spec.num_cores)
         )
-        if spec.is_unit:
+        if self.is_unit:
             # Same expression the homogeneous config uses, so the two
             # idle baselines are the same float, not just equal sums.
             self.idle_watts = topology.num_cores * self.p_idle
@@ -144,7 +150,7 @@ class HeteroPricer:
 
     def state_metrics(self, state: HeteroState) -> Tuple[float, float]:
         """(watts, total instructions per second) of one machine state."""
-        if self.spec.is_unit:
+        if self.is_unit:
             # Parity-by-delegation: strip the P-state indices and run
             # the homogeneous estimators bit-for-bit.
             scoring = {core: list(names) for core, names, _ in state}
@@ -164,10 +170,15 @@ class HeteroPricer:
                     watts += self.idle_core_watts[core]
             if not busy:
                 continue
-            points = [
-                self.spec.operating_point(core, by_core[core][1])
-                for core in busy
-            ]
+            try:
+                points = [self._points[core, by_core[core][1]] for core in busy]
+            except KeyError:
+                # An index outside the core's table: the spec raises
+                # its descriptive range error.
+                points = [
+                    self.spec.operating_point(core, by_core[core][1])
+                    for core in busy
+                ]
             per_core_lists: List[List[str]] = [
                 list(by_core[core][0]) for core in busy
             ]

@@ -1,0 +1,64 @@
+"""Answer corpus: fleet plans must not change by a single bit.
+
+``tests/data/answers.json`` (written by ``tests/make_answers.py``)
+holds greedy and anneal plans under each of the four objectives, on a
+small homogeneous fleet and on a big.LITTLE fleet under a watts
+budget, plus one tiny exhaustive case.  Every stored request is solved
+again and compared exactly, floats as ``float.hex``.
+
+All cases solve on one suite object, so most of them run on a store of
+solved co-runs that earlier cases warmed; the last test pins that a
+warm store and a cold one give equal plans.
+"""
+
+import json
+
+import pytest
+
+from make_answers import PATH, answer_of, build_power_model, build_suite
+from repro.api import AssignmentRequest, solve_assignment
+
+CASES = json.loads(PATH.read_text())["cases"]
+
+
+@pytest.fixture(scope="module")
+def suite():
+    return build_suite()
+
+
+@pytest.fixture(scope="module")
+def power_model():
+    return build_power_model()
+
+
+def test_corpus_covers_every_solver_objective_and_fleet():
+    names = {case["name"] for case in CASES}
+    assert len(names) == len(CASES) == 17
+    for fleet in ("homogeneous", "big_little"):
+        for solver in ("greedy", "anneal"):
+            assert sum(
+                name.startswith(f"{fleet}/{solver}/") for name in names
+            ) == 4
+    assert any(name.startswith("single/exhaustive/") for name in names)
+
+
+@pytest.mark.parametrize("case", CASES, ids=[case["name"] for case in CASES])
+def test_plan_is_bit_identical(case, suite, power_model):
+    request = AssignmentRequest.from_dict(case["request"])
+    plan = solve_assignment(request, suite, power_model)
+    assert json.loads(json.dumps(answer_of(plan))) == case["answer"]
+
+
+def test_warm_store_plan_equals_cold_store_plan(power_model):
+    request = AssignmentRequest.from_dict(
+        next(
+            case["request"]
+            for case in CASES
+            if case["name"] == "big_little/anneal/throughput-under-watts-budget"
+        )
+    )
+    suite = build_suite()
+    first = solve_assignment(request, suite, power_model)
+    second = solve_assignment(request, suite, power_model)
+    cold = solve_assignment(request, build_suite(), power_model)
+    assert first == second == cold

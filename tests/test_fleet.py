@@ -12,10 +12,19 @@ Four layers, pinned separately:
   greedy packing it refines, on fleets far beyond the sweep limit.
 - **Determinism**: same seed ⇒ identical :class:`FleetAssignment`
   (dataclass equality, so float-for-float) across repeated runs.
+- **Solved co-runs**: a suite object keeps its cold-start models for
+  as long as it lives, never serves them for replaced features, and
+  gives the same plans warm, cold and under concurrent solves.
 """
 
+import copy
+import gc
 import json
+import pickle
+import sys
+import threading
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -46,6 +55,8 @@ from repro.fleet import (
     canonical_objective,
     fleet_score,
 )
+from repro.hetero import big_little_spec
+from repro.machine.topology import STANDARD_MACHINES
 from repro.workloads.spec import BENCHMARKS
 
 NAMES = ["mcf", "gzip", "art", "vpr"]
@@ -482,3 +493,144 @@ class TestObjectives:
         result = solve_assignment(request, suite, power_model)
         assert result.predicted_watts <= 500.0
         assert result.score < 0  # negated throughput
+
+
+# ----------------------------------------------------------------------
+# Solved co-runs kept on the suite
+# ----------------------------------------------------------------------
+def _big_little_fleet():
+    return FleetSpec(
+        groups=(
+            MachineGroup(
+                machine="4-core-server",
+                count=2,
+                sets=32,
+                hetero=big_little_spec("4-core-server"),
+            ),
+            MachineGroup(machine="2-core-workstation", count=2, sets=32),
+        )
+    )
+
+
+def _anneal_request(seed=3, objective="min-energy-per-instruction"):
+    return AssignmentRequest(
+        processes=tuple(NAMES * 2),
+        fleet=_big_little_fleet(),
+        objective=objective,
+        solver="anneal",
+        max_per_core=1,
+        max_iterations=60,
+        seed=seed,
+    )
+
+
+def _stored_models(suite, fleet):
+    """The suite's stored model for each cache associativity of ``fleet``."""
+    ways = sorted(
+        {
+            domain.geometry.ways
+            for group in fleet.groups
+            for domain in STANDARD_MACHINES[group.machine](sets=group.sets).domains
+        }
+    )
+    return [suite.solved_coruns.model(w, "auto", suite.features) for w in ways]
+
+
+class TestSolvedCoRuns:
+    def test_later_solves_reuse_the_stored_models(self, power_model):
+        suite = _oracle_suite()
+        request = _anneal_request()
+        first = solve_assignment(request, suite, power_model)
+        models = _stored_models(suite, request.fleet)
+        before = [model.cache_stats for model in models]
+        assert all(stats.misses > 0 for stats in before)
+        second = solve_assignment(request, suite, power_model)
+        again = _stored_models(suite, request.fleet)
+        assert all(a is b for a, b in zip(models, again))
+        for old, model in zip(before, again):
+            assert model.cache_stats.misses == old.misses
+            assert model.cache_stats.hits > old.hits
+        assert first == second == solve_assignment(
+            request, _oracle_suite(), power_model
+        )
+
+    def test_store_stays_out_of_the_document_and_value(self, power_model):
+        suite = _oracle_suite()
+        solve_assignment(_anneal_request(), suite, power_model)
+        # Same field values, no store (histograms compare by identity).
+        twin = ProfileSuiteResult(
+            machine=suite.machine,
+            features=dict(suite.features),
+            profiles=dict(suite.profiles),
+        )
+        assert suite == twin
+        assert repr(suite) == repr(twin)
+        assert suite.to_dict() == twin.to_dict()
+        shallow = copy.copy(suite)
+        assert shallow == suite
+        unpickled = pickle.loads(pickle.dumps(suite))
+        assert unpickled.to_dict() == suite.to_dict()
+        for other in (shallow, unpickled):
+            assert "_solved_coruns" not in vars(other)
+            assert other.solved_coruns is not suite.solved_coruns
+
+    def test_store_is_freed_with_its_suite(self, power_model):
+        suite = _oracle_suite()
+        request = _anneal_request()
+        solve_assignment(request, suite, power_model)
+        refs = [weakref.ref(model) for model in _stored_models(suite, request.fleet)]
+        del suite
+        gc.collect()
+        assert refs and all(ref() is None for ref in refs)
+
+    def test_replaced_feature_gets_a_fresh_model(self, power_model):
+        suite = _oracle_suite()
+        request = _anneal_request()
+        solve_assignment(request, suite, power_model)
+        before = _stored_models(suite, request.fleet)
+        faster = FeatureVector.oracle(BENCHMARKS["mcf"], 4e8)
+        suite.features["mcf"] = faster
+        plan = solve_assignment(request, suite, power_model)
+        after = _stored_models(suite, request.fleet)
+        assert all(a is not b for a, b in zip(before, after))
+        assert all(model.feature("mcf") is faster for model in after)
+        rebuilt = _oracle_suite()
+        rebuilt.features["mcf"] = faster
+        assert plan == solve_assignment(request, rebuilt, power_model)
+
+    def test_concurrent_solves_match_serial_solves(self, power_model):
+        requests = [
+            _anneal_request(seed=seed, objective=objective)
+            for seed, objective in (
+                (5, "min-energy-per-instruction"),
+                (9, "max-throughput"),
+                (13, "min-power"),
+                (17, "max-throughput"),
+            )
+        ]
+        serial = [
+            solve_assignment(request, _oracle_suite(), power_model)
+            for request in requests
+        ]
+        shared = _oracle_suite()
+        barrier = threading.Barrier(len(requests))
+        plans = [None] * len(requests)
+
+        def run(index):
+            barrier.wait()
+            plans[index] = solve_assignment(requests[index], shared, power_model)
+
+        threads = [
+            threading.Thread(target=run, args=(i,)) for i in range(len(requests))
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert plans == serial

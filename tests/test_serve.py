@@ -503,6 +503,29 @@ class TestV2Assign:
             json.dumps(local.to_dict())
         )
 
+    def test_v2_assign_calls_share_the_suite_store(
+        self, server, client, suite
+    ):
+        from repro.machine.topology import STANDARD_MACHINES
+
+        document = self._request_doc(processes=["mcf", "gzip", "art"])
+        published = server.registry.get("default").obj
+        assert published is suite
+        ways = STANDARD_MACHINES[MACHINE](sets=128).domains[0].geometry.ways
+        models = []
+        for _ in range(2):
+            status, _ = client._request(
+                "POST", "/v2/assign", {"request": document}
+            )
+            assert status == 200
+            model = suite.solved_coruns.model(ways, "auto", suite.features)
+            models.append((model, model.cache_stats))
+        (first, before), (second, after) = models
+        assert first is second
+        assert before.misses > 0
+        assert after.misses == before.misses
+        assert after.hits > before.hits
+
     def test_v1_assign_response_shape_is_frozen(self, client):
         # /v2 landing must not leak into the /v1 document.
         response = client.assign(["mcf", "gzip"], machine=MACHINE)
