@@ -547,10 +547,9 @@ def serve(
     port: int = 0,
     strategy: str = "auto",
     max_batch_size: int = 32,
-    max_linger_ms: float = 2.0,
+    max_linger_ms: float = 0.0,
     max_queue: int = 256,
     result_cache_size: int = 4096,
-    target_p95_ms: Optional[float] = None,
     max_body_bytes: int = 8 * 1024 * 1024,
 ):
     """Boot the asyncio prediction service on a background thread.
@@ -569,15 +568,15 @@ def serve(
         host / port: Bind address (``port=0`` = ephemeral).
         strategy: Equilibrium solver strategy.
         max_batch_size: Dispatch a batch at this many queued requests.
-        max_linger_ms: Dispatch a partial batch after the oldest
-            request has waited this long.
+        max_linger_ms: Hold a partial batch until its oldest request
+            has waited this long.  The default ``0`` dispatches at
+            once whenever the solver is idle; a positive linger is a
+            throughput setting for saturating concurrent load.
         max_queue: Admission bound; beyond it requests are shed with
             an explicit 429-style response.
         result_cache_size: Canonical-mix result-cache capacity
             (``0`` disables caching; hits skip the solver but stay
             bit-identical — see :mod:`repro.serve.cache`).
-        target_p95_ms: End-to-end p95 latency SLO; when set, batch
-            size and linger adapt to hold it (AIMD control).
         max_body_bytes: Reject request bodies declared larger than
             this with 413 before reading them.
     """
@@ -592,6 +591,5 @@ def serve(
         max_linger_ms=max_linger_ms,
         max_queue=max_queue,
         result_cache_size=result_cache_size,
-        target_p95_ms=target_p95_ms,
         max_body_bytes=max_body_bytes,
     )

@@ -380,7 +380,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         max_linger_ms=args.linger_ms,
         max_queue=args.max_queue,
         result_cache_size=args.cache_size,
-        target_p95_ms=args.target_p95_ms,
         max_body_bytes=args.max_body_bytes,
     )
     if args.http_workers > 1:
@@ -611,8 +610,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="dispatch a batch once this many requests wait",
     )
     serve.add_argument(
-        "--linger-ms", type=float, default=2.0,
-        help="dispatch a partial batch after this linger time",
+        "--linger-ms", type=float, default=0.0,
+        help="hold a partial batch until its oldest request has waited "
+        "this long (default 0: dispatch whenever the solver is idle; "
+        "a linger coalesces bigger batches under saturating load)",
     )
     serve.add_argument(
         "--max-queue", type=int, default=256,
@@ -627,11 +628,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--cache-size", type=int, default=4096,
         help="canonical-mix result-cache capacity per worker "
         "(0 disables; hits skip the solver, bit-identical)",
-    )
-    serve.add_argument(
-        "--target-p95-ms", type=float, default=None,
-        help="p95 latency SLO in ms; when set, batch size and linger "
-        "adapt to hold it",
     )
     serve.add_argument(
         "--max-body-bytes", type=int, default=8 * 1024 * 1024,

@@ -79,8 +79,8 @@ def quantile_from_buckets(buckets: Dict[int, int], q: float) -> float:
     """Upper-bound ``q``-quantile of a ``bucket index -> count`` map.
 
     The estimate is the upper edge of the bucket holding the q-th
-    sample, i.e. conservative within one power of two — good enough to
-    drive a latency-SLO control loop, not a precision statistic.
+    sample, i.e. conservative within one power of two — good enough
+    for an SLO check, not a precision statistic.
     Returns 0.0 for an empty map.  Use with
     :meth:`Histogram.bucket_counts` deltas to get *windowed* quantiles
     from the cumulative histograms in a metrics registry.
@@ -105,8 +105,7 @@ class Histogram:
     Also keeps O(1)-memory log2-spaced bucket counts so consumers can
     read coarse quantiles (:meth:`quantile`) or windowed deltas
     (:meth:`bucket_counts`); the JSON export schema is unchanged —
-    buckets feed in-process control loops (the serve layer's adaptive
-    batcher), not documents.
+    buckets feed in-process readers, not documents.
     """
 
     __slots__ = ("count", "total", "min", "max", "_buckets")

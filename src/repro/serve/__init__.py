@@ -10,8 +10,9 @@ long-running surface, stdlib-only:
   publish and hot swap.
 - :class:`MicroBatcher` — dynamic micro-batching of concurrent
   predict requests into batches solved by a persistent
-  :class:`~repro.parallel.ParallelPredictor`; size and linger knobs,
-  bounded queue with explicit shedding, per-request deadlines.
+  :class:`~repro.parallel.ParallelPredictor`; dispatch whenever the
+  solver is idle (an explicit linger is opt-in), bounded queue with
+  explicit shedding, per-request deadlines.
 - :class:`PredictionServer` / :class:`PredictionService` — the
   JSON-over-HTTP front end (``/v1/predict``, ``/v1/assign``,
   ``/v1/models``, ``/healthz``, ``/readyz``, ``/metrics``).
@@ -26,8 +27,6 @@ long-running surface, stdlib-only:
 - :class:`PredictionResultCache` — bounded LRU over canonical mixes
   keyed by registry content digest; hits skip the solver entirely and
   stay bit-identical (see :mod:`repro.serve.cache`).
-- :class:`AdaptiveBatchController` — AIMD tuning of batch size and
-  linger against a p95 latency SLO.
 - :class:`WorkerPool` / :func:`start_worker_pool` — N shared-nothing
   server processes behind ``SO_REUSEPORT`` for multi-core scale-out.
 
@@ -37,7 +36,7 @@ caches, so a solution depends only on the co-run itself, never on
 batching, concurrency, or request order.
 """
 
-from repro.serve.batcher import AdaptiveBatchController, MicroBatcher
+from repro.serve.batcher import MicroBatcher
 from repro.serve.cache import PredictionResultCache, canonical_mix
 from repro.serve.client import (
     LoadReport,
@@ -59,7 +58,6 @@ from repro.serve.registry import Artifact, ModelRegistry, parse_model_ref
 from repro.serve.workers import WorkerPool, start_worker_pool
 
 __all__ = [
-    "AdaptiveBatchController",
     "Artifact",
     "DeadlineExpiredError",
     "LoadReport",

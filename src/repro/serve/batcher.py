@@ -1,10 +1,10 @@
 """Dynamic micro-batching with admission control.
 
-Analytical-model serving is throughput-bound, not latency-bound: one
-equilibrium solve costs a millisecond-ish, but a scheduler exploring
-tentative assignments issues *many* of them at once.  The
-:class:`MicroBatcher` turns that concurrency into engine-sized
-batches:
+One equilibrium solve costs a millisecond-ish, so a lone query should
+be answered in about that time; but a scheduler exploring tentative
+assignments issues *many* of them at once.  The :class:`MicroBatcher`
+turns that concurrency into engine-sized batches without making a
+lone request wait for companions:
 
 - Concurrent :meth:`~MicroBatcher.submit` calls append to a pending
   queue; a single flusher task assembles batches and dispatches them
@@ -12,12 +12,22 @@ batches:
   (whose cold-start caches make served results bit-identical to
   independent :func:`repro.api.predict_mix` calls — see
   :mod:`repro.parallel`).
-- A batch flushes when it reaches ``max_batch_size`` **or** when the
-  oldest pending request has lingered ``max_linger_s`` — the classic
-  size/linger trade-off, both knobs explicit.
 - Dispatch runs on a one-thread executor so the event loop keeps
-  accepting requests while a batch computes; the next batch
-  accumulates during the current batch's solve (pipelining).
+  accepting requests while a batch computes.  The flusher awaits each
+  dispatch before it looks at the queue again, so by default
+  (``max_linger_s=0``) a request that arrives while the solver is
+  idle goes straight to the engine, and requests that arrive during a
+  solve form the next batch, up to ``max_batch_size`` (pipelining).
+  Batches grow exactly as fast as load outruns the solver, and a lone
+  request never waits for companions that are not coming.
+- An explicit ``max_linger_s`` is a throughput setting for
+  saturating concurrent load: a partial batch then waits until its
+  oldest request has lingered that long (or the batch fills), which
+  coalesces bigger batches at the cost of latency.
+- Each dispatch counts its flush reason: ``serve.batch.flush_size``
+  (the batch filled), ``flush_idle`` (a partial batch dispatched
+  without waiting), ``flush_linger`` (it waited out an explicit
+  linger) or ``flush_drain`` (:meth:`~MicroBatcher.stop`).
 
 Admission control keeps the queue honest:
 
@@ -49,121 +59,14 @@ from dataclasses import dataclass
 from typing import Deque, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError
-from repro.obs import MetricsRegistry, quantile_from_buckets
+from repro.obs import MetricsRegistry
 from repro.serve.errors import (
     DeadlineExpiredError,
     QueueFullError,
     ServiceClosedError,
 )
 
-__all__ = ["AdaptiveBatchController", "MicroBatcher"]
-
-
-class AdaptiveBatchController:
-    """AIMD tuner of a batcher's size/linger against a p95 latency SLO.
-
-    The batching trade-off is one-dimensional: more coalescing (bigger
-    batches, longer linger) buys throughput and costs tail latency.
-    The controller collapses both knobs onto a single aggressiveness
-    ``level`` in ``[level_floor, 1.0]`` — the configured
-    ``max_batch_size`` / ``max_linger_s`` are the *ceilings* scaled by
-    it — and walks the level with the classic congestion-control law:
-
-    - **Multiplicative decrease** when the windowed p95 of end-to-end
-      request latency (``serve.predict.latency_s``, queue wait +
-      solve) exceeds ``target_p95_s``: halve the level, shedding
-      linger delay immediately.
-    - **Additive increase** when p95 sits below
-      ``low_watermark * target_p95_s``: nudge the level back up,
-      re-earning throughput.
-
-    The p95 comes from the metric registry's own histogram buckets
-    (see :func:`repro.obs.quantile_from_buckets`): the controller
-    snapshots the cumulative bucket counts each tick and quantiles the
-    *delta*, so every control decision reflects only traffic since the
-    last one.  Ticks are rate-limited by both wall time
-    (``interval_s``) and sample count (``min_samples``) to keep the
-    loop stable under bursty load.  Control state is exported as
-    gauges (``serve.batch.adaptive.level`` / ``.max_batch`` /
-    ``.linger_s`` and ``serve.slo.p95_s``) so ``/metrics`` shows the
-    law in action.
-    """
-
-    def __init__(
-        self,
-        batcher: "MicroBatcher",
-        target_p95_s: float,
-        *,
-        interval_s: float = 0.25,
-        min_samples: int = 16,
-        decrease: float = 0.5,
-        increase: float = 0.08,
-        low_watermark: float = 0.8,
-        level_floor: float = 0.02,
-    ):
-        if target_p95_s <= 0:
-            raise ConfigurationError("target_p95_s must be positive")
-        if not 0.0 < decrease < 1.0:
-            raise ConfigurationError("decrease must be in (0, 1)")
-        if increase <= 0:
-            raise ConfigurationError("increase must be positive")
-        self.batcher = batcher
-        self.target_p95_s = target_p95_s
-        self.interval_s = interval_s
-        self.min_samples = min_samples
-        self.decrease = decrease
-        self.increase = increase
-        self.low_watermark = low_watermark
-        self.level_floor = level_floor
-        self.level = 1.0
-        self.batch_ceiling = batcher.max_batch_size
-        self.linger_ceiling = batcher.max_linger_s
-        self._last_tick: Optional[float] = None
-        self._snapshot: dict = {}
-        self._export()
-
-    def maybe_adapt(self, now: float) -> None:
-        """One control tick if enough time and samples have passed."""
-        histogram = self.batcher.metrics.histogram("serve.predict.latency_s")
-        counts = histogram.bucket_counts()
-        if self._last_tick is not None and now - self._last_tick < self.interval_s:
-            return
-        delta = {
-            index: counts[index] - self._snapshot.get(index, 0)
-            for index in counts
-            if counts[index] - self._snapshot.get(index, 0) > 0
-        }
-        if sum(delta.values()) < self.min_samples:
-            return
-        self._last_tick = now
-        self._snapshot = counts
-        p95 = quantile_from_buckets(delta, 0.95)
-        metrics = self.batcher.metrics
-        metrics.gauge("serve.slo.p95_s").set(p95)
-        if p95 > self.target_p95_s:
-            self.level = max(self.level_floor, self.level * self.decrease)
-            metrics.counter("serve.batch.adaptive.decrease").inc()
-        elif p95 < self.low_watermark * self.target_p95_s and self.level < 1.0:
-            self.level = min(1.0, self.level + self.increase)
-            metrics.counter("serve.batch.adaptive.increase").inc()
-        else:
-            return
-        self._apply()
-
-    def _apply(self) -> None:
-        self.batcher.max_batch_size = max(1, round(self.level * self.batch_ceiling))
-        self.batcher.max_linger_s = self.level * self.linger_ceiling
-        self._export()
-
-    def _export(self) -> None:
-        metrics = self.batcher.metrics
-        metrics.gauge("serve.batch.adaptive.level").set(self.level)
-        metrics.gauge("serve.batch.adaptive.max_batch").set(
-            self.batcher.max_batch_size
-        )
-        metrics.gauge("serve.batch.adaptive.linger_s").set(
-            self.batcher.max_linger_s
-        )
+__all__ = ["MicroBatcher"]
 
 
 @dataclass
@@ -183,19 +86,16 @@ class MicroBatcher:
             ``close()`` — in production a persistent
             :class:`~repro.parallel.ParallelPredictor`.
         max_batch_size: Flush as soon as this many requests wait.
-        max_linger_s: Flush a partial batch once its oldest request
-            has waited this long (seconds).
+        max_linger_s: Hold a partial batch until its oldest request
+            has waited this long (seconds).  The default ``0``
+            dispatches whatever is queued as soon as the engine is
+            idle; a positive linger trades latency for bigger batches
+            under saturating concurrent load.
         max_queue: Admission bound; further submits shed with
             :class:`QueueFullError`.
         metrics: Registry that receives the batcher's counters /
             histograms (default: a private one).
         close_engine: Close the engine during :meth:`stop`.
-        target_p95_s: When set, an :class:`AdaptiveBatchController`
-            tunes ``max_batch_size`` / ``max_linger_s`` (treating the
-            configured values as ceilings) against this end-to-end
-            p95 latency target.
-        control_interval_s / control_min_samples: Tick rate limits of
-            the adaptive controller (exposed for tests).
     """
 
     def __init__(
@@ -203,13 +103,10 @@ class MicroBatcher:
         engine,
         *,
         max_batch_size: int = 32,
-        max_linger_s: float = 0.002,
+        max_linger_s: float = 0.0,
         max_queue: int = 256,
         metrics: Optional[MetricsRegistry] = None,
         close_engine: bool = True,
-        target_p95_s: Optional[float] = None,
-        control_interval_s: float = 0.25,
-        control_min_samples: int = 16,
     ):
         if max_batch_size < 1:
             raise ConfigurationError("max_batch_size must be >= 1")
@@ -223,14 +120,6 @@ class MicroBatcher:
         self.max_queue = max_queue
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._close_engine = close_engine
-        self.controller: Optional[AdaptiveBatchController] = None
-        if target_p95_s is not None:
-            self.controller = AdaptiveBatchController(
-                self,
-                target_p95_s,
-                interval_s=control_interval_s,
-                min_samples=control_min_samples,
-            )
         self._pending: Deque[_PendingRequest] = deque()
         self._wake: Optional[asyncio.Event] = None
         self._task: Optional["asyncio.Task"] = None
@@ -383,6 +272,8 @@ class MicroBatcher:
                 return "size"
             if self._draining:
                 return "drain"
+            if self.max_linger_s == 0:
+                return "idle"
             oldest = self._pending[0].enqueued_at
             remaining = oldest + self.max_linger_s - self._loop.time()
             if remaining <= 0:
@@ -458,5 +349,3 @@ class MicroBatcher:
             if not request.future.done():
                 request.future.set_result(result)
                 self.metrics.counter("serve.predict.completed").inc()
-        if self.controller is not None:
-            self.controller.maybe_adapt(now)

@@ -100,10 +100,9 @@ def start_server(
     port: int = 0,
     strategy: str = "auto",
     max_batch_size: int = 32,
-    max_linger_ms: float = 2.0,
+    max_linger_ms: float = 0.0,
     max_queue: int = 256,
     result_cache_size: int = 4096,
-    target_p95_ms: Optional[float] = None,
     max_body_bytes: int = 8 * 1024 * 1024,
     reuse_port: bool = False,
     worker_id: Optional[int] = None,
@@ -118,11 +117,11 @@ def start_server(
         host / port: Bind address; ``port=0`` picks an ephemeral port.
         strategy: Equilibrium solver strategy for served predictions.
         max_batch_size / max_linger_ms / max_queue: Micro-batching
-            and admission-control knobs.
+            and admission-control knobs.  The default zero linger
+            dispatches whenever the solver is idle (see
+            :class:`~repro.serve.batcher.MicroBatcher`).
         result_cache_size: Canonical-mix result-cache capacity; ``0``
             disables caching (see :mod:`repro.serve.cache`).
-        target_p95_ms: End-to-end p95 latency SLO driving adaptive
-            batching; ``None`` keeps the static knobs.
         max_body_bytes: Request bodies above this declared size are
             rejected with 413 before being read.
         reuse_port / worker_id: Multi-worker plumbing — bind with
@@ -139,7 +138,6 @@ def start_server(
         max_linger_s=max_linger_ms / 1000.0,
         max_queue=max_queue,
         result_cache_size=result_cache_size,
-        target_p95_ms=target_p95_ms,
     )
     server = PredictionServer(
         service,

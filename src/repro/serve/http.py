@@ -134,15 +134,14 @@ class PredictionService:
         strategy: Equilibrium solver strategy for served predictions.
         max_batch_size / max_linger_s / max_queue: Batching and
             admission knobs, applied to every batcher (see
-            :class:`MicroBatcher`).
+            :class:`MicroBatcher`).  The default zero linger
+            dispatches whenever the solver is idle; a positive linger
+            coalesces bigger batches under saturating load.
         result_cache_size: Capacity of the canonical-mix prediction
             result cache (see :mod:`repro.serve.cache`); ``0``
             disables it.  Cache-hit responses are bit-identical to
             cold solves — the key carries the artifact's SHA-256
             digest, so hot swaps invalidate for free.
-        target_p95_ms: End-to-end p95 latency SLO; when set, every
-            batcher's size/linger is tuned adaptively against it (see
-            :class:`~repro.serve.batcher.AdaptiveBatchController`).
     """
 
     def __init__(
@@ -151,19 +150,15 @@ class PredictionService:
         *,
         strategy: str = "auto",
         max_batch_size: int = 32,
-        max_linger_s: float = 0.002,
+        max_linger_s: float = 0.0,
         max_queue: int = 256,
         result_cache_size: int = 4096,
-        target_p95_ms: Optional[float] = None,
     ):
         self.registry = registry if registry is not None else ModelRegistry()
         self.strategy = strategy
         self.max_batch_size = max_batch_size
         self.max_linger_s = max_linger_s
         self.max_queue = max_queue
-        self.target_p95_s = (
-            target_p95_ms / 1000.0 if target_p95_ms is not None else None
-        )
         self.metrics = MetricsRegistry()
         self.result_cache: Optional[PredictionResultCache] = (
             PredictionResultCache(result_cache_size, metrics=self.metrics)
@@ -206,7 +201,6 @@ class PredictionService:
                 max_linger_s=self.max_linger_s,
                 max_queue=self.max_queue,
                 metrics=self.metrics,
-                target_p95_s=self.target_p95_s,
             )
             self._batchers[key] = batcher
         return batcher

@@ -172,8 +172,7 @@ def start_worker_pool(
         boot_timeout_s: Deadline for every worker to report ready.
         server_kwargs: Per-worker server knobs, passed to
             :func:`~repro.serve.handle.start_server` (``max_batch_size``,
-            ``max_linger_ms``, ``result_cache_size``,
-            ``target_p95_ms``, ...).
+            ``max_linger_ms``, ``result_cache_size``, ...).
 
     Returns a :class:`WorkerPool`; use it as a context manager or call
     :meth:`~WorkerPool.stop`.

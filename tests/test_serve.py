@@ -5,7 +5,8 @@ Three layers, pinned separately:
 - **Registry**: versioning, content hashes, idempotent republish,
   hot swap, ``name@version`` resolution.
 - **MicroBatcher** (against a stub engine, so the concurrency edges
-  are deterministic): size-trigger vs linger-timeout flush,
+  are deterministic): dispatch-when-idle by default, size-trigger vs
+  linger-timeout flush,
   queue-full shedding, deadline-expired requests never dispatched,
   graceful-drain and fail-fast shutdown.
 - **HTTP end-to-end** (real server on an ephemeral port): the
@@ -244,6 +245,44 @@ class TestMicroBatcher:
         assert waited >= 0.02  # the partial batch lingered
         assert metrics["counters"]["serve.batch.flush_linger"] == 1
         assert metrics["counters"].get("serve.batch.flush_size", 0) == 0
+
+    def test_default_dispatches_lone_request_without_lingering(self):
+        engine = StubEngine()
+
+        async def main():
+            batcher = MicroBatcher(engine)
+            result = await batcher.submit(["a"])
+            await batcher.stop()
+            return result, batcher.metrics.to_dict()
+
+        result, metrics = asyncio.run(main())
+        assert result == "r:a"
+        assert engine.batches == [[("a",)]]
+        # The idle solver takes the request at once instead of holding
+        # it for companions (a 2 ms linger would show here).
+        assert metrics["histograms"]["serve.predict.queue_wait_s"]["max"] < 0.002
+        assert metrics["counters"]["serve.batch.flush_idle"] == 1
+        assert metrics["counters"].get("serve.batch.flush_linger", 0) == 0
+
+    def test_requests_arriving_during_a_solve_form_the_next_batch(self):
+        engine = StubEngine(delay_s=0.05)
+
+        async def main():
+            batcher = MicroBatcher(engine)
+            first = asyncio.ensure_future(batcher.submit(["a"]))
+            for _ in range(3):  # submit, then the flusher's dispatch
+                await asyncio.sleep(0)
+            dispatched_at_once = batcher.pending == 0
+            rest = await asyncio.gather(batcher.submit(["b"]), batcher.submit(["c"]))
+            results = [await first] + rest
+            await batcher.stop()
+            return dispatched_at_once, results, batcher.metrics.to_dict()
+
+        dispatched_at_once, results, metrics = asyncio.run(main())
+        assert dispatched_at_once  # `a` left the queue without lingering
+        assert results == ["r:a", "r:b", "r:c"]
+        assert engine.batches == [[("a",)], [("b",), ("c",)]]
+        assert metrics["counters"]["serve.batch.flush_idle"] == 2
 
     def test_queue_full_sheds_immediately(self):
         engine = StubEngine()

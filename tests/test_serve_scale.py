@@ -1,4 +1,4 @@
-"""Tests for the serve scale-out layer (cache, workers, SLO batching).
+"""Tests for the serve scale-out layer (cache, workers, SLO load).
 
 Four layers, pinned separately:
 
@@ -8,9 +8,8 @@ Four layers, pinned separately:
   regression pin: a hot swap via ``POST /v1/models`` must make the
   next ``/v1/predict`` a cache *miss* re-solved against the new
   version.
-- **Adaptive batching**: the AIMD control law against a p95 target,
-  unit-level (synthetic histogram deltas) and end-to-end (a served
-  latency SLO visibly drops the batching level).
+- **Histogram quantiles**: the log2-bucket quantile estimate and its
+  windowed deltas.
 - **Worker pool**: N shared-nothing ``SO_REUSEPORT`` processes serve
   bit-identical predictions on one address (proven via the
   ``X-Repro-Worker`` header), plus lifecycle and validation.
@@ -37,7 +36,6 @@ from repro.errors import ConfigurationError
 from repro.obs import MetricsRegistry, quantile_from_buckets
 from repro.serve import (
     LoadReport,
-    MicroBatcher,
     ModelRegistry,
     PredictionResultCache,
     PublishLoad,
@@ -86,7 +84,7 @@ def _counter(client, name):
 
 
 # ----------------------------------------------------------------------
-# Histogram quantiles (the controller's sensor)
+# Histogram quantiles
 # ----------------------------------------------------------------------
 class TestHistogramQuantiles:
     def test_quantile_from_buckets_contract(self):
@@ -362,120 +360,6 @@ class TestServedResultCache:
         registry.publish("m", suite)  # idempotent: no event
         registry.publish("m", _oracle_suite(salt=1.0))
         assert events == [(1, None), (2, 1)]
-
-
-# ----------------------------------------------------------------------
-# SLO-adaptive batching
-# ----------------------------------------------------------------------
-class _IdleEngine:
-    def predict_mixes(self, mixes):
-        return list(mixes)
-
-    def close(self):
-        pass
-
-
-def _controlled_batcher(target_p95_s=0.01):
-    batcher = MicroBatcher(
-        _IdleEngine(),
-        max_batch_size=32,
-        max_linger_s=0.002,
-        target_p95_s=target_p95_s,
-        control_interval_s=0.0,
-        control_min_samples=4,
-    )
-    return batcher, batcher.controller
-
-
-class TestAdaptiveBatchController:
-    def test_requires_positive_target(self):
-        with pytest.raises(ConfigurationError):
-            MicroBatcher(_IdleEngine(), target_p95_s=0.0)
-
-    def test_multiplicative_decrease_on_slo_breach(self):
-        batcher, controller = _controlled_batcher()
-        histogram = batcher.metrics.histogram("serve.predict.latency_s")
-        for _ in range(8):
-            histogram.observe(0.1)  # way above the 10 ms target
-        controller.maybe_adapt(now=0.0)
-        assert controller.level == pytest.approx(0.5)
-        assert batcher.max_batch_size == 16
-        assert batcher.max_linger_s == pytest.approx(0.001)
-        counters = batcher.metrics.to_dict()["counters"]
-        assert counters["serve.batch.adaptive.decrease"] == 1
-        gauges = batcher.metrics.to_dict()["gauges"]
-        assert gauges["serve.batch.adaptive.level"] == pytest.approx(0.5)
-        assert gauges["serve.slo.p95_s"] > 0.01
-
-    def test_additive_increase_when_comfortably_under_target(self):
-        batcher, controller = _controlled_batcher()
-        histogram = batcher.metrics.histogram("serve.predict.latency_s")
-        for _ in range(8):
-            histogram.observe(0.1)
-        controller.maybe_adapt(now=0.0)  # decrease to 0.5 first
-        for _ in range(20):
-            histogram.observe(0.0001)  # far below the low watermark
-        controller.maybe_adapt(now=1.0)
-        assert controller.level == pytest.approx(0.58)
-        counters = batcher.metrics.to_dict()["counters"]
-        assert counters["serve.batch.adaptive.increase"] == 1
-        assert batcher.max_batch_size == round(0.58 * 32)
-
-    def test_at_full_level_low_latency_changes_nothing(self):
-        batcher, controller = _controlled_batcher()
-        histogram = batcher.metrics.histogram("serve.predict.latency_s")
-        for _ in range(8):
-            histogram.observe(0.0001)
-        controller.maybe_adapt(now=0.0)
-        assert controller.level == 1.0
-        assert batcher.max_batch_size == 32
-        counters = batcher.metrics.to_dict()["counters"]
-        assert "serve.batch.adaptive.increase" not in counters
-
-    def test_window_is_a_delta_not_cumulative(self):
-        # Old slow samples must not keep triggering decreases forever.
-        batcher, controller = _controlled_batcher()
-        histogram = batcher.metrics.histogram("serve.predict.latency_s")
-        for _ in range(8):
-            histogram.observe(0.1)
-        controller.maybe_adapt(now=0.0)
-        level_after_first = controller.level
-        controller.maybe_adapt(now=1.0)  # no new samples: below min_samples
-        assert controller.level == level_after_first
-
-    def test_level_never_falls_below_floor(self):
-        batcher, controller = _controlled_batcher()
-        histogram = batcher.metrics.histogram("serve.predict.latency_s")
-        for tick in range(12):
-            for _ in range(8):
-                histogram.observe(0.5)
-            controller.maybe_adapt(now=float(tick))
-        assert controller.level == pytest.approx(controller.level_floor)
-        assert batcher.max_batch_size >= 1
-        assert batcher.max_linger_s >= 0.0
-
-    def test_served_slo_pressure_drops_the_level(self, suite):
-        # End to end: an impossible 1 µs p95 target must force the
-        # controller visibly below full aggressiveness on real traffic.
-        handle = start_server(
-            {"default": suite}, target_p95_ms=0.001, result_cache_size=0
-        )
-        try:
-            with ServeClient(handle.host, handle.port) as client:
-                mixes = [[a, b] for a in NAMES for b in NAMES]
-                for _ in range(3):
-                    for mix in mixes:
-                        client.predict(mix, ways=WAYS)
-                gauges = client.metrics()["gauges"]
-                assert gauges["serve.batch.adaptive.level"] < 1.0
-                assert _counter(client, "serve.batch.adaptive.decrease") >= 1
-                # Throttled batching must not change results.
-                response = client.predict(["mcf", "gzip"], ways=WAYS)
-                assert response["prediction"] == predict_mix(
-                    ["mcf", "gzip"], suite, ways=WAYS
-                ).to_dict()
-        finally:
-            handle.stop()
 
 
 # ----------------------------------------------------------------------
@@ -815,7 +699,7 @@ class TestCliServeWorkers:
             [
                 sys.executable, "-m", "repro", "serve",
                 "--suite", str(suite_path), "--port", "0",
-                "--http-workers", "2", "--target-p95-ms", "250",
+                "--http-workers", "2", "--linger-ms", "2",
             ],
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
