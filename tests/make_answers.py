@@ -6,14 +6,19 @@ Usage (from the repository root)::
 
 Each case stores the :class:`~repro.api.AssignmentRequest` document it
 solved and the plan the code produced: placements, P-states, the
-anytime trace, and every float as ``float.hex``.
-``tests/test_answers.py`` re-solves each stored request and checks the
-plan for exact equality.  Regenerate the file only in a change that
+anytime trace, and every float as ``float.hex``.  Each entry of the
+``states`` section is one seeded machine state priced with
+:meth:`~repro.fleet.evaluator.FleetEvaluator.machine_metrics`: idle
+machines, a lone busy core per domain, contended domains and every
+P-state index, on plain, big.LITTLE and unit-spec machines.
+``tests/test_answers.py`` re-solves each stored request and re-prices
+each stored state, and checks both for exact equality.  Regenerate the file only in a change that
 alters answers on purpose, and say why in CHANGES.md.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import pathlib
 from typing import Dict, List
@@ -32,7 +37,9 @@ from repro.core.feature import FeatureVector, ProfileVector
 from repro.core.power_model import CorePowerModel, PowerTrainingSet
 from repro.events import Event, RATE_EVENTS
 from repro.fleet import CANONICAL_OBJECTIVES
-from repro.hetero import big_little_spec
+from repro.fleet.evaluator import FleetEvaluator
+from repro.hetero import big_little_spec, unit_spec
+from repro.machine.topology import STANDARD_MACHINES
 from repro.workloads.spec import BENCHMARKS
 
 PATH = pathlib.Path(__file__).parent / "data" / "answers.json"
@@ -96,6 +103,129 @@ def big_little_fleet() -> FleetSpec:
             MachineGroup(machine="2-core-workstation", count=2, sets=32),
         )
     )
+
+
+#: The machines the ``states`` section prices: ``(label, machine,
+#: hetero spec)``, one fleet group each.
+STATE_MACHINES = (
+    ("plain/4-core-server", "4-core-server", None),
+    ("plain/2-core-workstation", "2-core-workstation", None),
+    ("big_little/4-core-server", "4-core-server", big_little_spec("4-core-server")),
+    ("unit/4-core-server", "4-core-server", unit_spec("4-core-server")),
+)
+#: Full-machine states drawn at random per machine.
+RANDOM_STATES = 6
+
+
+def state_evaluator(suite, power) -> FleetEvaluator:
+    """A primed evaluator with one group per :data:`STATE_MACHINES` row."""
+    fleet = FleetSpec(
+        groups=tuple(
+            MachineGroup(machine=machine, sets=32, hetero=hetero)
+            for _, machine, hetero in STATE_MACHINES
+        )
+    )
+    evaluator = FleetEvaluator(suite.features, suite.profiles, power, fleet)
+    evaluator.prime(NAMES)
+    return evaluator
+
+
+def machine_states(machine: str, hetero, rng) -> List[Dict]:
+    """Seeded states of one machine: ``{"kind", "assignment", "pstates"}``.
+
+    Covers the idle machine; a lone busy core in each domain with 1-3
+    time-sharing names; every contended domain, including two copies
+    of one name; and random full machines.  Hetero states enumerate
+    every P-state index of the busy cores, so big cores at p0 (unit
+    points inside a non-unit spec) appear too.  Plain machines carry
+    ``pstates`` of ``None``.
+    """
+    topology = STANDARD_MACHINES[machine](sets=32)
+
+    def draw(count: int) -> List[str]:
+        return [str(name) for name in rng.choice(NAMES, size=count)]
+
+    def with_pstates(kind: str, assignment: Dict[int, List[str]]) -> List[Dict]:
+        if hetero is None:
+            return [{"kind": kind, "assignment": assignment, "pstates": None}]
+        busy = sorted(assignment)
+        return [
+            {
+                "kind": kind,
+                "assignment": assignment,
+                "pstates": dict(zip(busy, choice)),
+            }
+            for choice in itertools.product(
+                *(range(hetero.pstate_counts[core]) for core in busy)
+            )
+        ]
+
+    states = with_pstates("idle", {})
+    for domain in topology.domains:
+        for core in domain.core_ids:
+            for count in (1, 2, 3):
+                states += with_pstates("lone", {core: draw(count)})
+        if len(domain.core_ids) < 2:
+            continue
+        first, second = domain.core_ids[:2]
+        name = draw(1)
+        states += with_pstates("same-name", {first: name, second: list(name)})
+        for counts in ((1, 1), (1, 2), (3, 2)):
+            states += with_pstates(
+                "contended", {first: draw(counts[0]), second: draw(counts[1])}
+            )
+    for _ in range(RANDOM_STATES):
+        assignment = {
+            core: draw(int(rng.integers(1, 4)))
+            for core in range(topology.num_cores)
+        }
+        pstates = None
+        if hetero is not None:
+            pstates = {
+                core: int(rng.integers(hetero.pstate_counts[core]))
+                for core in assignment
+            }
+        states.append(
+            {"kind": "random", "assignment": assignment, "pstates": pstates}
+        )
+    return states
+
+
+def price_state(evaluator: FleetEvaluator, group: int, state: Dict) -> Dict:
+    """``state``'s ``watts`` and ``ips`` as ``float.hex``."""
+    pstates = state["pstates"]
+    watts, ips = evaluator.machine_metrics(
+        group,
+        {int(core): names for core, names in state["assignment"].items()},
+        None if pstates is None else {int(c): i for c, i in pstates.items()},
+    )
+    return {"watts": watts.hex(), "ips": ips.hex()}
+
+
+def states(suite, power) -> List[Dict]:
+    """The ``states`` section: every machine's seeded states, priced."""
+    evaluator = state_evaluator(suite, power)
+    rng = np.random.default_rng(SEED)
+    entries: List[Dict] = []
+    for group, (label, machine, hetero) in enumerate(STATE_MACHINES):
+        for index, state in enumerate(machine_states(machine, hetero, rng)):
+            entry = {
+                "name": f"{label}/{state['kind']}/{index}",
+                "group": group,
+                "assignment": {
+                    str(core): names
+                    for core, names in sorted(state["assignment"].items())
+                },
+                "pstates": None
+                if state["pstates"] is None
+                else {
+                    str(core): pstate
+                    for core, pstate in sorted(state["pstates"].items())
+                },
+            }
+            entry.update(price_state(evaluator, group, entry))
+            entries.append(entry)
+    return entries
 
 
 def answer_of(plan: FleetAssignment) -> Dict:
@@ -188,8 +318,11 @@ def main() -> None:
         corpus.append(
             {"name": name, "request": request.to_dict(), "answer": answer_of(plan)}
         )
-    PATH.write_text(json.dumps({"cases": corpus}, indent=1) + "\n")
-    print(f"wrote {len(corpus)} cases to {PATH}")
+    priced = states(suite, power)
+    PATH.write_text(
+        json.dumps({"cases": corpus, "states": priced}, indent=1) + "\n"
+    )
+    print(f"wrote {len(corpus)} cases and {len(priced)} states to {PATH}")
 
 
 if __name__ == "__main__":

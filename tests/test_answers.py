@@ -6,6 +6,11 @@ small homogeneous fleet and on a big.LITTLE fleet under a watts
 budget, plus one tiny exhaustive case.  Every stored request is solved
 again and compared exactly, floats as ``float.hex``.
 
+Its ``states`` section pins single machine states, priced through
+``FleetEvaluator.machine_metrics`` on plain, big.LITTLE and unit-spec
+machines: every P-state index, lone and contended domains, and idle
+machines.  Each is priced again and compared exactly.
+
 All cases solve on one suite object, so most of them run on a store of
 solved co-runs that earlier cases warmed; the last test pins that a
 warm store and a cold one give equal plans.
@@ -15,10 +20,20 @@ import json
 
 import pytest
 
-from make_answers import PATH, answer_of, build_power_model, build_suite
+from make_answers import (
+    PATH,
+    STATE_MACHINES,
+    answer_of,
+    build_power_model,
+    build_suite,
+    price_state,
+    state_evaluator,
+)
 from repro.api import AssignmentRequest, solve_assignment
 
-CASES = json.loads(PATH.read_text())["cases"]
+CORPUS = json.loads(PATH.read_text())
+CASES = CORPUS["cases"]
+STATES = CORPUS["states"]
 
 
 @pytest.fixture(scope="module")
@@ -62,3 +77,16 @@ def test_warm_store_plan_equals_cold_store_plan(power_model):
     second = solve_assignment(request, suite, power_model)
     cold = solve_assignment(request, build_suite(), power_model)
     assert first == second == cold
+
+
+@pytest.mark.parametrize(
+    "group, label", list(enumerate(label for label, _, _ in STATE_MACHINES))
+)
+def test_state_prices_are_bit_identical(group, label, suite, power_model):
+    stored = [entry for entry in STATES if entry["group"] == group]
+    assert stored and all(entry["name"].startswith(label) for entry in stored)
+    evaluator = state_evaluator(suite, power_model)
+    repriced = [
+        {**entry, **price_state(evaluator, group, entry)} for entry in stored
+    ]
+    assert repriced == stored
