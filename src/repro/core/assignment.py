@@ -106,8 +106,8 @@ def score_assignment(
     Shared by both searchers here and by the :mod:`repro.parallel`
     chunk evaluator, so every path prices a candidate identically.
     """
-    watts = model.estimate_assignment_power(assignment).watts
-    ips = model.estimate_assignment_throughput(assignment)
+    estimate = model.estimate_state(assignment)
+    watts, ips = estimate.watts, estimate.ips
     return OBJECTIVES[objective](watts, ips), watts, ips
 
 

@@ -20,17 +20,24 @@ domains are ``P_rest``).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.feature import ProfileVector
-from repro.core.performance_model import PerformanceModel
+from repro.core.performance_model import (
+    CoRunPrediction,
+    PerformanceModel,
+    canonical_order,
+)
 from repro.core.power_model import CorePowerModel
 from repro.core.solver_cache import CacheStats, EquilibriumCache
-from repro.core.timesharing import core_set_power, process_combinations
+from repro.core.timesharing import process_combinations
 from repro.errors import ConfigurationError
 from repro.events import Event
 from repro.machine.topology import MachineTopology
 from repro.obs import get_observer
+
+if TYPE_CHECKING:
+    from repro.hetero.types import OperatingPoint
 
 Assignment = Mapping[int, Sequence[str]]
 
@@ -50,11 +57,12 @@ class PowerSplit:
 
 @dataclass(frozen=True)
 class AssignmentPowerEstimate:
-    """Predicted processor power for one tentative assignment."""
+    """Predicted power and throughput of one tentative assignment."""
 
     watts: float
     per_domain_watts: Tuple[float, ...]
     combinations_evaluated: int
+    ips: float  #: total instructions per second
 
 
 def classify_scenario(
@@ -180,103 +188,209 @@ class CombinedModel:
     # Co-run prediction with caching
     # ------------------------------------------------------------------
     def _predict_corun(
-        self, domain_idx: int, combo: Tuple[str, ...]
-    ) -> Dict[str, Tuple[float, float]]:
-        """Predicted (SPI, L2MPR) per process name for one combination."""
-        key = (domain_idx, tuple(sorted(combo)))
-        cached = self._corun_cache.get(key)
-        if cached is None:
-            prediction = self.performance_models[domain_idx].predict(list(key[1]))
-            cached = {
-                p.name: (p.spi, p.l2mpr) for p in prediction.processes
-            }
-            self._corun_cache.put(key, cached)
-        return cached
-
-    def seed_corun(
         self,
         domain_idx: int,
-        combo: Tuple[str, ...],
-        operating: Mapping[str, Tuple[float, float]],
-    ) -> None:
-        """Pre-populate the operating-point cache for one combination.
+        combo: Sequence[str],
+        ratios: Optional[Sequence[float]] = None,
+    ) -> Tuple[Tuple[float, float], ...]:
+        """Predicted (SPI, L2MPR) per position of ``combo`` at ``ratios``.
+
+        ``ratios`` are the per-position clock ratios (``None``: all
+        unit).  Name alone is not a key once one program can run on
+        two cores at different clocks, so entries key on the
+        :func:`~repro.core.performance_model.canonical_order` of the
+        ``(name, ratio)`` pairs and hold the canonical solution.
+        """
+        if ratios is None:
+            ratios = (1.0,) * len(combo)
+        order, slot = canonical_order(combo, ratios)
+        key = (domain_idx, tuple((combo[i], ratios[i]) for i in order))
+        cached = self._corun_cache.get(key)
+        if cached is None:
+            prediction = self.performance_models[domain_idx].predict(
+                [combo[i] for i in order],
+                frequency_ratios=[ratios[i] for i in order],
+            )
+            cached = tuple((p.spi, p.l2mpr) for p in prediction.processes)
+            self._corun_cache.put(key, cached)
+        return tuple(cached[pos] for pos in slot)
+
+    def seed_corun(self, domain_idx: int, prediction: CoRunPrediction) -> None:
+        """Pre-populate the operating-point cache with one unit-clock co-run.
 
         Batch frontends (the fleet evaluator) solve co-run closures
-        through :class:`~repro.parallel.ParallelPredictor` and inject
-        the results here, so assignment scoring never re-enters the
-        equilibrium solver.  ``operating`` maps each name of ``combo``
-        to its predicted ``(spi, l2mpr)``; existing entries win (the
-        cache is cold-start deterministic, so they are identical
-        anyway).
+        through :meth:`PerformanceModel.predict_batch` and inject the
+        results here, so assignment scoring never re-enters the
+        equilibrium solver for them.  Existing entries win (the cache
+        is cold-start deterministic, so they are identical anyway).
         """
-        key = (domain_idx, tuple(sorted(combo)))
+        names = [p.name for p in prediction.processes]
+        order, _ = canonical_order(names, (1.0,) * len(names))
+        processes = [prediction.processes[i] for i in order]
+        key = (domain_idx, tuple((p.name, 1.0) for p in processes))
         if self._corun_cache.get(key) is None:
-            self._corun_cache.put(key, dict(operating))
+            self._corun_cache.put(key, tuple((p.spi, p.l2mpr) for p in processes))
 
     # ------------------------------------------------------------------
-    # Assignment power (Figure 1 + Eq. 10 + Eq. 11)
+    # Machine-state estimate (Figure 1 + Eq. 10 + Eq. 11)
     # ------------------------------------------------------------------
-    def estimate_assignment_power(self, assignment: Assignment) -> AssignmentPowerEstimate:
-        """Predicted processor power for a full tentative assignment.
+    def estimate_state(
+        self,
+        assignment: Assignment,
+        points: Optional[Sequence[OperatingPoint]] = None,
+    ) -> AssignmentPowerEstimate:
+        """Predicted power and throughput of a full tentative assignment.
 
         ``assignment`` maps core id to the process names time-sharing
-        that core; cores may be omitted or empty (idle).
+        that core; cores may be omitted or empty (idle).  ``points``
+        gives every core its operating point (see
+        :class:`~repro.hetero.types.OperatingPoint`), idle cores
+        included; ``None`` is the paper's machine, every core at the
+        profiled clock.  Each co-run combination is looked up once and
+        yields both its watts and its IPS.
         """
         observer = get_observer()
         if not observer.enabled:
-            return self._estimate_assignment_power_impl(assignment)
+            return self._estimate_state_impl(assignment, points)
         with observer.span(
             "combined.power",
             cores=len(assignment),
             processes=sum(len(names) for names in assignment.values()),
         ) as span:
-            estimate = self._estimate_assignment_power_impl(assignment)
+            estimate = self._estimate_state_impl(assignment, points)
             span.annotate(
                 watts=estimate.watts,
+                ips=estimate.ips,
                 combinations=estimate.combinations_evaluated,
             )
             observer.counter("combined.power_estimates").inc()
+            observer.counter("combined.throughput_estimates").inc()
             observer.counter("combined.combinations").inc(
                 estimate.combinations_evaluated
             )
             return estimate
 
-    def _estimate_assignment_power_impl(
-        self, assignment: Assignment
+    def _estimate_state_impl(
+        self,
+        assignment: Assignment,
+        points: Optional[Sequence[OperatingPoint]],
     ) -> AssignmentPowerEstimate:
         for core in assignment:
             if not 0 <= core < self.topology.num_cores:
                 raise ConfigurationError(f"core {core} out of range")
+        p_idle = self.power_model.p_idle
+        # Two summation orders, each pinned by the answer corpus: the
+        # paper's machine totals each domain and sums the domains
+        # (Eq. 11); with operating points one running total takes
+        # every term in turn.  Reassociating either moves answers.
+        running = 0.0
         per_domain: List[float] = []
+        total_ips = 0.0
         combos_evaluated = 0
         for domain_idx, domain in enumerate(self.topology.domains):
-            busy_cores = [c for c in domain.core_ids if assignment.get(c)]
-            idle_cores = len(domain.core_ids) - len(busy_cores)
-            watts = idle_cores * self.power_model.p_idle
-            if len(busy_cores) == 1:
+            busy = [c for c in domain.core_ids if assignment.get(c)]
+            if points is None:
+                terms = [(len(domain.core_ids) - len(busy)) * p_idle]
+            else:
+                # Idle cores draw P_idle scaled to their parked point.
+                terms = [
+                    points[c].static_multiplier * p_idle
+                    for c in domain.core_ids
+                    if not assignment.get(c)
+                ]
+            if len(busy) == 1:
                 # No cross-core cache contention in this domain: each
                 # process runs as profiled; use the recorded P_alone
                 # (Figure 1, scenario 1/2) averaged over timeslices.
-                names = list(assignment[busy_cores[0]])
-                watts += sum(self._profile(n).p_alone for n in names) / len(names)
-            elif busy_cores:
-                per_core_lists = [list(assignment[c]) for c in busy_cores]
+                core = busy[0]
+                names = assignment[core]
+                if points is None:
+                    ratio = 1.0
+                    terms.append(
+                        sum(self._profile(n).p_alone for n in names) / len(names)
+                    )
+                else:
+                    # P_alone = P_idle + active: the idle part scales
+                    # with the static multiplier, the active part with
+                    # the clock (event rates) and the dynamic one.
+                    point = points[core]
+                    ratio = point.frequency_ratio
+                    active = (
+                        sum(self._profile(n).p_alone - p_idle for n in names)
+                        / len(names)
+                    )
+                    terms.append(
+                        point.static_multiplier * p_idle
+                        + point.dynamic_multiplier * point.frequency_ratio * active
+                    )
+                # A process time-sharing with k - 1 others runs 1/k
+                # of the time.
+                time_share = 1.0 / len(names)
+                for name in names:
+                    ((spi, _),) = self._predict_corun(domain_idx, (name,), (ratio,))
+                    total_ips += time_share * (1.0 / spi)
+            elif busy:
+                # Scenario 3/4: Eq. 10 averages over every cross-core
+                # combination.  The predicted SPI already carries each
+                # core's clock into Eq. 9's event rates, so an
+                # operating point only adds its power multipliers.
+                per_core_lists = [assignment[c] for c in busy]
+                ratios = (
+                    None
+                    if points is None
+                    else tuple(points[c].frequency_ratio for c in busy)
+                )
                 combos = process_combinations(per_core_lists)
                 combos_evaluated += len(combos)
-
-                def combination_power(combo: Tuple[str, ...]) -> float:
-                    operating = self._predict_corun(domain_idx, combo)
-                    return sum(
-                        self.process_power(name, *operating[name]) for name in combo
-                    )
-
-                watts += core_set_power(per_core_lists, combination_power)
-            per_domain.append(watts)
+                combo_watts = 0.0
+                combo_ips = 0.0
+                for combo in combos:
+                    operating = self._predict_corun(domain_idx, combo, ratios)
+                    power = 0.0
+                    for position, (name, (spi, l2mpr)) in enumerate(
+                        zip(combo, operating)
+                    ):
+                        process = self.process_power(name, spi, l2mpr)
+                        if points is None:
+                            power += process
+                        else:
+                            point = points[busy[position]]
+                            power += (
+                                point.static_multiplier * p_idle
+                                + point.dynamic_multiplier * (process - p_idle)
+                            )
+                    if power < 0:
+                        raise ConfigurationError(
+                            "combination power must be non-negative"
+                        )
+                    combo_watts += power
+                    combo_ips += sum(1.0 / spi for spi, _ in operating)
+                terms.append(combo_watts / len(combos))
+                # The uniform average over combinations already encodes
+                # the per-core time shares: a process on a core with k
+                # residents appears in exactly len(combos)/k combinations
+                # (every choice of its partners), so dividing the summed
+                # per-combination IPS by len(combos) weights its mean
+                # contended IPS by 1/k — the same weight the single-core
+                # branch applies explicitly.
+                total_ips += combo_ips / len(combos)
+            per_domain.append(sum(terms))
+            if points is not None:
+                for term in terms:
+                    running += term
         return AssignmentPowerEstimate(
-            watts=float(sum(per_domain)),
+            watts=float(sum(per_domain)) if points is None else running,
             per_domain_watts=tuple(per_domain),
             combinations_evaluated=combos_evaluated,
+            ips=total_ips,
         )
+
+    def estimate_assignment_power(self, assignment: Assignment) -> AssignmentPowerEstimate:
+        """Predicted processor power for a full tentative assignment.
+
+        The paper-machine view of :meth:`estimate_state`.
+        """
+        return self.estimate_state(assignment)
 
     def estimate_after_assigning(
         self, assignment: Assignment, name: str, core: int
@@ -291,46 +405,12 @@ class CombinedModel:
         new_assignment.setdefault(core, []).append(name)
         return self.estimate_assignment_power(new_assignment), scenario
 
-    # ------------------------------------------------------------------
-    # Throughput (for energy-aware objectives)
-    # ------------------------------------------------------------------
     def estimate_assignment_throughput(self, assignment: Assignment) -> float:
         """Predicted total instructions per second of an assignment.
 
-        Within a domain, each cross-core combination is weighted
-        equally (the Eq. 10 assumption); a process time-sharing a core
-        with ``k - 1`` others runs ``1/k`` of the time.
+        The IPS view of :meth:`estimate_state`: within a domain each
+        cross-core combination is weighted equally (the Eq. 10
+        assumption), and a process time-sharing a core with ``k - 1``
+        others runs ``1/k`` of the time.
         """
-        observer = get_observer()
-        if observer.enabled:
-            observer.counter("combined.throughput_estimates").inc()
-        total_ips = 0.0
-        for domain_idx, domain in enumerate(self.topology.domains):
-            busy_cores = [c for c in domain.core_ids if assignment.get(c)]
-            if not busy_cores:
-                continue
-            per_core_lists = [list(assignment[c]) for c in busy_cores]
-            if len(busy_cores) == 1:
-                # No contention: each process runs as profiled, for
-                # 1/k of the time when k processes share the core.
-                model = self.performance_models[domain_idx]
-                names = per_core_lists[0]
-                time_share = 1.0 / len(names)
-                for name in names:
-                    total_ips += time_share * model.predict_solo(name).ips
-                continue
-            combos = process_combinations(per_core_lists)
-            combo_ips = 0.0
-            for combo in combos:
-                operating = self._predict_corun(domain_idx, combo)
-                combo_ips += sum(1.0 / operating[name][0] for name in combo)
-            # The uniform average over combinations already encodes
-            # the per-core time shares: a process on a core with k
-            # residents appears in exactly len(combos)/k combinations
-            # (every choice of its partners), so dividing the summed
-            # per-combination IPS by len(combos) weights its mean
-            # contended IPS by 1/k — the same weight the single-core
-            # branch applies explicitly.  No separate share factor is
-            # needed (an earlier version carried an unused one).
-            total_ips += combo_ips / len(combos)
-        return total_ips
+        return self.estimate_state(assignment).ips

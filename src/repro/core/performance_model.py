@@ -24,6 +24,26 @@ from repro.io import document
 from repro.obs import get_observer
 
 
+def canonical_order(
+    names: Sequence[str], ratios: Sequence[float]
+) -> Tuple[List[int], List[int]]:
+    """The canonical (sorted) order of a mix and its inverse.
+
+    The equilibrium is order-independent, so every solve happens in
+    one canonical order: a stable sort by ``(name, ratio)``.  Returns
+    ``(order, slot)``: ``order[pos]`` is the original index at
+    canonical position ``pos`` and ``slot[i]`` is the canonical
+    position of original index ``i``, used to permute a solution back.
+    Equal ``(name, ratio)`` duplicates are symmetric, so the stable
+    tie-break (first seen, first placed) is as correct as any other.
+    """
+    order = sorted(range(len(names)), key=lambda i: (names[i], ratios[i]))
+    slot = [0] * len(order)
+    for pos, i in enumerate(order):
+        slot[i] = pos
+    return order, slot
+
+
 @document("process_prediction")
 @dataclass(frozen=True)
 class ProcessPrediction:
@@ -217,11 +237,8 @@ class PerformanceModel:
     ) -> Tuple[List[str], List[float], Tuple, List[int]]:
         """Validate one mix; returns (canon_names, canon_ratios, key, slot).
 
-        The equilibrium is order-independent, so solves are cached in
-        canonical (sorted) order; ``slot[i]`` is the canonical position
-        of original index ``i``, used to permute the solution back.
-        Equal (name, ratio) duplicates are symmetric, making any
-        consistent tie-break correct.
+        Solves are cached in :func:`canonical_order`; ``slot`` permutes
+        the canonical solution back to the caller's order.
         """
         if not names:
             raise ConfigurationError("need at least one process name")
@@ -237,13 +254,10 @@ class PerformanceModel:
                     "frequency_ratios must have one entry per process"
                 )
             ratios = tuple(float(r) for r in frequency_ratios)
-        order = sorted(range(len(names)), key=lambda i: (names[i], ratios[i]))
+        order, slot = canonical_order(names, ratios)
         canon_names = [names[i] for i in order]
         canon_ratios = [ratios[i] for i in order]
         key = (self.ways, self.strategy, tuple(zip(canon_names, canon_ratios)))
-        slot = [0] * len(order)
-        for pos, i in enumerate(order):
-            slot[i] = pos
         return canon_names, canon_ratios, key, slot
 
     def _restore(

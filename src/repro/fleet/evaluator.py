@@ -49,11 +49,7 @@ from repro.core.power_model import CorePowerModel
 from repro.core.solver_cache import EquilibriumCache
 from repro.errors import ConfigurationError
 from repro.fleet.spec import FleetSpec
-from repro.hetero.model import (
-    HeteroPricer,
-    HeteroState,
-    canonical_hetero_state,
-)
+from repro.hetero.model import HeteroPricer, HeteroState
 from repro.hetero.types import HeteroMachineSpec
 from repro.machine.topology import MachineTopology
 from repro.obs import get_observer
@@ -126,17 +122,32 @@ def fleet_score(
 MachineState = Tuple[Tuple[int, Tuple[str, ...]], ...]
 
 
-def canonical_state(assignment: Mapping[int, Sequence[str]]) -> MachineState:
+def canonical_state(
+    assignment: Mapping[int, Sequence[str]],
+    pstate_of: Optional[Mapping[int, int]] = None,
+) -> Union[MachineState, HeteroState]:
     """Order-insensitive key (and scoring form) of a machine assignment.
 
     Names within a core are sorted before scoring as well as keying:
     time-sharing order cannot change the model's estimate
     mathematically, but it changes float summation order — scoring the
     canonical form is what keeps memoised scores bit-stable.
+
+    With ``pstate_of`` (hetero machines) each busy core's entry also
+    carries its P-state index, defaulting to 0 (nominal) where unset:
+    a :data:`~repro.hetero.model.HeteroState`.
     """
+    if pstate_of is None:
+        return tuple(
+            sorted(
+                (int(core), tuple(sorted(names)))
+                for core, names in assignment.items()
+                if names
+            )
+        )
     return tuple(
         sorted(
-            (int(core), tuple(sorted(names)))
+            (int(core), tuple(sorted(names)), int(pstate_of.get(core, 0)))
             for core, names in assignment.items()
             if names
         )
@@ -298,9 +309,7 @@ class FleetEvaluator:
             pricer = None
             idle_watts = topology.num_cores * self.power_model.p_idle
             if hetero is not None:
-                pricer = HeteroPricer(
-                    hetero, topology, combined, self.profiles
-                )
+                pricer = HeteroPricer(hetero, topology, combined)
                 # For a unit spec this is the same float expression as
                 # the homogeneous branch (parity); otherwise it sums
                 # the per-core deepest-P-state idle draws.
@@ -379,22 +388,14 @@ class FleetEvaluator:
             predictions = self._store.predict_batch(model, mixes)
             primed += len(predictions)
             # Seed each combined model's operating-point cache so
-            # homogeneous scoring never re-enters the model.
+            # unit-clock co-runs never re-enter the model.
             for config in self._configs.values():
                 for domain_idx, domain in enumerate(config.topology.domains):
                     if domain.geometry.ways != ways:
                         continue
                     for mix, prediction in zip(mixes, predictions):
-                        if len(mix) > len(domain.core_ids):
-                            continue
-                        config.combined.seed_corun(
-                            domain_idx,
-                            mix,
-                            {
-                                p.name: (p.spi, p.l2mpr)
-                                for p in prediction.processes
-                            },
-                        )
+                        if len(mix) <= len(domain.core_ids):
+                            config.combined.seed_corun(domain_idx, prediction)
         return primed
 
     # ------------------------------------------------------------------
@@ -423,19 +424,8 @@ class FleetEvaluator:
         indices (missing cores default to index 0, the nominal state).
         """
         config = self.group_configs[group_index]
-        if config.hetero is not None:
-            pstates = dict(pstate_of or {})
-            state: Union[MachineState, HeteroState] = canonical_hetero_state(
-                assignment,
-                {
-                    core: pstates.get(core, 0)
-                    for core, names in assignment.items()
-                    if names
-                },
-            )
-        else:
-            state = canonical_state(assignment)
-        return self.state_metrics(config, state)
+        pstates = None if config.hetero is None else (pstate_of or {})
+        return self.state_metrics(config, canonical_state(assignment, pstates))
 
     def state_metrics(
         self,
@@ -447,7 +437,8 @@ class FleetEvaluator:
         Hetero configs take :data:`~repro.hetero.model.HeteroState`
         (``(core, names, pstate_index)`` entries) and price through the
         config's :class:`~repro.hetero.model.HeteroPricer`; homogeneous
-        configs keep the two-element entries and the original path.
+        configs take two-element entries.  Either way the state is one
+        ``CombinedModel.estimate_state`` call.
         """
         self.lookups += 1
         if not state:
@@ -459,9 +450,8 @@ class FleetEvaluator:
         if config.pricer is not None:
             watts, ips = config.pricer.state_metrics(state)
         else:
-            scoring = {core: list(names) for core, names in state}
-            watts = config.combined.estimate_assignment_power(scoring).watts
-            ips = config.combined.estimate_assignment_throughput(scoring)
+            estimate = config.combined.estimate_state(dict(state))
+            watts, ips = estimate.watts, estimate.ips
         self.evaluations += 1
         result = (float(watts), float(ips))
         self._state_memo[key] = result

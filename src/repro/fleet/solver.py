@@ -142,20 +142,9 @@ def _machine_state(
     assignment: Mapping[int, Sequence[str]],
     pstate_of: Mapping[int, int],
 ):
-    """Canonical state of one machine — hetero-aware.
-
-    Homogeneous groups keep the original two-element entries (and the
-    original float/score behavior, bit for bit); hetero groups append
-    the busy core's P-state index, defaulting to 0 where unset.
-    """
-    if ctx.hetero[group_index] is None:
-        return canonical_state(assignment)
-    return tuple(
-        sorted(
-            (int(core), tuple(sorted(names)), int(pstate_of.get(core, 0)))
-            for core, names in assignment.items()
-            if names
-        )
+    """Canonical state of one machine; hetero groups carry P-states."""
+    return canonical_state(
+        assignment, None if ctx.hetero[group_index] is None else pstate_of
     )
 
 

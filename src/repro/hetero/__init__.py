@@ -1,10 +1,6 @@
 """Heterogeneous core types, DVFS P-states, and hetero state pricing."""
 
-from repro.hetero.model import (
-    HeteroPricer,
-    HeteroState,
-    canonical_hetero_state,
-)
+from repro.hetero.model import HeteroPricer, HeteroState
 from repro.hetero.types import (
     BIG_CORE,
     CORE_TYPE_CATALOG,
@@ -28,6 +24,5 @@ __all__ = [
     "OperatingPoint",
     "PState",
     "big_little_spec",
-    "canonical_hetero_state",
     "unit_spec",
 ]

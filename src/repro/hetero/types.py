@@ -23,9 +23,10 @@ Three frozen value types capture this:
   fleet evaluator configs can key on it.
 
 The *unit* predicate is load-bearing: a spec whose every operating
-point multiplies by exactly 1.0 prices machine states by delegating to
-the homogeneous code path wholesale, which is what makes the
-homogeneous-parity pin bit-exact rather than merely close.
+point multiplies by exactly 1.0 prices machine states with
+``points=None``, the very ``CombinedModel.estimate_state`` call a
+plain machine makes, which is what makes the homogeneous-parity pin
+bit-exact rather than merely close.
 """
 
 from __future__ import annotations
@@ -267,8 +268,8 @@ class HeteroMachineSpec:
     def is_unit(self) -> bool:
         """True when every core's every operating point is exactly 1.0.
 
-        Unit specs price states by delegating to the homogeneous model
-        path, which keeps them bit-identical to a plain machine.
+        Unit specs price states with the plain machine's call
+        (``points=None``), which keeps them bit-identical to it.
         """
         return all(core_type.is_unit for core_type in self.core_types)
 

@@ -19,16 +19,15 @@ normalize to the plain name key, exactly as the model normalizes
 ratio-free entry and vice versa, and both are bit-identical solves.
 
 **Canonical order and bit-identity.**  The equilibrium solver is
-order-independent by construction —
-:meth:`~repro.core.performance_model.PerformanceModel._canonical_plan`
-sorts every mix, solves in canonical order, and permutes the solution
-back — so one cached solve serves *every* ordering of the same
-multiset.  The cache stores the per-process predictions in canonical
-(sorted-name) order and rebuilds a
+order-independent by construction — the model solves every mix in
+:func:`~repro.core.performance_model.canonical_order` and permutes the
+solution back — so one cached solve serves *every* ordering of the
+same multiset.  The cache stores the per-process predictions in that
+canonical order and rebuilds a
 :class:`~repro.core.performance_model.CoRunPrediction` for the
-caller's order with exactly the permutation the model itself uses
-(stable sort by name): a cache-hit response is bit-identical to what
-a cold solve of the same request would have produced.
+caller's order with the same permutation: a cache-hit response is
+bit-identical to what a cold solve of the same request would have
+produced.
 
 The cache is a plain bounded LRU guarded by one lock: the HTTP
 handler probes it on the event loop, and nothing here blocks.
@@ -40,6 +39,7 @@ import threading
 from collections import OrderedDict
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.core.performance_model import CoRunPrediction, canonical_order
 from repro.errors import ConfigurationError
 from repro.obs import MetricsRegistry
 
@@ -70,19 +70,8 @@ def _slots(
     names: Sequence[str],
     frequency_ratios: Optional[Sequence[float]] = None,
 ) -> List[int]:
-    """``slot[i]`` = canonical position of original index ``i``.
-
-    Identical to the model's ``_canonical_plan`` permutation: a stable
-    sort by ``(name, ratio)``, so duplicate entries map to canonical
-    rows in first-seen order.  With unit ratios this degenerates to the
-    plain stable sort by name.
-    """
-    ratios = _normalized_ratios(names, frequency_ratios)
-    order = sorted(range(len(names)), key=lambda i: (names[i], ratios[i]))
-    slots = [0] * len(order)
-    for position, index in enumerate(order):
-        slots[index] = position
-    return slots
+    """``slot[i]`` = canonical position of original index ``i``."""
+    return canonical_order(names, _normalized_ratios(names, frequency_ratios))[1]
 
 
 def restore_order(
@@ -91,8 +80,6 @@ def restore_order(
     frequency_ratios: Optional[Sequence[float]] = None,
 ):
     """Rebuild a ``CoRunPrediction`` for ``names``'s own order."""
-    from repro.core.performance_model import CoRunPrediction
-
     slots = _slots(names, frequency_ratios)
     return CoRunPrediction(
         processes=tuple(entry.processes[slots[i]] for i in range(len(names))),
@@ -166,7 +153,7 @@ class PredictionResultCache:
             # Unit ratios are the model's ``None`` normalization: same
             # solve, same key — never fork the entry.
             return (digest, ways, canonical_mix(names))
-        order = sorted(range(len(names)), key=lambda i: (names[i], ratios[i]))
+        order, _ = canonical_order(names, ratios)
         return (digest, ways, tuple((names[i], ratios[i]) for i in order))
 
     def get(

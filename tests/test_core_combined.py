@@ -9,6 +9,7 @@ from repro.core.performance_model import PerformanceModel
 from repro.core.power_model import CorePowerModel, PowerTrainingSet
 from repro.errors import ConfigurationError
 from repro.events import Event, RATE_EVENTS
+from repro.hetero.types import OperatingPoint
 from repro.machine.topology import four_core_server
 from repro.workloads.spec import BENCHMARKS
 
@@ -229,6 +230,53 @@ class TestThroughput:
             prediction = {p.name: p for p in perf.predict([a, b]).processes}
             expected += prediction[a].ips + prediction[b].ips
         assert estimated == pytest.approx(expected / len(combos), rel=1e-9)
+
+
+UNIT = OperatingPoint(1.0, 1.0, 1.0)
+
+
+class TestEstimateState:
+    ASSIGNMENT = {0: ("mcf", "gzip"), 1: ("art", "twolf"), 2: ("gzip",)}
+
+    def test_power_and_throughput_are_views_of_it(self, combined):
+        estimate = combined.estimate_state(self.ASSIGNMENT)
+        assert combined.estimate_assignment_power(self.ASSIGNMENT) == estimate
+        ips = combined.estimate_assignment_throughput(self.ASSIGNMENT)
+        assert ips == estimate.ips
+
+    def test_each_corun_is_looked_up_once(self, combined):
+        before = combined.corun_cache_stats
+        combined.estimate_state(self.ASSIGNMENT)
+        after = combined.corun_cache_stats.delta_since(before)
+        # Four combinations in domain 0 plus the solo run on core 2,
+        # each serving both watts and IPS.
+        assert after.lookups == 4 + 1
+
+    def test_unit_points_match_the_paper_machine(self, combined):
+        paper = combined.estimate_state(self.ASSIGNMENT)
+        unit = combined.estimate_state(self.ASSIGNMENT, [UNIT] * 4)
+        assert unit.ips == paper.ips
+        assert unit.watts == pytest.approx(paper.watts, rel=1e-12)
+        assert unit.per_domain_watts == pytest.approx(
+            paper.per_domain_watts, rel=1e-12
+        )
+
+    def test_corun_results_follow_each_cores_clock(self, combined):
+        points = [UNIT, OperatingPoint(0.5, 1.0, 1.0), UNIT, UNIT]
+        fast_mcf = combined.estimate_state({0: ("mcf",), 1: ("art",)}, points)
+        slow_mcf = combined.estimate_state({0: ("art",), 1: ("mcf",)}, points)
+        perf = combined.performance_models[0]
+        for estimate, ratios in ((fast_mcf, [1.0, 0.5]), (slow_mcf, [0.5, 1.0])):
+            prediction = perf.predict(["mcf", "art"], frequency_ratios=ratios)
+            expected = sum(p.ips for p in prediction.processes)
+            assert estimate.ips == pytest.approx(expected, rel=1e-12)
+        assert fast_mcf.ips != slow_mcf.ips
+
+    def test_idle_cores_draw_at_their_own_points(self, combined, power_model):
+        parked = [OperatingPoint(1.0, 1.0, 0.5)] * 4
+        estimate = combined.estimate_state({}, parked)
+        assert estimate.watts == pytest.approx(2 * power_model.p_idle)
+        assert estimate.ips == 0.0
 
 
 class TestConstruction:

@@ -375,6 +375,39 @@ class TestHomogeneousParity:
         assert busy[0].pstates == {core: 0 for core in busy[0].assignment}
 
 
+class TestPricingErrors:
+    @pytest.mark.parametrize(
+        "hetero, assignment, pstates",
+        [
+            (big_little_spec(MACHINE), {0: ("mcf",)}, {0: 3}),
+            (big_little_spec(MACHINE), {0: ("mcf",), 1: ("art",)}, {1: 2}),
+            (unit_spec(MACHINE), {0: ("mcf",)}, {0: 1}),
+            (None, {2: ("mcf",)}, None),
+            (big_little_spec(MACHINE), {2: ("mcf",)}, None),
+            (big_little_spec(MACHINE), {0: ("gzip",), 2: ("mcf",)}, {2: 0}),
+        ],
+        ids=[
+            "pstate-lone-big",
+            "pstate-contended-little",
+            "pstate-unit-spec",
+            "core-plain",
+            "core-big-little",
+            "core-big-little-with-busy-core",
+        ],
+    )
+    def test_out_of_range_state_raises(
+        self, suite, power_model, hetero, assignment, pstates
+    ):
+        fleet = FleetSpec(
+            groups=(MachineGroup(machine=MACHINE, sets=64, hetero=hetero),)
+        )
+        evaluator = FleetEvaluator(
+            suite.features, suite.profiles, power_model, fleet
+        )
+        with pytest.raises(ConfigurationError, match="out of range"):
+            evaluator.machine_metrics(0, assignment, pstates)
+
+
 # ----------------------------------------------------------------------
 # Oracle equality (placement x P-state enumeration)
 # ----------------------------------------------------------------------
