@@ -10,9 +10,13 @@ anytime trace, and every float as ``float.hex``.  Each entry of the
 ``states`` section is one seeded machine state priced with
 :meth:`~repro.fleet.evaluator.FleetEvaluator.machine_metrics`: idle
 machines, a lone busy core per domain, contended domains and every
-P-state index, on plain, big.LITTLE and unit-spec machines.
-``tests/test_answers.py`` re-solves each stored request and re-prices
-each stored state, and checks both for exact equality.  Regenerate the file only in a change that
+P-state index, on plain, big.LITTLE and unit-spec machines.  The
+``picks`` section holds ``/v1`` decisions of
+:func:`repro.api._pick_assignment_impl` on every catalog machine,
+exhaustive and greedy, under each legacy objective.
+``tests/test_answers.py`` re-solves each stored request, re-prices
+each stored state and re-picks each stored pick, and checks all three
+for exact equality.  Regenerate the file only in a change that
 alters answers on purpose, and say why in CHANGES.md.
 """
 
@@ -26,13 +30,16 @@ from typing import Dict, List
 import numpy as np
 
 from repro.api import (
+    AssignmentPick,
     AssignmentRequest,
     FleetAssignment,
     FleetSpec,
     MachineGroup,
     ProfileSuiteResult,
+    _pick_assignment_impl,
     solve_assignment,
 )
+from repro.core.assignment import OBJECTIVES
 from repro.core.feature import FeatureVector, ProfileVector
 from repro.core.power_model import CorePowerModel, PowerTrainingSet
 from repro.events import Event, RATE_EVENTS
@@ -228,6 +235,70 @@ def states(suite, power) -> List[Dict]:
     return entries
 
 
+#: Process lists of the ``picks`` section: 1-5 processes, with
+#: duplicates.
+PICK_PROCESSES = (
+    ("mcf",),
+    ("mcf", "mcf"),
+    ("gzip", "art"),
+    ("mcf", "art", "mcf"),
+    ("vpr", "gzip", "equake", "gzip"),
+    ("art", "mcf", "vpr", "art", "equake"),
+)
+
+
+def pick_of(pick: AssignmentPick) -> Dict:
+    """A ``/v1`` pick as plain JSON, floats as ``float.hex``."""
+    decision = pick.decision
+    return {
+        "strategy": pick.strategy,
+        "assignment": {
+            str(core): list(names)
+            for core, names in sorted(decision.assignment.items())
+        },
+        "watts": decision.predicted_watts.hex(),
+        "ips": decision.predicted_ips.hex(),
+        "score": decision.score.hex(),
+        "candidates_evaluated": decision.candidates_evaluated,
+    }
+
+
+def pick_answer(suite, power, entry: Dict) -> Dict:
+    """Pick ``entry``'s processes again; its answer fields."""
+    return pick_of(
+        _pick_assignment_impl(
+            entry["processes"],
+            suite,
+            power,
+            entry["machine"],
+            sets=entry["sets"],
+            objective=entry["objective"],
+            greedy=entry["strategy"] == "greedy",
+        )
+    )
+
+
+def picks(suite, power) -> List[Dict]:
+    """The ``picks`` section: every machine, strategy, objective and list."""
+    entries: List[Dict] = []
+    for machine in STANDARD_MACHINES:
+        for strategy in ("exhaustive", "greedy"):
+            for objective in OBJECTIVES:
+                for processes in PICK_PROCESSES:
+                    entry = {
+                        "name": f"{machine}/{strategy}/{objective}/"
+                        + "+".join(processes),
+                        "machine": machine,
+                        "sets": 32,
+                        "strategy": strategy,
+                        "objective": objective,
+                        "processes": list(processes),
+                    }
+                    entry["answer"] = pick_answer(suite, power, entry)
+                    entries.append(entry)
+    return entries
+
+
 def answer_of(plan: FleetAssignment) -> Dict:
     """The plan as plain JSON, floats as ``float.hex``."""
     return {
@@ -319,10 +390,17 @@ def main() -> None:
             {"name": name, "request": request.to_dict(), "answer": answer_of(plan)}
         )
     priced = states(suite, power)
+    picked = picks(suite, power)
     PATH.write_text(
-        json.dumps({"cases": corpus, "states": priced}, indent=1) + "\n"
+        json.dumps(
+            {"cases": corpus, "states": priced, "picks": picked}, indent=1
+        )
+        + "\n"
     )
-    print(f"wrote {len(corpus)} cases and {len(priced)} states to {PATH}")
+    print(
+        f"wrote {len(corpus)} cases, {len(priced)} states and "
+        f"{len(picked)} picks to {PATH}"
+    )
 
 
 if __name__ == "__main__":

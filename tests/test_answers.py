@@ -11,6 +11,11 @@ Its ``states`` section pins single machine states, priced through
 machines: every P-state index, lone and contended domains, and idle
 machines.  Each is priced again and compared exactly.
 
+Its ``picks`` section pins ``/v1`` assignment decisions
+(``_pick_assignment_impl``, the path behind ``pick_assignment``,
+``/v1/assign`` and ``repro assign``) on every catalog machine,
+exhaustive and greedy, under the three legacy objectives.
+
 All cases solve on one suite object, so most of them run on a store of
 solved co-runs that earlier cases warmed; the last test pins that a
 warm store and a cold one give equal plans.
@@ -23,17 +28,27 @@ import pytest
 from make_answers import (
     PATH,
     STATE_MACHINES,
+    PICK_PROCESSES,
     answer_of,
     build_power_model,
     build_suite,
+    pick_answer,
     price_state,
     state_evaluator,
 )
 from repro.api import AssignmentRequest, solve_assignment
+from repro.core.assignment import OBJECTIVES
+from repro.machine.topology import STANDARD_MACHINES
 
 CORPUS = json.loads(PATH.read_text())
 CASES = CORPUS["cases"]
 STATES = CORPUS["states"]
+PICKS = CORPUS["picks"]
+PICK_GROUPS = [
+    (machine, strategy)
+    for machine in STANDARD_MACHINES
+    for strategy in ("exhaustive", "greedy")
+]
 
 
 @pytest.fixture(scope="module")
@@ -90,3 +105,35 @@ def test_state_prices_are_bit_identical(group, label, suite, power_model):
         {**entry, **price_state(evaluator, group, entry)} for entry in stored
     ]
     assert repriced == stored
+
+
+def test_picks_cover_every_machine_strategy_and_objective():
+    names = {entry["name"] for entry in PICKS}
+    assert len(names) == len(PICKS)
+    assert len(PICKS) == len(PICK_GROUPS) * len(OBJECTIVES) * len(
+        PICK_PROCESSES
+    )
+    for machine, strategy in PICK_GROUPS:
+        for objective in OBJECTIVES:
+            assert sum(
+                name.startswith(f"{machine}/{strategy}/{objective}/")
+                for name in names
+            ) == len(PICK_PROCESSES)
+
+
+@pytest.mark.parametrize(
+    "machine, strategy",
+    PICK_GROUPS,
+    ids=[f"{machine}/{strategy}" for machine, strategy in PICK_GROUPS],
+)
+def test_picks_are_bit_identical(machine, strategy, suite, power_model):
+    stored = [
+        entry
+        for entry in PICKS
+        if entry["machine"] == machine and entry["strategy"] == strategy
+    ]
+    repicked = [
+        {**entry, "answer": pick_answer(suite, power_model, entry)}
+        for entry in stored
+    ]
+    assert repicked == stored
