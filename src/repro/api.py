@@ -39,7 +39,7 @@ from repro.config import (
 )
 from repro.core.assignment import (
     AssignmentDecision,
-    exhaustive_assignment,
+    OBJECTIVES,
     greedy_assignment,
 )
 from repro.core.combined import CombinedModel
@@ -403,15 +403,13 @@ def pick_assignment(
     sets: int = 128,
     objective: str = "power",
     greedy: bool = False,
-    workers: Optional[int] = None,
 ) -> AssignmentPick:
     """Deprecated positional entry point; use :func:`solve_assignment`.
 
-    Behaves exactly as it always has (the serving layer's ``/v1``
-    responses are pinned byte-for-byte to it), but new callers should
-    build an :class:`AssignmentRequest` and call
-    :func:`solve_assignment`, which adds fleets, power budgets and the
-    scalable greedy/anneal solvers.
+    The serving layer's ``/v1`` responses are pinned byte-for-byte to
+    it, but new callers should build an :class:`AssignmentRequest` and
+    call :func:`solve_assignment`, which adds fleets, power budgets and
+    the scalable greedy/anneal solvers.
     """
     warnings.warn(
         "pick_assignment is deprecated; build an AssignmentRequest and "
@@ -427,7 +425,6 @@ def pick_assignment(
         sets=sets,
         objective=objective,
         greedy=greedy,
-        workers=workers,
     )
 
 
@@ -440,9 +437,13 @@ def _pick_assignment_impl(
     sets: int = 128,
     objective: str = "power",
     greedy: bool = False,
-    workers: Optional[int] = None,
 ) -> AssignmentPick:
     """Pick the best process-to-core mapping from profiles (Section 6).
+
+    The exhaustive pick is a one-machine :func:`solve_assignment` with
+    ``solver="exhaustive"``: it shares the suite's solved co-runs with
+    ``/v2`` and, like every fleet solve, prices each candidate from the
+    cold start, so its bits do not depend on earlier picks.
 
     Args:
         names: Processes to place (duplicates allowed).
@@ -452,52 +453,49 @@ def _pick_assignment_impl(
         sets: Cache set scaling.
         objective: ``power`` / ``throughput`` / ``energy_per_instruction``.
         greedy: Use the O(k·N) greedy searcher instead of exhaustive.
-        workers: Score exhaustive candidates across this many worker
-            processes (same decision as serial; see
-            :mod:`repro.parallel`).  Incompatible with ``greedy``,
-            which is inherently sequential.
     """
-    if workers is not None and workers > 1 and greedy:
-        raise ConfigurationError(
-            "greedy assignment places processes sequentially and cannot "
-            "fan out; drop workers or use the exhaustive searcher"
-        )
     topology = _topology(machine, sets)
     resolved = _resolve_suite(suite)
     if not isinstance(power_model, CorePowerModel):
         power_model = load_power_model(power_model)
-    if workers is not None and workers > 1:
-        from repro.parallel import parallel_exhaustive_assignment
-
-        decision = parallel_exhaustive_assignment(
-            resolved.features,
-            resolved.profiles,
-            power_model,
+    if greedy:
+        perf = PerformanceModel(ways=topology.domains[0].geometry.ways)
+        perf.register_all(list(resolved.features.values()))
+        combined = CombinedModel(
+            topology=topology,
+            performance_models=[perf],
+            power_model=power_model,
+            profiles=resolved.profiles,
+        )
+        decision = greedy_assignment(combined, list(names), objective=objective)
+        return AssignmentPick(machine=machine, strategy="greedy", decision=decision)
+    if objective not in OBJECTIVES:
+        # /v1 keeps the legacy names; the fleet names are /v2's.
+        raise ConfigurationError(
+            f"unknown objective {objective!r}; choose from {sorted(OBJECTIVES)}"
+        )
+    plan = solve_assignment(
+        AssignmentRequest(
+            processes=tuple(names),
+            objective=objective,
+            solver="exhaustive",
             machine=machine,
             sets=sets,
-            process_names=list(names),
-            objective=objective,
-            workers=workers,
-        )
-        return AssignmentPick(
-            machine=machine, strategy="exhaustive", decision=decision
-        )
-    ways = topology.domains[0].geometry.ways
-    perf = PerformanceModel(ways=ways)
-    perf.register_all(list(resolved.features.values()))
-    combined = CombinedModel(
-        topology=topology,
-        performance_models=[perf],
-        power_model=power_model,
-        profiles=resolved.profiles,
+        ),
+        resolved,
+        power_model,
     )
-    searcher = greedy_assignment if greedy else exhaustive_assignment
-    decision = searcher(combined, list(names), objective=objective)
-    return AssignmentPick(
-        machine=machine,
-        strategy="greedy" if greedy else "exhaustive",
-        decision=decision,
+    (chosen,) = plan.machines
+    watts, ips = chosen.predicted_watts, chosen.predicted_ips
+    decision = AssignmentDecision(
+        assignment=chosen.assignment,
+        predicted_watts=watts,
+        predicted_ips=ips,
+        objective=objective,
+        score=OBJECTIVES[objective](watts, ips),
+        candidates_evaluated=plan.evaluations,
     )
+    return AssignmentPick(machine=machine, strategy="exhaustive", decision=decision)
 
 
 def solve_assignment(

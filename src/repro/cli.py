@@ -8,7 +8,8 @@ driven without writing Python:
 - ``predict`` — price a co-run combination from saved profiles.
 - ``train-power`` — train the Eq. 9 model, save it to JSON.
 - ``run`` — simulate an assignment and report measured ground truth.
-- ``assign`` — pick the best process-to-core mapping from profiles;
+- ``assign`` — pick the best process-to-core mapping from profiles
+  (the legacy exhaustive pick is a one-machine fleet solve);
   ``--solver``/``--power-budget``/``--budget-s``/``--fleet`` switch to
   the declarative fleet pipeline (:func:`repro.api.solve_assignment`);
   ``--fleet FILE`` loads a fleet spec whose groups may carry
@@ -277,9 +278,10 @@ def cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-#: ``repro assign --objective`` values served by the legacy exhaustive
-#: pick; anything else (or any fleet-only flag) routes through the
-#: declarative :func:`repro.api.solve_assignment` pipeline.
+#: ``repro assign --objective`` values served by the legacy pick (its
+#: ``assignment_pick`` output); anything else (or any fleet-only flag)
+#: routes through the declarative :func:`repro.api.solve_assignment`
+#: pipeline.
 _LEGACY_OBJECTIVES = ("power", "throughput", "energy_per_instruction")
 
 
@@ -305,7 +307,6 @@ def cmd_assign(args: argparse.Namespace) -> int:
             sets=args.sets,
             objective=args.objective,
             greedy=args.greedy,
-            workers=args.workers,
         )
         print(json.dumps(pick.to_dict(), indent=2, sort_keys=True))
         return 0
@@ -313,11 +314,6 @@ def cmd_assign(args: argparse.Namespace) -> int:
         raise ValueError(
             "--greedy belongs to the legacy exhaustive pick; "
             "use --solver greedy instead"
-        )
-    if args.workers is not None:
-        raise ValueError(
-            "--workers belongs to the legacy exhaustive pick; "
-            "the fleet solver runs in-process"
         )
     from repro.api import AssignmentRequest, FleetSpec, solve_assignment
     from repro.io import load_json
@@ -540,15 +536,20 @@ def build_parser() -> argparse.ArgumentParser:
             "throughput-under-watts-budget",
         ),
         default="power",
-        help="legacy names keep the historical exhaustive pick output; "
-        "canonical (dashed) names route through the fleet solver",
+        help="legacy names keep the historical assignment_pick output "
+        "(its exhaustive search is the fleet solver's); canonical "
+        "(dashed) names route through the fleet pipeline",
     )
-    assign.add_argument("--greedy", action="store_true")
+    assign.add_argument(
+        "--greedy", action="store_true",
+        help="legacy pick only: place processes one at a time instead "
+        "of the exhaustive search",
+    )
     assign.add_argument(
         "--solver", choices=("auto", "exhaustive", "greedy", "anneal"),
         default=None,
-        help="fleet solver (implies the declarative pipeline; "
-        "default: legacy exhaustive pick)",
+        help="fleet solver (implies the declarative pipeline and the "
+        "fleet_assignment output; default: legacy pick)",
     )
     assign.add_argument(
         "--power-budget", type=float, default=None, metavar="WATTS",
@@ -571,12 +572,6 @@ def build_parser() -> argparse.ArgumentParser:
     assign.add_argument(
         "--seed", type=int, default=0,
         help="seed for the greedy/anneal heuristic streams",
-    )
-    assign.add_argument(
-        "--workers", type=int, default=None,
-        help="score the legacy exhaustive pick's candidates across this "
-        "many worker processes (same decision as serial; not valid with "
-        "fleet flags or objectives)",
     )
     _add_obs_flags(assign)
     assign.add_argument("names", nargs="+")

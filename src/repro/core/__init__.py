@@ -9,13 +9,13 @@
   (comparator), and the time-sharing rules in
   :mod:`~repro.core.timesharing`.
 - Combined (Section 5): :class:`~repro.core.combined.CombinedModel`
-  and the assignment searchers in :mod:`~repro.core.assignment`.
+  and the greedy assignment searcher in :mod:`~repro.core.assignment`
+  (the exhaustive search is :mod:`repro.fleet`'s).
 """
 
 from repro.core.assignment import (
     AssignmentDecision,
     OBJECTIVES,
-    exhaustive_assignment,
     greedy_assignment,
 )
 from repro.core.combined import (
@@ -93,7 +93,6 @@ __all__ = [
     "classify_scenario",
     "AssignmentDecision",
     "OBJECTIVES",
-    "exhaustive_assignment",
     "greedy_assignment",
     "OnlineSpiCalibrator",
     "windows_to_observations",

@@ -1,9 +1,9 @@
-"""repro.parallel — batched prediction and process-pool fan-out.
+"""repro.parallel — batched prediction and process-pool simulation.
 
-Batch workloads — pricing many co-run mixes, scoring every candidate
-of an assignment search, running fleets of ground-truth simulations —
-must keep the project's two core guarantees: deterministic results
-and coherent telemetry.  This module keeps both:
+Batch workloads — pricing many co-run mixes, running fleets of
+ground-truth simulations — must keep the project's two core
+guarantees: deterministic results and coherent telemetry.  This
+module keeps both:
 
 - **Bit-equality.**  :class:`ParallelPredictor` solves each batch
   in-process with the stacked solver of
@@ -12,10 +12,7 @@ and coherent telemetry.  This module keeps both:
   ``warm_start=False``, so every cache miss is solved from the cold
   proportional-demand guess and the result depends only on the co-run
   itself, never on which solves happened before (a warm start changes
-  Newton's initial guess and therefore the result bits).  Candidate
-  scoring shares :func:`~repro.core.assignment.enumerate_candidates`
-  with the serial searcher and reduces by ``(score, candidate
-  index)``, reproducing the serial first-strictly-better tie-break.
+  Newton's initial guess and therefore the result bits).
 
 - **Deterministic seeds.**  Simulation tasks without an explicit seed
   draw per-task seeds from ``numpy.random.SeedSequence`` spawning
@@ -23,15 +20,14 @@ and coherent telemetry.  This module keeps both:
   independent across tasks and stable across worker counts, chunk
   sizes and scheduling order.
 
-- **Telemetry merge-back.**  Process pools remain only where the work
-  is CPU-bound per task: :func:`simulate_assignments` and
-  :func:`parallel_exhaustive_assignment`.  Each worker runs chunks
-  under its own :class:`~repro.obs.Observer` when the parent observer
-  is live, and ships its trace/metrics documents back to the parent,
-  which absorbs them so spans nest under the parent's batch span.
+- **Telemetry merge-back.**  The one process pool left is in
+  :func:`simulate_assignments`, because each of its tasks is a
+  CPU-heavy simulation.  Each worker runs chunks under its own
+  :class:`~repro.obs.Observer` when the parent observer is live, and
+  ships its trace/metrics documents back to the parent, which absorbs
+  them so spans nest under the parent's batch span.
 
-Pool inputs are pickled once per worker (pool initializer), and tasks
-travel in chunks to amortise the remaining IPC.
+Tasks travel to the pool in chunks to amortise IPC.
 """
 
 from __future__ import annotations
@@ -41,7 +37,6 @@ import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import (
-    Any,
     Dict,
     List,
     Mapping,
@@ -52,17 +47,8 @@ from typing import (
 )
 
 from repro.config import BENCH_SCALE, SimulationScale
-from repro.core.assignment import (
-    AssignmentDecision,
-    OBJECTIVES,
-    check_enumeration_size,
-    enumerate_candidates,
-    score_assignment,
-)
-from repro.core.combined import CombinedModel
-from repro.core.feature import FeatureVector, ProfileVector
+from repro.core.feature import FeatureVector
 from repro.core.performance_model import CoRunPrediction, PerformanceModel
-from repro.core.power_model import CorePowerModel
 from repro.core.solver_cache import CacheStats, EquilibriumCache
 from repro.errors import ConfigurationError
 from repro.machine.simulator import (
@@ -81,7 +67,6 @@ __all__ = [
     "SimulationTask",
     "predict_mixes",
     "simulate_assignments",
-    "parallel_exhaustive_assignment",
 ]
 
 #: Default number of tasks shipped to a worker per round trip.
@@ -464,180 +449,3 @@ def _simulate_impl(
             if observe and observer is not None:
                 observer.absorb(trace_doc, metrics_doc, parent_span_id)
     return tuple(out)  # type: ignore[arg-type]
-
-
-# ----------------------------------------------------------------------
-# Parallel exhaustive assignment search
-# ----------------------------------------------------------------------
-#: Per-worker-process state installed by the pool initializer.
-_WORKER: Dict[str, Any] = {}
-
-
-def _init_assign_worker(
-    features: Sequence[FeatureVector],
-    profiles: Mapping[str, ProfileVector],
-    power_model: CorePowerModel,
-    machine: str,
-    sets: int,
-) -> None:
-    topology = STANDARD_MACHINES[machine](sets=sets)
-    ways = topology.domains[0].geometry.ways
-    perf = PerformanceModel(ways=ways, cache=EquilibriumCache(warm_start=False))
-    perf.register_all(list(features))
-    combined = CombinedModel(
-        topology=topology,
-        performance_models=[perf],
-        power_model=power_model,
-        profiles=profiles,
-        corun_cache=EquilibriumCache(warm_start=False),
-    )
-    _WORKER.clear()
-    _WORKER["combined"] = combined
-
-
-def _score_chunk(
-    chunk: Sequence[Tuple[int, Tuple[Tuple[int, Tuple[str, ...]], ...]]],
-    objective: str,
-    observe: bool,
-) -> Tuple[List[Tuple[int, float, float, float]], Optional[Dict], Optional[Dict]]:
-    combined: CombinedModel = _WORKER["combined"]
-    observer = Observer() if observe else None
-    scored: List[Tuple[int, float, float, float]] = []
-
-    def _run() -> None:
-        for index, items in chunk:
-            assignment = {core: tuple(names) for core, names in items}
-            score, watts, ips = score_assignment(combined, assignment, objective)
-            scored.append((index, score, watts, ips))
-
-    if observer is not None:
-        with use_observer(observer):
-            _run()
-    else:
-        _run()
-    trace_doc = observer.trace_dict() if observer is not None else None
-    metrics_doc = observer.metrics_dict() if observer is not None else None
-    return scored, trace_doc, metrics_doc
-
-
-def parallel_exhaustive_assignment(
-    features: Union[Sequence[FeatureVector], Mapping[str, FeatureVector]],
-    profiles: Mapping[str, ProfileVector],
-    power_model: CorePowerModel,
-    *,
-    machine: str,
-    sets: int,
-    process_names: Sequence[str],
-    objective: str = "power",
-    max_per_core: Optional[int] = None,
-    workers: Optional[int] = None,
-    chunk_size: Optional[int] = None,
-    max_candidates: Optional[int] = None,
-) -> AssignmentDecision:
-    """Exhaustive search with candidates scored across a worker pool.
-
-    The parent enumerates the canonical candidate stream (shared with
-    the serial searcher), workers price chunks of it against their own
-    cold-start :class:`CombinedModel`, and the parent reduces by
-    ``(score, candidate index)`` — the same decision, score and
-    tie-break the serial searcher produces over cold-start caches.
-    """
-    if objective not in OBJECTIVES:
-        raise ConfigurationError(
-            f"unknown objective {objective!r}; choose from {sorted(OBJECTIVES)}"
-        )
-    if not process_names:
-        raise ConfigurationError("need at least one process to assign")
-    if machine not in STANDARD_MACHINES:
-        raise ConfigurationError(
-            f"unknown machine {machine!r}; choose from {sorted(STANDARD_MACHINES)}"
-        )
-    if isinstance(features, Mapping):
-        features = [features[name] for name in sorted(features)]
-    features = list(features)
-    topology = STANDARD_MACHINES[machine](sets=sets)
-    check_enumeration_size(topology.num_cores, len(process_names), max_candidates)
-    candidates = list(
-        enumerate_candidates(topology.num_cores, process_names, max_per_core)
-    )
-    if not candidates:
-        raise ConfigurationError("no feasible assignment under the given constraints")
-    workers = _resolve_workers(workers)
-    observer = get_observer()
-    if not observer.enabled:
-        return _assign_impl(
-            features, profiles, power_model, machine, sets, candidates,
-            objective, workers, chunk_size, observe=False,
-        )
-    with observer.span(
-        "parallel.assign",
-        candidates=len(candidates),
-        workers=workers,
-        objective=objective,
-    ) as span:
-        decision = _assign_impl(
-            features, profiles, power_model, machine, sets, candidates,
-            objective, workers, chunk_size,
-            observe=True, observer=observer, parent_span_id=span.span_id,
-        )
-        span.annotate(score=decision.score)
-        observer.counter("assign.searches").inc()
-        observer.counter("assign.candidates").inc(decision.candidates_evaluated)
-        return decision
-
-
-def _assign_impl(
-    features: List[FeatureVector],
-    profiles: Mapping[str, ProfileVector],
-    power_model: CorePowerModel,
-    machine: str,
-    sets: int,
-    candidates: List[Dict[int, Tuple[str, ...]]],
-    objective: str,
-    workers: int,
-    chunk_size: Optional[int],
-    observe: bool,
-    observer: Optional[Observer] = None,
-    parent_span_id: Optional[int] = None,
-) -> AssignmentDecision:
-    scored: List[Tuple[int, float, float, float]] = []
-    if workers <= 1:
-        _init_assign_worker(features, profiles, power_model, machine, sets)
-        combined: CombinedModel = _WORKER.pop("combined")
-        for index, candidate in enumerate(candidates):
-            score, watts, ips = score_assignment(combined, candidate, objective)
-            scored.append((index, score, watts, ips))
-    else:
-        indexed = [
-            (index, tuple(sorted(candidate.items())))
-            for index, candidate in enumerate(candidates)
-        ]
-        chunks = _chunked(indexed, workers, chunk_size)
-        with ProcessPoolExecutor(
-            max_workers=workers,
-            mp_context=_pool_context(),
-            initializer=_init_assign_worker,
-            initargs=(features, profiles, power_model, machine, sets),
-        ) as executor:
-            futures = [
-                executor.submit(_score_chunk, chunk, objective, observe)
-                for chunk in chunks
-            ]
-            for future in futures:
-                chunk_scores, trace_doc, metrics_doc = future.result()
-                scored.extend(chunk_scores)
-                if observe and observer is not None:
-                    observer.absorb(trace_doc, metrics_doc, parent_span_id)
-    # Serial tie-break: the first strictly better candidate wins, i.e.
-    # the minimum by (score, enumeration index).
-    best_index, best_score, best_watts, best_ips = min(
-        scored, key=lambda item: (item[1], item[0])
-    )
-    return AssignmentDecision(
-        assignment=candidates[best_index],
-        predicted_watts=best_watts,
-        predicted_ips=best_ips,
-        objective=objective,
-        score=best_score,
-        candidates_evaluated=len(scored),
-    )

@@ -25,15 +25,17 @@ persistent :class:`~repro.parallel.ParallelPredictor`, so the returned
 optional ``"frequency_ratios": [...]`` field (one positive number per
 name) prices the mix at per-process DVFS clock ratios (see
 :mod:`repro.hetero`); it flows through the result cache key and the
-batch dispatch positionally.
+batch dispatch positionally.  ``ways`` is at most
+:data:`MAX_PREDICT_WAYS` and ``timeout_ms`` must be a finite
+non-negative number; anything else is a 400.
 
 ``/v2/assign`` requests carry a full
 :class:`~repro.api.AssignmentRequest` document —
 ``{"suite": "...", "power_model": "...", "request": {...}}`` — and are
 solved by :func:`repro.api.solve_assignment` off the event loop.  The
-``/v1/assign`` schema (and its response bytes) is frozen; new
-capabilities (fleets, power budgets, greedy/anneal solvers) land only
-in ``/v2``.  Malformed request documents come back as 400 with the
+``/v1/assign`` schema is frozen (its exhaustive pick is a one-machine
+exhaustive solve); new capabilities (fleets, power budgets,
+greedy/anneal solvers) land only in ``/v2``.  Malformed request documents come back as 400 with the
 offending JSON field path; fleets beyond the service's size ceilings
 come back as 413.
 
@@ -50,6 +52,7 @@ import contextlib
 import functools
 import json
 import logging
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Dict, Optional, Tuple
 from urllib.parse import urlsplit
@@ -79,6 +82,11 @@ SERVE_FORMAT_VERSION = 1
 # requests are rejected up front with 413.
 MAX_FLEET_PROCESSES = 50_000
 MAX_FLEET_MACHINES = 4096
+
+#: Largest ``ways`` /v1/predict accepts: four times the largest catalog
+#: associativity (16).  Growth tables cost O(max accesses x ways), so a
+#: huge associativity would pin the solver thread for one request.
+MAX_PREDICT_WAYS = 64
 
 _REASONS = {
     200: "OK",
@@ -219,6 +227,10 @@ class PredictionService:
             raise ServiceClosedError("service is stopped")
         if not isinstance(ways, int) or ways < 1:
             raise _BadRequest(f"'ways' must be a positive integer, got {ways!r}")
+        if ways > MAX_PREDICT_WAYS:
+            raise _BadRequest(
+                f"'ways' must be at most {MAX_PREDICT_WAYS}, got {ways!r}"
+            )
         if frequency_ratios is not None:
             if not isinstance(frequency_ratios, (list, tuple)) or not all(
                 isinstance(ratio, (int, float)) and not isinstance(ratio, bool)
@@ -680,8 +692,15 @@ class PredictionServer:
             self._require(method, "POST")
             payload = _parse_json(body)
             timeout_ms = payload.get("timeout_ms")
-            if timeout_ms is not None and not isinstance(timeout_ms, (int, float)):
-                raise _BadRequest("field 'timeout_ms' must be a number")
+            # The upper bound also rejects ints too large for a float.
+            if timeout_ms is not None and (
+                isinstance(timeout_ms, bool)
+                or not isinstance(timeout_ms, (int, float))
+                or not 0 <= timeout_ms <= sys.float_info.max
+            ):
+                raise _BadRequest(
+                    "field 'timeout_ms' must be a finite non-negative number"
+                )
             document = await self.service.predict(
                 _field(payload, "model", str, default="default"),
                 _names_field(payload),
@@ -700,7 +719,7 @@ class PredictionServer:
                 machine=_field(payload, "machine", str, default="4-core-server"),
                 sets=_field(payload, "sets", int, default=128),
                 objective=_field(payload, "objective", str, default="power"),
-                greedy=bool(payload.get("greedy", False)),
+                greedy=_field(payload, "greedy", bool, default=False),
             )
             return 200, document
         if path == "/v2/assign":

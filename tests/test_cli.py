@@ -266,30 +266,6 @@ class TestAssignFlow:
         assert code == 2
         assert "--solver greedy" in capsys.readouterr().err
 
-    def test_assign_fleet_path_rejects_workers(
-        self, tmp_path, capsys, synthetic_power_model
-    ):
-        suite = tmp_path / "suite.json"
-        model = tmp_path / "power.json"
-        save_power_model(synthetic_power_model, model)
-        assert main(
-            ["--sets", "32", "--quick", "profile",
-             "--machine", "2-core-workstation", "--out", str(suite),
-             "mcf", "gzip"]
-        ) == 0
-        common = ["--sets", "32", "assign", "--machine", "2-core-workstation",
-                  "--suite", str(suite), "--power-model", str(model),
-                  "--workers", "2"]
-        # --workers only feeds the legacy exhaustive pick; a fleet flag
-        # or a canonical objective next to it is a usage error.
-        for fleet_args in (["--solver", "greedy"], ["--objective", "min-power"]):
-            capsys.readouterr()
-            assert main(common + fleet_args + ["mcf", "gzip"]) == 2
-            assert "--workers" in capsys.readouterr().err
-        capsys.readouterr()
-        assert main(common + ["mcf", "gzip"]) == 0
-        assert json.loads(capsys.readouterr().out)["kind"] == "assignment_pick"
-
     def test_assign_fleet_file_with_hetero_spec(
         self, tmp_path, capsys, synthetic_power_model
     ):

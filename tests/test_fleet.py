@@ -4,7 +4,8 @@ Four layers, pinned separately:
 
 - **Types**: :class:`AssignmentRequest` / :class:`FleetAssignment`
   validation, bit-exact JSON round-trips, field-path error messages,
-  and the :func:`pick_assignment` deprecation shim.
+  the :func:`pick_assignment` deprecation shim, and the ``/v1``
+  exhaustive pick as a one-machine exhaustive plan.
 - **Oracle equality**: on small instances (≤ 4 cores, ≤ 6 processes)
   the greedy+anneal heuristic returns *exactly* the exhaustive
   oracle's score — property-tested with hypothesis.
@@ -41,11 +42,7 @@ from repro.api import (
     pick_assignment,
     solve_assignment,
 )
-from repro.core.assignment import (
-    DEFAULT_MAX_CANDIDATES,
-    candidate_bound,
-    check_enumeration_size,
-)
+from repro.core.assignment import DEFAULT_MAX_CANDIDATES, OBJECTIVES
 from repro.core.feature import FeatureVector, ProfileVector
 from repro.core.power_model import CorePowerModel, PowerTrainingSet
 from repro.errors import AssignmentTooLargeError, ConfigurationError
@@ -54,6 +51,7 @@ from repro.fleet import (
     CANONICAL_OBJECTIVES,
     canonical_objective,
     fleet_score,
+    solve,
 )
 from repro.hetero import big_little_spec
 from repro.machine.topology import STANDARD_MACHINES
@@ -277,6 +275,40 @@ class TestDeprecationShim:
         assert pick == impl
 
 
+class TestV1Translation:
+    @pytest.mark.parametrize("machine", sorted(STANDARD_MACHINES))
+    def test_exhaustive_pick_equals_one_machine_plan(
+        self, machine, suite, power_model
+    ):
+        names = ["mcf", "gzip", "mcf"]
+        for objective in OBJECTIVES:
+            pick = _pick_assignment_impl(
+                names, suite, power_model, machine, sets=32, objective=objective
+            )
+            plan = solve_assignment(
+                AssignmentRequest(
+                    processes=tuple(names),
+                    objective=objective,
+                    solver="exhaustive",
+                    machine=machine,
+                    sets=32,
+                ),
+                suite,
+                power_model,
+            )
+            (chosen,) = plan.machines
+            decision = pick.decision
+            assert pick.strategy == "exhaustive"
+            assert decision.objective == objective
+            assert decision.assignment == chosen.assignment
+            assert decision.predicted_watts == chosen.predicted_watts
+            assert decision.predicted_ips == chosen.predicted_ips
+            assert decision.candidates_evaluated == plan.evaluations
+            assert decision.score == OBJECTIVES[objective](
+                chosen.predicted_watts, chosen.predicted_ips
+            )
+
+
 # ----------------------------------------------------------------------
 # Solvers
 # ----------------------------------------------------------------------
@@ -422,20 +454,43 @@ class TestDeterminism:
 # Enumeration guard
 # ----------------------------------------------------------------------
 class TestEnumerationGuard:
-    def test_candidate_bound(self):
-        assert candidate_bound(4, 6) == 4**6
-
-    def test_check_raises_over_cap(self):
+    def test_candidate_bound(self, suite, power_model):
+        # The bound is the raw cores ** processes enumeration size.
         with pytest.raises(AssignmentTooLargeError) as excinfo:
-            check_enumeration_size(10, 10, max_candidates=1000)
+            _solve(suite, power_model, ["mcf"] * 10, "exhaustive",
+                   machine="4-core-server")
+        assert excinfo.value.candidate_count == 4**10
+
+    def test_check_raises_over_cap(self, suite, power_model):
+        request = AssignmentRequest(
+            processes=tuple(NAMES * 3),
+            machine="2-core-workstation",
+            sets=32,
+            solver="exhaustive",
+        )
+        with pytest.raises(AssignmentTooLargeError) as excinfo:
+            solve(
+                request,
+                suite.features,
+                suite.profiles,
+                power_model,
+                max_candidates=1000,
+            )
         error = excinfo.value
-        assert error.candidate_count == 10**10
+        assert error.candidate_count == 2**12
         assert error.max_candidates == 1000
         assert "greedy" in str(error)
+        # The /v1 exhaustive pick is the same search behind the same guard.
+        with pytest.raises(AssignmentTooLargeError):
+            _pick_assignment_impl(
+                ["mcf"] * 10, suite, power_model, "4-core-server", sets=32
+            )
 
-    def test_default_cap_allows_small_instances(self):
-        check_enumeration_size(4, 6)  # 4096 << DEFAULT_MAX_CANDIDATES
-        assert candidate_bound(4, 6) < DEFAULT_MAX_CANDIDATES
+    def test_default_cap_allows_small_instances(self, suite, power_model):
+        assert 4**6 < DEFAULT_MAX_CANDIDATES
+        result = _solve(suite, power_model, NAMES + NAMES[:2], "exhaustive",
+                        machine="4-core-server")
+        assert result.solver == "exhaustive"
 
     def test_fleet_exhaustive_raises_instead_of_hanging(
         self, suite, power_model

@@ -2,33 +2,25 @@
 
 The batch predictor's results are *bit-identical* to a scalar
 ``PerformanceModel.predict`` loop over a cold-start cache.  The
-process pools behind simulations and exhaustive scoring return the
-same results for any worker count, chunking or scheduling order, give
-every task an independent RNG stream, and merge worker observer
-telemetry losslessly into the parent.  These tests check each
+process pool behind simulations returns the same results for any
+worker count, chunking or scheduling order, gives every task an
+independent RNG stream, and merges worker observer telemetry
+losslessly into the parent.  These tests check each
 guarantee with 2-worker pools (small enough for CI machines).
 """
 
-import numpy as np
 import pytest
 
 from repro import obs
-from repro.api import _pick_assignment_impl as pick_assignment
 from repro.api import predict_mix, predict_mixes
 from repro.config import SimulationScale
-from repro.core.assignment import enumerate_candidates, exhaustive_assignment
-from repro.core.combined import CombinedModel
-from repro.core.feature import FeatureVector, ProfileVector
+from repro.core.feature import FeatureVector
 from repro.core.performance_model import PerformanceModel
-from repro.core.power_model import CorePowerModel, PowerTrainingSet
 from repro.core.solver_cache import EquilibriumCache
 from repro.errors import ConfigurationError
-from repro.events import Event, RATE_EVENTS
-from repro.machine.topology import STANDARD_MACHINES
 from repro.parallel import (
     ParallelPredictor,
     SimulationTask,
-    parallel_exhaustive_assignment,
     predict_mixes as batch_predict,
     simulate_assignments,
 )
@@ -64,32 +56,6 @@ TINY_SCALE = SimulationScale(
 @pytest.fixture(scope="module")
 def features():
     return [FeatureVector.oracle(BENCHMARKS[name], 2e8) for name in NAMES]
-
-
-@pytest.fixture(scope="module")
-def profiles():
-    return {
-        name: ProfileVector(
-            name=name,
-            p_alone=20.0 + 2.0 * index,
-            l1rpi=0.4,
-            l2rpi=0.05,
-            brpi=0.2,
-            fppi=0.01 * index,
-        )
-        for index, name in enumerate(NAMES)
-    }
-
-
-@pytest.fixture(scope="module")
-def power_model():
-    rng = np.random.default_rng(0)
-    training = PowerTrainingSet()
-    for _ in range(40):
-        rates = {event: rng.uniform(0, 1e8) for event in RATE_EVENTS}
-        power = 11.0 + 8e-8 * rates[Event.L1_REFS] + 2e-7 * rates[Event.L2_MISSES]
-        training.add(rates, power)
-    return CorePowerModel().fit(training, idle_core_watts=11.0)
 
 
 def _scalar_reference(features, mixes, frequency_ratios=None):
@@ -223,90 +189,6 @@ class TestFacade:
             assert result.names == tuple(mix)
             assert result.ways == 8
             assert result.prediction == predict_mix(mix, suite, ways=8).prediction
-
-    def test_greedy_with_workers_rejected(self, features, profiles, power_model):
-        from repro.api import ProfileSuiteResult
-
-        suite = ProfileSuiteResult(
-            machine="4-core-server",
-            features={f.name: f for f in features},
-            profiles=profiles,
-        )
-        with pytest.raises(ConfigurationError, match="greedy"):
-            pick_assignment(
-                ["mcf", "gzip"], suite, power_model, greedy=True, workers=2
-            )
-
-
-class TestParallelAssignment:
-    def test_matches_serial_searcher_exactly(self, features, profiles, power_model):
-        names = ["mcf", "gzip", "art"]
-        parallel = parallel_exhaustive_assignment(
-            features, profiles, power_model,
-            machine="4-core-server", sets=64,
-            process_names=names, workers=2, chunk_size=3,
-        )
-        # Serial reference over the same cold-start caches.
-        topology = STANDARD_MACHINES["4-core-server"](sets=64)
-        perf = PerformanceModel(
-            ways=topology.domains[0].geometry.ways,
-            cache=EquilibriumCache(warm_start=False),
-        )
-        perf.register_all(features)
-        combined = CombinedModel(
-            topology=topology,
-            performance_models=[perf],
-            power_model=power_model,
-            profiles=profiles,
-            corun_cache=EquilibriumCache(warm_start=False),
-        )
-        serial = exhaustive_assignment(combined, names)
-        assert parallel.assignment == serial.assignment
-        assert parallel.score == serial.score
-        assert parallel.predicted_watts == serial.predicted_watts
-        assert parallel.predicted_ips == serial.predicted_ips
-        assert parallel.candidates_evaluated == serial.candidates_evaluated
-
-    def test_workers_one_matches_workers_two(self, features, profiles, power_model):
-        kwargs = dict(
-            machine="4-core-server", sets=64,
-            process_names=["mcf", "gzip", "vpr"], objective="throughput",
-        )
-        one = parallel_exhaustive_assignment(
-            features, profiles, power_model, workers=1, **kwargs
-        )
-        two = parallel_exhaustive_assignment(
-            features, profiles, power_model, workers=2, **kwargs
-        )
-        assert one == two
-
-    def test_max_per_core_honoured(self, features, profiles, power_model):
-        decision = parallel_exhaustive_assignment(
-            features, profiles, power_model,
-            machine="4-core-server", sets=64,
-            process_names=["mcf", "gzip"], max_per_core=1, workers=2,
-        )
-        assert all(len(names) == 1 for names in decision.assignment.values())
-
-    def test_infeasible_constraints_rejected(self, features, profiles, power_model):
-        with pytest.raises(ConfigurationError, match="no feasible"):
-            parallel_exhaustive_assignment(
-                features, profiles, power_model,
-                machine="2-core-workstation", sets=64,
-                process_names=["mcf", "gzip", "art"], max_per_core=1, workers=2,
-            )
-
-    def test_candidate_stream_is_shared(self):
-        """Both searchers consume the same deduplicated enumeration."""
-        candidates = list(enumerate_candidates(2, ["a", "a"]))
-        # a,a split across cores collapses with its mirror image, but
-        # which single core hosts both stays significant (per-core
-        # power/thermal asymmetry is a future concern).
-        assert candidates == [
-            {0: ("a", "a")},
-            {0: ("a",), 1: ("a",)},
-            {1: ("a", "a")},
-        ]
 
 
 class TestSimulateAssignments:

@@ -509,6 +509,44 @@ class TestHttpEndpoints:
         assert "invalid JSON" in document["error"]
 
 
+#: ``/v1`` field values that must get a 400: a bool, non-finite,
+#: negative or unrepresentable deadline; an associativity above the
+#: service's bound; and a ``greedy`` flag that is not a JSON bool.
+HOSTILE_V1_FIELDS = [
+    ("/v1/predict", "timeout_ms", True),
+    ("/v1/predict", "timeout_ms", -5),
+    ("/v1/predict", "timeout_ms", float("nan")),
+    ("/v1/predict", "timeout_ms", float("inf")),
+    ("/v1/predict", "timeout_ms", 10**400),
+    ("/v1/predict", "ways", 65),
+    ("/v1/assign", "greedy", "false"),
+    ("/v1/assign", "greedy", 1),
+]
+
+
+class TestHostileV1Bodies:
+    @pytest.mark.parametrize(
+        "path, field, value",
+        HOSTILE_V1_FIELDS,
+        ids=[f"{path}-{field}-{value!r:.12}" for path, field, value in HOSTILE_V1_FIELDS],
+    )
+    def test_field_is_400(self, client, path, field, value):
+        payload = {"names": ["mcf", "gzip"], "ways": WAYS, "machine": MACHINE}
+        payload[field] = value
+        status, document = client._request("POST", path, payload)
+        assert status == 400, document
+        assert repr(field) in document["error"]
+
+    def test_huge_ways_is_rejected_without_a_solve(self, server):
+        # Growth tables cost O(accesses x ways); a solve at 4096 ways
+        # would outlast this client's 2 s timeout.
+        with ServeClient(server.host, server.port, timeout=2) as c:
+            with pytest.raises(ServeClientError) as err:
+                c.predict(["mcf", "gzip"], ways=4096)
+            assert err.value.status == 400
+            assert c.predict(["mcf", "gzip"], ways=WAYS)["model"] == "default@1"
+
+
 class TestV2Assign:
     @staticmethod
     def _request_doc(**overrides):
