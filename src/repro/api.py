@@ -40,13 +40,14 @@ from repro.config import (
 from repro.core.assignment import (
     AssignmentDecision,
     OBJECTIVES,
+    format_candidate_count,
     greedy_assignment,
 )
 from repro.core.combined import CombinedModel
 from repro.core.feature import FeatureVector, ProfileVector
 from repro.core.performance_model import CoRunPrediction, PerformanceModel
 from repro.core.power_model import CorePowerModel
-from repro.errors import ConfigurationError
+from repro.errors import AssignmentTooLargeError, ConfigurationError
 from repro.fleet.evaluator import SolvedCoRuns
 from repro.fleet.spec import FleetSpec, MachineGroup
 from repro.fleet.types import (
@@ -474,17 +475,30 @@ def _pick_assignment_impl(
         raise ConfigurationError(
             f"unknown objective {objective!r}; choose from {sorted(OBJECTIVES)}"
         )
-    plan = solve_assignment(
-        AssignmentRequest(
-            processes=tuple(names),
-            objective=objective,
-            solver="exhaustive",
-            machine=machine,
-            sets=sets,
-        ),
-        resolved,
-        power_model,
-    )
+    try:
+        plan = solve_assignment(
+            AssignmentRequest(
+                processes=tuple(names),
+                objective=objective,
+                solver="exhaustive",
+                machine=machine,
+                sets=sets,
+            ),
+            resolved,
+            power_model,
+        )
+    except AssignmentTooLargeError as error:
+        # The fleet guard's way out (max_candidates, solver=) is not
+        # on /v1; the greedy search is.
+        raise AssignmentTooLargeError(
+            f"exhaustive assignment of {len(names)} processes on "
+            f"{machine!r} enumerates "
+            f"{format_candidate_count(error.candidate_count)} placements, "
+            f"above the cap of {error.max_candidates}; pass greedy=true "
+            f"(repro assign --greedy) for the greedy search",
+            candidate_count=error.candidate_count,
+            max_candidates=error.max_candidates,
+        ) from None
     (chosen,) = plan.machines
     watts, ips = chosen.predicted_watts, chosen.predicted_ips
     decision = AssignmentDecision(

@@ -23,11 +23,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.feature import ProfileVector
-from repro.core.performance_model import (
-    CoRunPrediction,
-    PerformanceModel,
-    canonical_order,
-)
+from repro.core.performance_model import PerformanceModel, canonical_order
 from repro.core.power_model import CorePowerModel
 from repro.core.solver_cache import CacheStats, EquilibriumCache
 from repro.core.timesharing import process_combinations
@@ -103,6 +99,12 @@ class CombinedModel:
             ``CombinedModel`` instances (or reusing it across
             searches) pools that work.  Omitted, the model owns a
             private cache.
+
+    Each cache domain's part of a state estimate is memoised too, keyed
+    on the domain's per-core residents and operating points, so a model
+    that lives across searches re-prices only domains it has never
+    seen.  That memo assumes the power model and profiles stay as they
+    were at construction: build a new model after refitting either.
     """
 
     def __init__(
@@ -136,11 +138,19 @@ class CombinedModel:
         self._corun_cache = (
             corun_cache if corun_cache is not None else EquilibriumCache()
         )
+        # Per-domain (terms, IPS increments, combinations) keyed by
+        # (domain, residents per core, operating points per core).
+        self._domain_cache = EquilibriumCache(warm_start=False)
 
     @property
     def corun_cache_stats(self) -> CacheStats:
         """Hit/miss/eviction counters of the co-run operating-point cache."""
         return self._corun_cache.stats
+
+    @property
+    def domain_cache_stats(self) -> CacheStats:
+        """Hit/miss/eviction counters of the per-domain pricing memo."""
+        return self._domain_cache.stats
 
     # ------------------------------------------------------------------
     # Process power from predicted SPI / L2MPR
@@ -215,22 +225,6 @@ class CombinedModel:
             self._corun_cache.put(key, cached)
         return tuple(cached[pos] for pos in slot)
 
-    def seed_corun(self, domain_idx: int, prediction: CoRunPrediction) -> None:
-        """Pre-populate the operating-point cache with one unit-clock co-run.
-
-        Batch frontends (the fleet evaluator) solve co-run closures
-        through :meth:`PerformanceModel.predict_batch` and inject the
-        results here, so assignment scoring never re-enters the
-        equilibrium solver for them.  Existing entries win (the cache
-        is cold-start deterministic, so they are identical anyway).
-        """
-        names = [p.name for p in prediction.processes]
-        order, _ = canonical_order(names, (1.0,) * len(names))
-        processes = [prediction.processes[i] for i in order]
-        key = (domain_idx, tuple((p.name, 1.0) for p in processes))
-        if self._corun_cache.get(key) is None:
-            self._corun_cache.put(key, tuple((p.spi, p.l2mpr) for p in processes))
-
     # ------------------------------------------------------------------
     # Machine-state estimate (Figure 1 + Eq. 10 + Eq. 11)
     # ------------------------------------------------------------------
@@ -275,105 +269,34 @@ class CombinedModel:
         assignment: Assignment,
         points: Optional[Sequence[OperatingPoint]],
     ) -> AssignmentPowerEstimate:
+        num_cores = self.topology.num_cores
         for core in assignment:
-            if not 0 <= core < self.topology.num_cores:
+            if not 0 <= core < num_cores:
                 raise ConfigurationError(f"core {core} out of range")
-        p_idle = self.power_model.p_idle
         # Two summation orders, each pinned by the answer corpus: the
         # paper's machine totals each domain and sums the domains
         # (Eq. 11); with operating points one running total takes
-        # every term in turn.  Reassociating either moves answers.
+        # every term in turn.  Reassociating either moves answers, so
+        # the memoised per-domain parts are replayed term by term.
         running = 0.0
         per_domain: List[float] = []
         total_ips = 0.0
         combos_evaluated = 0
         for domain_idx, domain in enumerate(self.topology.domains):
-            busy = [c for c in domain.core_ids if assignment.get(c)]
-            if points is None:
-                terms = [(len(domain.core_ids) - len(busy)) * p_idle]
-            else:
-                # Idle cores draw P_idle scaled to their parked point.
-                terms = [
-                    points[c].static_multiplier * p_idle
-                    for c in domain.core_ids
-                    if not assignment.get(c)
-                ]
-            if len(busy) == 1:
-                # No cross-core cache contention in this domain: each
-                # process runs as profiled; use the recorded P_alone
-                # (Figure 1, scenario 1/2) averaged over timeslices.
-                core = busy[0]
-                names = assignment[core]
-                if points is None:
-                    ratio = 1.0
-                    terms.append(
-                        sum(self._profile(n).p_alone for n in names) / len(names)
-                    )
-                else:
-                    # P_alone = P_idle + active: the idle part scales
-                    # with the static multiplier, the active part with
-                    # the clock (event rates) and the dynamic one.
-                    point = points[core]
-                    ratio = point.frequency_ratio
-                    active = (
-                        sum(self._profile(n).p_alone - p_idle for n in names)
-                        / len(names)
-                    )
-                    terms.append(
-                        point.static_multiplier * p_idle
-                        + point.dynamic_multiplier * point.frequency_ratio * active
-                    )
-                # A process time-sharing with k - 1 others runs 1/k
-                # of the time.
-                time_share = 1.0 / len(names)
-                for name in names:
-                    ((spi, _),) = self._predict_corun(domain_idx, (name,), (ratio,))
-                    total_ips += time_share * (1.0 / spi)
-            elif busy:
-                # Scenario 3/4: Eq. 10 averages over every cross-core
-                # combination.  The predicted SPI already carries each
-                # core's clock into Eq. 9's event rates, so an
-                # operating point only adds its power multipliers.
-                per_core_lists = [assignment[c] for c in busy]
-                ratios = (
-                    None
-                    if points is None
-                    else tuple(points[c].frequency_ratio for c in busy)
-                )
-                combos = process_combinations(per_core_lists)
-                combos_evaluated += len(combos)
-                combo_watts = 0.0
-                combo_ips = 0.0
-                for combo in combos:
-                    operating = self._predict_corun(domain_idx, combo, ratios)
-                    power = 0.0
-                    for position, (name, (spi, l2mpr)) in enumerate(
-                        zip(combo, operating)
-                    ):
-                        process = self.process_power(name, spi, l2mpr)
-                        if points is None:
-                            power += process
-                        else:
-                            point = points[busy[position]]
-                            power += (
-                                point.static_multiplier * p_idle
-                                + point.dynamic_multiplier * (process - p_idle)
-                            )
-                    if power < 0:
-                        raise ConfigurationError(
-                            "combination power must be non-negative"
-                        )
-                    combo_watts += power
-                    combo_ips += sum(1.0 / spi for spi, _ in operating)
-                terms.append(combo_watts / len(combos))
-                # The uniform average over combinations already encodes
-                # the per-core time shares: a process on a core with k
-                # residents appears in exactly len(combos)/k combinations
-                # (every choice of its partners), so dividing the summed
-                # per-combination IPS by len(combos) weights its mean
-                # contended IPS by 1/k — the same weight the single-core
-                # branch applies explicitly.
-                total_ips += combo_ips / len(combos)
+            cores = domain.core_ids
+            key = (
+                domain_idx,
+                tuple(tuple(assignment.get(c) or ()) for c in cores),
+                None if points is None else tuple(points[c] for c in cores),
+            )
+            priced = self._domain_cache.get(key)
+            if priced is None:
+                priced = self._price_domain(domain_idx, key[1], key[2])
+                self._domain_cache.put(key, priced)
+            terms, increments, combos = priced
+            for increment in increments:
+                total_ips += increment
+            combos_evaluated += combos
             per_domain.append(sum(terms))
             if points is not None:
                 for term in terms:
@@ -384,6 +307,108 @@ class CombinedModel:
             combinations_evaluated=combos_evaluated,
             ips=total_ips,
         )
+
+    def _price_domain(
+        self,
+        domain_idx: int,
+        residents: Tuple[Tuple[str, ...], ...],
+        points: Optional[Tuple[OperatingPoint, ...]],
+    ) -> Tuple[Tuple[float, ...], Tuple[float, ...], int]:
+        """One cache domain's watts terms, IPS increments and combinations.
+
+        ``residents`` and ``points`` are per core of the domain, in
+        ``core_ids`` order.  A domain's part depends on nothing else,
+        so the caller memoises it and replays both lists in order.
+        """
+        p_idle = self.power_model.p_idle
+        busy = [i for i, names in enumerate(residents) if names]
+        if points is None:
+            terms = [(len(residents) - len(busy)) * p_idle]
+        else:
+            # Idle cores draw P_idle scaled to their parked point.
+            terms = [
+                point.static_multiplier * p_idle
+                for point, names in zip(points, residents)
+                if not names
+            ]
+        increments: List[float] = []
+        combos_evaluated = 0
+        if len(busy) == 1:
+            # No cross-core cache contention in this domain: each
+            # process runs as profiled; use the recorded P_alone
+            # (Figure 1, scenario 1/2) averaged over timeslices.
+            names = residents[busy[0]]
+            if points is None:
+                ratio = 1.0
+                terms.append(
+                    sum(self._profile(n).p_alone for n in names) / len(names)
+                )
+            else:
+                # P_alone = P_idle + active: the idle part scales
+                # with the static multiplier, the active part with
+                # the clock (event rates) and the dynamic one.
+                point = points[busy[0]]
+                ratio = point.frequency_ratio
+                active = (
+                    sum(self._profile(n).p_alone - p_idle for n in names)
+                    / len(names)
+                )
+                terms.append(
+                    point.static_multiplier * p_idle
+                    + point.dynamic_multiplier * point.frequency_ratio * active
+                )
+            # A process time-sharing with k - 1 others runs 1/k
+            # of the time.
+            time_share = 1.0 / len(names)
+            for name in names:
+                ((spi, _),) = self._predict_corun(domain_idx, (name,), (ratio,))
+                increments.append(time_share * (1.0 / spi))
+        elif busy:
+            # Scenario 3/4: Eq. 10 averages over every cross-core
+            # combination.  The predicted SPI already carries each
+            # core's clock into Eq. 9's event rates, so an
+            # operating point only adds its power multipliers.
+            per_core_lists = [residents[i] for i in busy]
+            ratios = (
+                None
+                if points is None
+                else tuple(points[i].frequency_ratio for i in busy)
+            )
+            combos = process_combinations(per_core_lists)
+            combos_evaluated = len(combos)
+            combo_watts = 0.0
+            combo_ips = 0.0
+            for combo in combos:
+                operating = self._predict_corun(domain_idx, combo, ratios)
+                power = 0.0
+                for position, (name, (spi, l2mpr)) in enumerate(
+                    zip(combo, operating)
+                ):
+                    process = self.process_power(name, spi, l2mpr)
+                    if points is None:
+                        power += process
+                    else:
+                        point = points[busy[position]]
+                        power += (
+                            point.static_multiplier * p_idle
+                            + point.dynamic_multiplier * (process - p_idle)
+                        )
+                if power < 0:
+                    raise ConfigurationError(
+                        "combination power must be non-negative"
+                    )
+                combo_watts += power
+                combo_ips += sum(1.0 / spi for spi, _ in operating)
+            terms.append(combo_watts / len(combos))
+            # The uniform average over combinations already encodes
+            # the per-core time shares: a process on a core with k
+            # residents appears in exactly len(combos)/k combinations
+            # (every choice of its partners), so dividing the summed
+            # per-combination IPS by len(combos) weights its mean
+            # contended IPS by 1/k — the same weight the single-core
+            # branch applies explicitly.
+            increments.append(combo_ips / len(combos))
+        return tuple(terms), tuple(increments), combos_evaluated
 
     def estimate_assignment_power(self, assignment: Assignment) -> AssignmentPowerEstimate:
         """Predicted processor power for a full tentative assignment.

@@ -14,21 +14,24 @@ fleet-scale search tractable:
 - A co-run's equilibrium depends only on the profiles, not on the
   request: it belongs to the suite.
 
-:class:`FleetEvaluator` exploits all three.  Its performance models
-come from a :class:`SolvedCoRuns` store, one cold-start model per
-``(ways, strategy)``.  A :class:`~repro.api.ProfileSuiteResult` owns
-one store for as long as the suite object lives, so every solve on
-that suite reuses the co-runs earlier solves priced; a bare-mapping
+:class:`FleetEvaluator` exploits all three.  It takes its models from a
+:class:`SolvedCoRuns` store: one cold-start performance model per
+``(ways, strategy)``, and one ``CombinedModel`` (with its
+``HeteroPricer``) per machine config, which memoises each cache
+domain's part of a state estimate.  A
+:class:`~repro.api.ProfileSuiteResult` owns one store for as long as
+the suite object lives, so every solve on that suite reuses the
+co-runs and domain prices earlier solves computed; a bare-mapping
 :func:`repro.fleet.solve` builds a private store per call.
 :meth:`FleetEvaluator.prime` prices the unit-clock co-run closure
 (every name multiset up to the widest domain) as one batch — all cache
-hits once the store is warm — and seeds each machine config's
-operating points from it.  Co-runs at non-unit P-states are solved
+hits once the store is warm.  Co-runs at non-unit P-states are solved
 lazily, one at a time, the first time any solve on the store needs
 them.  States themselves are memoised per request by canonical key,
 shared across the interchangeable machines of a group, so greedy
 packing and annealing over 10k+ processes re-price only states they
-have never seen.
+have never seen, and a plan's ``evaluations`` count does not depend
+on what the store already holds.
 
 All equilibrium caches are built with ``warm_start=False``: solves are
 order-independent, which is what makes scores bit-identical across
@@ -155,18 +158,22 @@ def canonical_state(
 
 
 class SolvedCoRuns:
-    """Cold-start performance models kept for the life of their owner.
+    """Cold-start models and state pricers kept for the life of their owner.
 
     Holds one :class:`PerformanceModel` per ``(ways, strategy)``, each
     over its own ``EquilibriumCache(warm_start=False)``, so every solve
     that shares the store reuses the co-runs earlier solves priced.
     Cold-start solves do not depend on what the cache holds, so reuse
-    cannot change an answer.
+    cannot change an answer.  It also keeps one ``CombinedModel`` (and
+    ``HeteroPricer``) per machine config, whose per-domain memo lets
+    later solves skip the states earlier ones priced.
 
     A model is served only while the features it registered are the
     very objects the caller holds now: replace any of them and the
-    next :meth:`model` call builds a fresh model in its place.  One
-    lock guards the table and every :meth:`predict_batch` (the batch
+    next :meth:`model` call builds a fresh model in its place.  A
+    config's pricing is served only while its power model, fit,
+    profiles and performance models are still the caller's.  One lock
+    guards both tables and every :meth:`predict_batch` (the batch
     solver's table registry is not thread-safe); the scalar
     ``predict`` path is safe to share through the locked cache.
     """
@@ -175,6 +182,10 @@ class SolvedCoRuns:
         self._lock = threading.Lock()
         self._models: Dict[
             Tuple[int, str], Tuple[Dict[str, FeatureVector], PerformanceModel]
+        ] = {}
+        self._pricing: Dict[
+            Tuple[str, int, Optional[HeteroMachineSpec], str],
+            Tuple[Tuple, CombinedModel, Optional[HeteroPricer]],
         ] = {}
 
     def model(
@@ -186,10 +197,7 @@ class SolvedCoRuns:
             entry = self._models.get(key)
             if entry is not None:
                 registered, model = entry
-                if len(registered) == len(features) and all(
-                    features.get(name) is feature
-                    for name, feature in registered.items()
-                ):
+                if _same_objects(registered, features):
                     return model
             model = PerformanceModel(
                 ways=ways,
@@ -202,12 +210,63 @@ class SolvedCoRuns:
             self._models[key] = (dict(features), model)
             return model
 
+    def pricing(
+        self,
+        machine: str,
+        sets: int,
+        topology: MachineTopology,
+        hetero: Optional[HeteroMachineSpec],
+        models: Sequence[PerformanceModel],
+        power_model: CorePowerModel,
+        profiles: Mapping[str, ProfileVector],
+    ) -> Tuple[CombinedModel, Optional[HeteroPricer]]:
+        """The stored state pricing of one machine config.
+
+        ``models`` are the per-domain performance models :meth:`model`
+        serves now.  ``CorePowerModel.fit`` refits in place, so the
+        coefficients are matched along with the power model's identity.
+        """
+        # The strategy keys the entry so that requests alternating
+        # between strategies do not rebuild each other's pricing.
+        key = (machine, sets, hetero, models[0].strategy)
+        fit = (power_model.p_idle, tuple(power_model.coefficients.values()))
+        with self._lock:
+            entry = self._pricing.get(key)
+            if entry is not None:
+                (held_power, held_fit, held_models), combined, pricer = entry
+                if (
+                    held_power is power_model
+                    and held_fit == fit
+                    and all(a is b for a, b in zip(held_models, models))
+                    and _same_objects(combined.profiles, profiles)
+                ):
+                    return combined, pricer
+            combined = CombinedModel(
+                topology=topology,
+                performance_models=models,
+                power_model=power_model,
+                profiles=profiles,
+                corun_cache=EquilibriumCache(warm_start=False),
+            )
+            pricer = (
+                None if hetero is None else HeteroPricer(hetero, topology, combined)
+            )
+            self._pricing[key] = ((power_model, fit, tuple(models)), combined, pricer)
+            return combined, pricer
+
     def predict_batch(
         self, model: PerformanceModel, mixes: Sequence[Sequence[str]]
     ) -> Tuple[CoRunPrediction, ...]:
         """``model.predict_batch(mixes)``, one batch at a time."""
         with self._lock:
             return model.predict_batch(mixes)
+
+
+def _same_objects(held: Mapping[str, object], current: Mapping[str, object]) -> bool:
+    """Whether ``current`` maps exactly ``held``'s names to the same objects."""
+    return len(held) == len(current) and all(
+        current.get(name) is value for name, value in held.items()
+    )
 
 
 @dataclass
@@ -296,20 +355,18 @@ class FleetEvaluator:
             from repro.machine.topology import STANDARD_MACHINES
 
             topology = STANDARD_MACHINES[machine](sets=sets)
-            combined = CombinedModel(
-                topology=topology,
-                performance_models=[
-                    self._model_for(domain.geometry.ways)
-                    for domain in topology.domains
-                ],
-                power_model=self.power_model,
-                profiles=self.profiles,
-                corun_cache=EquilibriumCache(warm_start=False),
+            combined, pricer = self._store.pricing(
+                machine,
+                sets,
+                topology,
+                hetero,
+                [self._model_for(domain.geometry.ways) for domain in topology.domains],
+                self.power_model,
+                self.profiles,
             )
-            pricer = None
+            topology = combined.topology
             idle_watts = topology.num_cores * self.power_model.p_idle
-            if hetero is not None:
-                pricer = HeteroPricer(hetero, topology, combined)
+            if pricer is not None:
                 # For a unit spec this is the same float expression as
                 # the homogeneous branch (parity); otherwise it sums
                 # the per-core deepest-P-state idle draws.
@@ -384,18 +441,8 @@ class FleetEvaluator:
 
     def _prime_impl(self, mixes: List[Tuple[str, ...]]) -> int:
         primed = 0
-        for ways, model in sorted(self._models_by_ways.items()):
-            predictions = self._store.predict_batch(model, mixes)
-            primed += len(predictions)
-            # Seed each combined model's operating-point cache so
-            # unit-clock co-runs never re-enter the model.
-            for config in self._configs.values():
-                for domain_idx, domain in enumerate(config.topology.domains):
-                    if domain.geometry.ways != ways:
-                        continue
-                    for mix, prediction in zip(mixes, predictions):
-                        if len(mix) <= len(domain.core_ids):
-                            config.combined.seed_corun(domain_idx, prediction)
+        for _, model in sorted(self._models_by_ways.items()):
+            primed += len(self._store.predict_batch(model, mixes))
         return primed
 
     # ------------------------------------------------------------------

@@ -12,6 +12,7 @@ the same frequency ratio.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Tuple
 
 from repro.config import CacheGeometry
@@ -79,8 +80,10 @@ class MachineTopology:
             if any(scale <= 0 for scale in self.core_frequency_scales):
                 raise ConfigurationError("core frequency scales must be positive")
 
-    @property
+    @cached_property
     def num_cores(self) -> int:
+        # Cached in the instance dict: dataclass ==, hash and repr
+        # read only the fields, so they do not see it.
         return sum(len(d.core_ids) for d in self.domains)
 
     @property

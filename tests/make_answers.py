@@ -124,15 +124,21 @@ STATE_MACHINES = (
 RANDOM_STATES = 6
 
 
-def state_evaluator(suite, power) -> FleetEvaluator:
-    """A primed evaluator with one group per :data:`STATE_MACHINES` row."""
+def state_evaluator(suite, power, models=None) -> FleetEvaluator:
+    """A primed evaluator with one group per :data:`STATE_MACHINES` row.
+
+    ``models`` is the :class:`~repro.fleet.SolvedCoRuns` store to price
+    through (``None``: a private one).
+    """
     fleet = FleetSpec(
         groups=tuple(
             MachineGroup(machine=machine, sets=32, hetero=hetero)
             for _, machine, hetero in STATE_MACHINES
         )
     )
-    evaluator = FleetEvaluator(suite.features, suite.profiles, power, fleet)
+    evaluator = FleetEvaluator(
+        suite.features, suite.profiles, power, fleet, models=models
+    )
     evaluator.prime(NAMES)
     return evaluator
 

@@ -22,11 +22,13 @@ warm store and a cold one give equal plans.
 """
 
 import json
+import random
 
 import pytest
 
 from make_answers import (
     PATH,
+    SEED,
     STATE_MACHINES,
     PICK_PROCESSES,
     answer_of,
@@ -38,6 +40,7 @@ from make_answers import (
 )
 from repro.api import AssignmentRequest, solve_assignment
 from repro.core.assignment import OBJECTIVES
+from repro.fleet import SolvedCoRuns
 from repro.machine.topology import STANDARD_MACHINES
 
 CORPUS = json.loads(PATH.read_text())
@@ -105,6 +108,38 @@ def test_state_prices_are_bit_identical(group, label, suite, power_model):
         {**entry, **price_state(evaluator, group, entry)} for entry in stored
     ]
     assert repriced == stored
+
+
+def test_shuffled_states_priced_through_shared_models_are_bit_identical(
+    suite, power_model
+):
+    """One store prices every state, each from a fresh evaluator.
+
+    The per-request state memo starts empty every time, so each state
+    is priced by the store's long-lived ``CombinedModel``s, whose
+    per-domain memo the earlier states (in shuffled order) warmed.
+    """
+    shuffled = list(STATES)
+    random.Random(SEED).shuffle(shuffled)
+    store = SolvedCoRuns()
+    shared = None
+    repriced = {}
+    for entry in shuffled:
+        evaluator = state_evaluator(suite, power_model, models=store)
+        combined = [config.combined for config in evaluator.group_configs]
+        shared = shared or combined
+        assert all(a is b for a, b in zip(combined, shared))
+        repriced[entry["name"]] = {
+            **entry,
+            **price_state(evaluator, entry["group"], entry),
+        }
+    assert repriced == {entry["name"]: entry for entry in STATES}
+    # 4-core states share domains (an idle die, for one).
+    assert all(
+        model.domain_cache_stats.hits > 0
+        for model in shared
+        if model.topology.name == "4-core-server"
+    )
 
 
 def test_picks_cover_every_machine_strategy_and_objective():

@@ -49,6 +49,7 @@ from repro.errors import AssignmentTooLargeError, ConfigurationError
 from repro.events import Event, RATE_EVENTS
 from repro.fleet import (
     CANONICAL_OBJECTIVES,
+    FleetEvaluator,
     canonical_objective,
     fleet_score,
     solve,
@@ -480,11 +481,21 @@ class TestEnumerationGuard:
         assert error.candidate_count == 2**12
         assert error.max_candidates == 1000
         assert "greedy" in str(error)
-        # The /v1 exhaustive pick is the same search behind the same guard.
-        with pytest.raises(AssignmentTooLargeError):
+
+    def test_v1_pick_over_cap_points_at_greedy_true(self, suite, power_model):
+        # The /v1 exhaustive pick is the same search behind the same
+        # guard, but its way out is /v1's greedy flag.
+        with pytest.raises(AssignmentTooLargeError) as excinfo:
             _pick_assignment_impl(
                 ["mcf"] * 10, suite, power_model, "4-core-server", sets=32
             )
+        error = excinfo.value
+        assert error.candidate_count == 4**10
+        assert error.max_candidates == DEFAULT_MAX_CANDIDATES
+        message = str(error)
+        assert "greedy=true" in message and "repro assign --greedy" in message
+        assert f"{4**10} placements" in message
+        assert "max_candidates" not in message and "solver=" not in message
 
     def test_default_cap_allows_small_instances(self, suite, power_model):
         assert 4**6 < DEFAULT_MAX_CANDIDATES
@@ -591,6 +602,28 @@ def _stored_models(suite, fleet):
     return [suite.solved_coruns.model(w, "auto", suite.features) for w in ways]
 
 
+def _stored_pricing(suite, power_model, fleet):
+    """The suite's stored ``(CombinedModel, HeteroPricer)`` per group."""
+    evaluator = FleetEvaluator(
+        suite.features,
+        suite.profiles,
+        power_model,
+        fleet,
+        models=suite.solved_coruns,
+    )
+    return [(config.combined, config.pricer) for config in evaluator.group_configs]
+
+
+def _fit_power_model(seed):
+    rng = np.random.default_rng(seed)
+    training = PowerTrainingSet()
+    for _ in range(40):
+        rates = {event: rng.uniform(0, 1e8) for event in RATE_EVENTS}
+        power = 11.0 + 8e-8 * rates[Event.L1_REFS] + 2e-7 * rates[Event.L2_MISSES]
+        training.add(rates, power * rng.uniform(0.9, 1.1))
+    return training
+
+
 class TestSolvedCoRuns:
     def test_later_solves_reuse_the_stored_models(self, power_model):
         suite = _oracle_suite()
@@ -608,6 +641,54 @@ class TestSolvedCoRuns:
         assert first == second == solve_assignment(
             request, _oracle_suite(), power_model
         )
+
+    def test_later_solves_reuse_the_stored_pricing(self, power_model):
+        suite = _oracle_suite()
+        request = _anneal_request()
+        first = solve_assignment(request, suite, power_model)
+        stored = _stored_pricing(suite, power_model, request.fleet)
+        hits = [combined.domain_cache_stats.hits for combined, _ in stored]
+        second = solve_assignment(request, suite, power_model)
+        again = _stored_pricing(suite, power_model, request.fleet)
+        for (combined, pricer), (same_combined, same_pricer) in zip(stored, again):
+            assert same_combined is combined and same_pricer is pricer
+        assert all(
+            combined.domain_cache_stats.hits > before
+            for (combined, _), before in zip(again, hits)
+        )
+        assert stored[0][1] is not None  # the big.LITTLE group's pricer
+        assert first == second
+        assert first.evaluations == second.evaluations
+
+    @pytest.mark.parametrize("change", ["refit", "other-model", "profile"])
+    def test_changed_pricing_inputs_get_a_fresh_entry(self, change):
+        request = _anneal_request(objective="max-throughput")
+        suite = _oracle_suite()
+        power = CorePowerModel().fit(_fit_power_model(1), idle_core_watts=11.0)
+        solve_assignment(request, suite, power)
+        before = _stored_pricing(suite, power, request.fleet)
+        if change == "refit":
+            power.fit(_fit_power_model(2), idle_core_watts=12.0)
+        elif change == "other-model":
+            # Equal coefficients, but the old object could be refit
+            # under the entry later.
+            power = CorePowerModel().fit(_fit_power_model(1), idle_core_watts=11.0)
+        else:
+            old = suite.profiles["mcf"]
+            suite.profiles["mcf"] = ProfileVector(
+                name="mcf",
+                p_alone=old.p_alone + 5.0,
+                l1rpi=old.l1rpi,
+                l2rpi=old.l2rpi,
+                brpi=old.brpi,
+                fppi=old.fppi,
+            )
+        plan = solve_assignment(request, suite, power)
+        after = _stored_pricing(suite, power, request.fleet)
+        assert all(a is not b for (a, _), (b, _) in zip(before, after))
+        fresh = _oracle_suite()
+        fresh.profiles["mcf"] = suite.profiles["mcf"]
+        assert plan == solve_assignment(request, fresh, power)
 
     def test_store_stays_out_of_the_document_and_value(self, power_model):
         suite = _oracle_suite()

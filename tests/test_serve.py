@@ -622,6 +622,17 @@ class TestV2Assign:
             response = client.assign(["mcf", "gzip"], machine=MACHINE)
         assert response["kind"] == "serve_assignment"
 
+    def test_v1_assign_over_cap_is_400_pointing_at_greedy(self, client):
+        status, document = client._request(
+            "POST",
+            "/v1/assign",
+            {"names": ["mcf"] * 10, "machine": "4-core-server", "sets": 32},
+        )
+        assert status == 400, document
+        assert document["type"] == "AssignmentTooLargeError"
+        assert "greedy=true" in document["error"]
+        assert "solver=" not in document["error"]
+
     def test_v2_missing_field_is_400_with_path(self, client):
         with pytest.raises(ServeClientError) as err:
             client._call(

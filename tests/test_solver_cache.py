@@ -244,5 +244,8 @@ class TestCombinedModelSharedCache:
         combined = self._combined(power_model, features, EquilibriumCache())
         assignment = {0: ("heavy",), 1: ("light", "mid")}
         combined.estimate_assignment_power(assignment)
+        misses = combined.corun_cache_stats.misses
         combined.estimate_assignment_throughput(assignment)
-        assert combined.corun_cache_stats.hits > 0
+        # The repeat is answered from the per-domain memo.
+        assert combined.corun_cache_stats.misses == misses
+        assert combined.domain_cache_stats.hits > 0
