@@ -55,7 +55,6 @@ from repro.core.solver_cache import CacheStats, EquilibriumCache
 from repro.core.spi import SpiModel, fit_spi_model
 from repro.core.timesharing import (
     core_power_time_shared,
-    core_set_power,
     process_combinations,
 )
 
@@ -85,7 +84,6 @@ __all__ = [
     "rate_vector",
     "NeuralPowerModel",
     "core_power_time_shared",
-    "core_set_power",
     "process_combinations",
     "CombinedModel",
     "PowerSplit",

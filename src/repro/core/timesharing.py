@@ -10,13 +10,14 @@ multi-programmed machine:
 2. **Across cache-sharing cores** — with more than one process per
    core, each cross-core *process combination* runs for roughly equal
    total time, so the cores' combined power is the mean over all
-   combinations (Eq. 10).
+   combinations (Eq. 10).  :func:`process_combinations` gives that
+   index set; ``CombinedModel`` takes the mean per cache domain.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Sequence, Tuple
+from typing import Sequence, Tuple
 
 from repro.errors import ConfigurationError
 
@@ -62,24 +63,3 @@ def process_combinations(
         if not processes:
             raise ConfigurationError("every busy core needs at least one process")
     return tuple(itertools.product(*per_core_processes))
-
-
-def core_set_power(
-    per_core_processes: Sequence[Sequence[str]],
-    combination_power: Callable[[Tuple[str, ...]], float],
-) -> float:
-    """Average combined power of cache-sharing cores (Eq. 10).
-
-    Args:
-        per_core_processes: Process names per busy core.
-        combination_power: Returns the summed power of the cores when
-            one given combination runs simultaneously.
-    """
-    combos = process_combinations(per_core_processes)
-    total = 0.0
-    for combo in combos:
-        power = combination_power(combo)
-        if power < 0:
-            raise ConfigurationError("combination power must be non-negative")
-        total += power
-    return total / len(combos)

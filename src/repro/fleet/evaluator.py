@@ -24,14 +24,18 @@ the suite object lives, so every solve on that suite reuses the
 co-runs and domain prices earlier solves computed; a bare-mapping
 :func:`repro.fleet.solve` builds a private store per call.
 :meth:`FleetEvaluator.prime` prices the unit-clock co-run closure
-(every name multiset up to the widest domain) as one batch — all cache
-hits once the store is warm.  Co-runs at non-unit P-states are solved
+(every name multiset up to the widest domain) as one batch per model,
+sending only the mixes the store has not primed on that model before:
+nothing once the store is warm, and only the mixes holding a new name
+when a request adds one.  Co-runs at non-unit P-states are solved
 lazily, one at a time, the first time any solve on the store needs
 them.  States themselves are memoised per request by canonical key,
 shared across the interchangeable machines of a group, so greedy
 packing and annealing over 10k+ processes re-price only states they
 have never seen, and a plan's ``evaluations`` count does not depend
-on what the store already holds.
+on what the store already holds.  The greedy solver adds its own
+per-request memo of each state's candidate scan on top
+(:func:`repro.fleet.solver._solve_greedy`).
 
 All equilibrium caches are built with ``warm_start=False``: solves are
 order-independent, which is what makes scores bit-identical across
@@ -43,11 +47,11 @@ from __future__ import annotations
 import itertools
 import threading
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
 from repro.core.combined import CombinedModel
 from repro.core.feature import FeatureVector, ProfileVector
-from repro.core.performance_model import CoRunPrediction, PerformanceModel
+from repro.core.performance_model import PerformanceModel
 from repro.core.power_model import CorePowerModel
 from repro.core.solver_cache import EquilibriumCache
 from repro.errors import ConfigurationError
@@ -172,16 +176,21 @@ class SolvedCoRuns:
     very objects the caller holds now: replace any of them and the
     next :meth:`model` call builds a fresh model in its place.  A
     config's pricing is served only while its power model, fit,
-    profiles and performance models are still the caller's.  One lock
-    guards both tables and every :meth:`predict_batch` (the batch
+    profiles and performance models are still the caller's.  Each
+    stored model also records the unit-clock mixes :meth:`prime` has
+    batch-solved on it; a rebuilt model starts with an empty record.
+    One lock guards both tables and every :meth:`prime` (the batch
     solver's table registry is not thread-safe); the scalar
     ``predict`` path is safe to share through the locked cache.
     """
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
+        # (ways, strategy) -> (registered features, model, unit-clock
+        # mixes batch-solved on that model).
         self._models: Dict[
-            Tuple[int, str], Tuple[Dict[str, FeatureVector], PerformanceModel]
+            Tuple[int, str],
+            Tuple[Dict[str, FeatureVector], PerformanceModel, Set[Tuple[str, ...]]],
         ] = {}
         self._pricing: Dict[
             Tuple[str, int, Optional[HeteroMachineSpec], str],
@@ -196,7 +205,7 @@ class SolvedCoRuns:
         with self._lock:
             entry = self._models.get(key)
             if entry is not None:
-                registered, model = entry
+                registered, model, _primed = entry
                 if _same_objects(registered, features):
                     return model
             model = PerformanceModel(
@@ -207,7 +216,7 @@ class SolvedCoRuns:
             model.register_all(list(features.values()))
             # The snapshot pins the feature objects, so an identity
             # match can never be a recycled id.
-            self._models[key] = (dict(features), model)
+            self._models[key] = (dict(features), model, set())
             return model
 
     def pricing(
@@ -254,12 +263,31 @@ class SolvedCoRuns:
             self._pricing[key] = ((power_model, fit, tuple(models)), combined, pricer)
             return combined, pricer
 
-    def predict_batch(
-        self, model: PerformanceModel, mixes: Sequence[Sequence[str]]
-    ) -> Tuple[CoRunPrediction, ...]:
-        """``model.predict_batch(mixes)``, one batch at a time."""
+    def prime(
+        self, model: PerformanceModel, mixes: Sequence[Tuple[str, ...]]
+    ) -> int:
+        """Batch-solve the ``mixes`` not yet primed on ``model``.
+
+        Returns how many mixes went to ``model.predict_batch`` (0 once
+        every one is recorded).  A model no longer stored (a newer
+        request replaced it) keeps no record, so all of ``mixes`` go.
+        The record outlives LRU eviction: an evicted co-run is solved
+        lazily from a cold start, to the same bits.
+        """
         with self._lock:
-            return model.predict_batch(mixes)
+            primed: Set[Tuple[str, ...]] = next(
+                (
+                    record
+                    for _features, held, record in self._models.values()
+                    if held is model
+                ),
+                set(),
+            )
+            missing = [mix for mix in mixes if mix not in primed]
+            if missing:
+                model.predict_batch(missing)
+                primed.update(missing)
+            return len(missing)
 
 
 def _same_objects(held: Mapping[str, object], current: Mapping[str, object]) -> bool:
@@ -417,11 +445,12 @@ class FleetEvaluator:
     def prime(self, names: Sequence[str]) -> int:
         """Price the unit-clock co-run closure as one batch per model.
 
-        Returns the number of mixes primed.  Optional for correctness
-        (cold-start caches make later on-demand solves bit-identical);
-        it exists so fleet-scale searches pay the equilibrium solves
-        once per store, through the stacked batch solver.  On a warm
-        store every row is a cache hit.
+        Returns the number of mixes sent to the batch solver: only
+        closure mixes the store has not primed on that model before,
+        so 0 on a warm store.  Optional for correctness (cold-start
+        caches make later on-demand solves bit-identical); it exists so
+        fleet-scale searches pay the equilibrium solves once per store,
+        through the stacked batch solver.
         """
         self.check_processes(names)
         if not names:
@@ -442,7 +471,7 @@ class FleetEvaluator:
     def _prime_impl(self, mixes: List[Tuple[str, ...]]) -> int:
         primed = 0
         for _, model in sorted(self._models_by_ways.items()):
-            primed += len(self._store.predict_batch(model, mixes))
+            primed += self._store.prime(model, mixes)
         return primed
 
     # ------------------------------------------------------------------

@@ -316,6 +316,47 @@ def _heap_representative(
     return None
 
 
+#: One greedy candidate of a machine state: ``(core, P-state option,
+#: core already at max_per_core, process name -> trial (watts, ips))``.
+_Candidate = Tuple[int, Optional[int], bool, Dict[str, Tuple[float, float]]]
+
+
+def _candidate_scan(
+    ctx: _Context,
+    group_index: int,
+    assignment: Mapping[int, Sequence[str]],
+    rep_pstates: Mapping[int, int],
+) -> List[_Candidate]:
+    """The distinct-content candidates of one machine, in scan order.
+
+    A machine's canonical state fixes its per-core sorted names and
+    busy-core P-states, so the result depends only on ``(group,
+    state)``.  Each candidate starts with an empty trial-price map.
+    """
+    hetero = ctx.hetero[group_index]
+    counts = ctx.pstate_counts[group_index]
+    scan: List[_Candidate] = []
+    seen_contents = set()
+    for core in range(ctx.evaluator.group_configs[group_index].num_cores):
+        names = tuple(sorted(assignment.get(core, ())))
+        if hetero is None:
+            content = names
+            pstate_options: Tuple[Optional[int], ...] = (None,)
+        else:
+            current = rep_pstates.get(core, 0) if names else None
+            content = (hetero.core_type_of[core], current, names)
+            if names:
+                pstate_options = (current,)
+            else:
+                pstate_options = tuple(range(counts[core]))
+        if content in seen_contents:
+            continue
+        seen_contents.add(content)
+        full = ctx.max_per_core is not None and len(names) >= ctx.max_per_core
+        scan.extend((core, option, full, {}) for option in pstate_options)
+    return scan
+
+
 def _solve_greedy(ctx: _Context) -> Tuple[List[Slot], PStateMap]:
     """One-at-a-time packing over deduplicated candidate slots.
 
@@ -330,6 +371,14 @@ def _solve_greedy(ctx: _Context) -> Tuple[List[Slot], PStateMap]:
     keeps the core's existing P-state.  Core-content deduplication
     then keys on (core type, current P-state, names) so distinct
     operating points are never conflated.
+
+    Processes are placed in request order.  For the length of one
+    call, each ``(group, state)``'s candidate scan is built once, and
+    each candidate's trial ``(watts, ips)`` is looked up once per
+    process name: a state seen again at a later step re-scores its
+    candidates without rebuilding or re-pricing them.  Full candidates
+    still take their index, so the ``(score, index)`` tie-break and
+    the evaluator's ``evaluations`` count are unchanged.
     """
     evaluator = ctx.evaluator
     fleet = ctx.fleet
@@ -353,76 +402,63 @@ def _solve_greedy(ctx: _Context) -> Tuple[List[Slot], PStateMap]:
     total_watts = evaluator.total_idle_watts()
     total_ips = 0.0
     placements: List[Slot] = []
+    # (group, state) -> the state's candidate scan; see _candidate_scan.
+    scans: Dict[Tuple[int, MachineState], List[_Candidate]] = {}
     for name in ctx.processes:
         best: Optional[Tuple[Tuple[float, int], int, int, int, Optional[int],
                              float, float, float, float]] = None
         candidate_index = 0
-        for group_index, group in enumerate(fleet.groups):
-            config = evaluator.group_configs[group_index]
+        for group_index, config in enumerate(evaluator.group_configs):
             cap = ctx.caps[group_index]
-            hetero = ctx.hetero[group_index]
-            counts = ctx.pstate_counts[group_index]
             for state in sorted(heaps[group_index]):
                 rep = _heap_representative(
                     heaps[group_index], state, states_of[group_index]
                 )
                 if rep is None:
                     continue
-                assignment = machines[group_index][rep]
-                rep_pstates = pstates_of[group_index][rep]
-                seen_contents = set()
-                for core in range(config.num_cores):
-                    names = tuple(sorted(assignment.get(core, ())))
-                    if hetero is None:
-                        content = names
-                        pstate_options: Tuple[Optional[int], ...] = (None,)
-                    else:
-                        current = rep_pstates.get(core, 0) if names else None
-                        content = (hetero.core_type_of[core], current, names)
-                        if names:
-                            pstate_options = (current,)
-                        else:
-                            pstate_options = tuple(range(counts[core]))
-                    if content in seen_contents:
+                scan = scans.get((group_index, state))
+                if scan is None:
+                    scan = _candidate_scan(
+                        ctx, group_index, machines[group_index][rep],
+                        pstates_of[group_index][rep],
+                    )
+                    scans[(group_index, state)] = scan
+                old_watts, old_ips = metrics[group_index][rep]
+                for core, pstate_option, full, priced in scan:
+                    index = candidate_index
+                    candidate_index += 1
+                    if full:
                         continue
-                    seen_contents.add(content)
-                    for pstate_option in pstate_options:
-                        index = candidate_index
-                        candidate_index += 1
-                        if (
-                            ctx.max_per_core is not None
-                            and len(names) >= ctx.max_per_core
-                        ):
-                            continue
+                    trial_metrics = priced.get(name)
+                    if trial_metrics is None:
+                        assignment = machines[group_index][rep]
                         trial = {c: list(v) for c, v in assignment.items()}
                         trial.setdefault(core, []).append(name)
-                        if hetero is None:
-                            trial_state = canonical_state(trial)
-                        else:
-                            trial_pstates = dict(rep_pstates)
-                            if pstate_option is not None:
-                                trial_pstates[core] = pstate_option
-                            trial_state = _machine_state(
-                                ctx, group_index, trial, trial_pstates
-                            )
-                        watts, ips = evaluator.state_metrics(config, trial_state)
-                        if cap is not None and watts > cap:
-                            continue
-                        old_watts, old_ips = metrics[group_index][rep]
-                        new_total_watts = total_watts - old_watts + watts
-                        new_total_ips = total_ips - old_ips + ips
-                        score = fleet_score(
-                            ctx.objective, new_total_watts, new_total_ips,
-                            ctx.budget,
+                        trial_pstates = dict(pstates_of[group_index][rep])
+                        if pstate_option is not None:
+                            trial_pstates[core] = pstate_option
+                        trial_metrics = evaluator.state_metrics(
+                            config,
+                            _machine_state(ctx, group_index, trial, trial_pstates),
                         )
-                        if math.isinf(score):
-                            continue
-                        key = (score, index)
-                        if best is None or key < best[0]:
-                            best = (
-                                key, group_index, rep, core, pstate_option,
-                                watts, ips, new_total_watts, new_total_ips,
-                            )
+                        priced[name] = trial_metrics
+                    watts, ips = trial_metrics
+                    if cap is not None and watts > cap:
+                        continue
+                    new_total_watts = total_watts - old_watts + watts
+                    new_total_ips = total_ips - old_ips + ips
+                    score = fleet_score(
+                        ctx.objective, new_total_watts, new_total_ips,
+                        ctx.budget,
+                    )
+                    if math.isinf(score):
+                        continue
+                    key = (score, index)
+                    if best is None or key < best[0]:
+                        best = (
+                            key, group_index, rep, core, pstate_option,
+                            watts, ips, new_total_watts, new_total_ips,
+                        )
         if best is None:
             raise ConfigurationError(
                 f"greedy packing found no feasible slot for {name!r} under "

@@ -4,7 +4,6 @@ import pytest
 
 from repro.core.timesharing import (
     core_power_time_shared,
-    core_set_power,
     process_combinations,
 )
 from repro.errors import ConfigurationError
@@ -55,24 +54,3 @@ class TestCombinations:
     def test_rejects_no_cores(self):
         with pytest.raises(ConfigurationError):
             process_combinations([])
-
-
-class TestCoreSetPower:
-    def test_eq10_average(self):
-        """Eq. 10: mean over all cross-core combinations."""
-        powers = {
-            ("a", "x"): 10.0,
-            ("a", "y"): 20.0,
-            ("b", "x"): 30.0,
-            ("b", "y"): 40.0,
-        }
-        value = core_set_power([["a", "b"], ["x", "y"]], powers.__getitem__)
-        assert value == pytest.approx(25.0)
-
-    def test_one_process_per_core(self):
-        value = core_set_power([["a"], ["x"]], lambda combo: 42.0)
-        assert value == 42.0
-
-    def test_rejects_negative_combination_power(self):
-        with pytest.raises(ConfigurationError):
-            core_set_power([["a"]], lambda combo: -5.0)

@@ -44,12 +44,14 @@ from repro.api import (
 )
 from repro.core.assignment import DEFAULT_MAX_CANDIDATES, OBJECTIVES
 from repro.core.feature import FeatureVector, ProfileVector
+from repro.core.performance_model import PerformanceModel
 from repro.core.power_model import CorePowerModel, PowerTrainingSet
 from repro.errors import AssignmentTooLargeError, ConfigurationError
 from repro.events import Event, RATE_EVENTS
 from repro.fleet import (
     CANONICAL_OBJECTIVES,
     FleetEvaluator,
+    SolvedCoRuns,
     canonical_objective,
     fleet_score,
     solve,
@@ -451,6 +453,75 @@ class TestDeterminism:
             assert placed == sorted(names)
 
 
+class TestStoreHistory:
+    """Plans, ``evaluations`` included, do not depend on the store's past."""
+
+    FLEETS = {
+        "homogeneous": FleetSpec(
+            groups=(
+                MachineGroup(machine="4-core-server", count=1, sets=32),
+                MachineGroup(machine="2-core-workstation", count=2, sets=32),
+            )
+        ),
+        "big.LITTLE": FleetSpec(
+            groups=(
+                MachineGroup(
+                    machine="4-core-server",
+                    count=1,
+                    sets=32,
+                    hetero=big_little_spec("4-core-server"),
+                ),
+                MachineGroup(machine="2-core-workstation", count=1, sets=32),
+            )
+        ),
+    }
+
+    @settings(max_examples=12, deadline=None)
+    @given(
+        names=st.lists(st.sampled_from(NAMES), min_size=1, max_size=6),
+        fleet=st.sampled_from(sorted(FLEETS)),
+        max_per_core=st.sampled_from([None, 1, 2]),
+        objective=st.sampled_from(["min-power", "max-throughput"]),
+        warm_up=st.lists(st.sampled_from(NAMES), min_size=1, max_size=4),
+    )
+    def test_repeat_warm_and_fresh_stores_agree(
+        self, suite, power_model, names, fleet, max_per_core, objective, warm_up
+    ):
+        # sweep_limit=0 keeps anneal on the greedy start plus annealing.
+        def plans(store, processes=names):
+            return [
+                solve(
+                    AssignmentRequest(
+                        processes=tuple(processes),
+                        fleet=self.FLEETS[fleet],
+                        solver=solver,
+                        objective=objective,
+                        max_per_core=max_per_core,
+                        max_iterations=30,
+                        seed=5,
+                    ),
+                    suite.features,
+                    suite.profiles,
+                    power_model,
+                    sweep_limit=0,
+                    models=store,
+                )
+                for solver in ("greedy", "anneal")
+            ]
+
+        fresh = plans(SolvedCoRuns())
+        store = SolvedCoRuns()
+        first = plans(store)
+        repeat = plans(store)
+        warmed = SolvedCoRuns()
+        plans(warmed, warm_up)
+        warm = plans(warmed)
+        assert first == repeat == warm == fresh
+        evaluations = [plan.evaluations for plan in fresh]
+        for run in (first, repeat, warm):
+            assert [plan.evaluations for plan in run] == evaluations
+
+
 # ----------------------------------------------------------------------
 # Enumeration guard
 # ----------------------------------------------------------------------
@@ -578,9 +649,11 @@ def _big_little_fleet():
     )
 
 
-def _anneal_request(seed=3, objective="min-energy-per-instruction"):
+def _anneal_request(
+    seed=3, objective="min-energy-per-instruction", processes=tuple(NAMES * 2)
+):
     return AssignmentRequest(
-        processes=tuple(NAMES * 2),
+        processes=processes,
         fleet=_big_little_fleet(),
         objective=objective,
         solver="anneal",
@@ -614,6 +687,20 @@ def _stored_pricing(suite, power_model, fleet):
     return [(config.combined, config.pricer) for config in evaluator.group_configs]
 
 
+@pytest.fixture
+def batch_rows(monkeypatch):
+    """``(model, mixes)`` of every ``PerformanceModel.predict_batch`` call."""
+    calls = []
+    original = PerformanceModel.predict_batch
+
+    def spy(self, mixes, *args, **kwargs):
+        calls.append((self, [tuple(mix) for mix in mixes]))
+        return original(self, mixes, *args, **kwargs)
+
+    monkeypatch.setattr(PerformanceModel, "predict_batch", spy)
+    return calls
+
+
 def _fit_power_model(seed):
     rng = np.random.default_rng(seed)
     training = PowerTrainingSet()
@@ -635,9 +722,11 @@ class TestSolvedCoRuns:
         second = solve_assignment(request, suite, power_model)
         again = _stored_models(suite, request.fleet)
         assert all(a is b for a, b in zip(models, again))
+        # A warm repeat re-probes no co-run: priming sends nothing and
+        # every state price comes from the stored CombinedModels.
         for old, model in zip(before, again):
             assert model.cache_stats.misses == old.misses
-            assert model.cache_stats.hits > old.hits
+            assert model.cache_stats.hits == old.hits
         assert first == second == solve_assignment(
             request, _oracle_suite(), power_model
         )
@@ -733,6 +822,58 @@ class TestSolvedCoRuns:
         rebuilt = _oracle_suite()
         rebuilt.features["mcf"] = faster
         assert plan == solve_assignment(request, rebuilt, power_model)
+
+    def test_warm_solve_sends_no_rows_to_the_batch_solver(
+        self, power_model, batch_rows
+    ):
+        suite = _oracle_suite()
+        request = _anneal_request()
+        first = solve_assignment(request, suite, power_model)
+        assert sum(len(mixes) for _, mixes in batch_rows) > 0
+        del batch_rows[:]
+        second = solve_assignment(request, suite, power_model)
+        assert sum(len(mixes) for _, mixes in batch_rows) == 0
+        evaluator = FleetEvaluator(
+            suite.features,
+            suite.profiles,
+            power_model,
+            request.fleet,
+            models=suite.solved_coruns,
+        )
+        assert evaluator.prime(request.processes) == 0
+        assert first == second
+
+    def test_added_process_primes_only_the_mixes_holding_it(
+        self, power_model, batch_rows
+    ):
+        names = NAMES + ["equake"]
+        suite = _oracle_suite(names)
+        solve_assignment(_anneal_request(), suite, power_model)
+        grown = _anneal_request(processes=tuple(NAMES * 2) + ("equake",))
+        del batch_rows[:]
+        plan = solve_assignment(grown, suite, power_model)
+        evaluator = FleetEvaluator(
+            suite.features, suite.profiles, power_model, grown.fleet
+        )
+        holding = [m for m in evaluator.closure_mixes(names) if "equake" in m]
+        # One batch per stored model (one per cache associativity).
+        models = _stored_models(suite, grown.fleet)
+        assert [model for model, _ in batch_rows] == models
+        assert all(mixes == holding for _, mixes in batch_rows)
+        assert plan == solve_assignment(grown, _oracle_suite(names), power_model)
+
+    def test_replaced_feature_primes_again(self, power_model, batch_rows):
+        suite = _oracle_suite()
+        request = _anneal_request()
+        solve_assignment(request, suite, power_model)
+        cold = sorted(len(mixes) for _, mixes in batch_rows)
+        del batch_rows[:]
+        suite.features["mcf"] = FeatureVector.oracle(BENCHMARKS["mcf"], 4e8)
+        solve_assignment(request, suite, power_model)
+        assert sorted(len(mixes) for _, mixes in batch_rows) == cold
+        assert [model for model, _ in batch_rows] == _stored_models(
+            suite, request.fleet
+        )
 
     def test_concurrent_solves_match_serial_solves(self, power_model):
         requests = [

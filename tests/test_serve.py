@@ -601,7 +601,8 @@ class TestV2Assign:
         assert first is second
         assert before.misses > 0
         assert after.misses == before.misses
-        assert after.hits > before.hits
+        # Priming sends no already-primed mix, so the repeat probes nothing.
+        assert after.hits == before.hits
 
     def test_v1_assign_response_shape_is_frozen(self, client):
         # /v2 landing must not leak into the /v1 document.
