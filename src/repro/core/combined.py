@@ -19,8 +19,20 @@ domains are ``P_rest``).
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Mapping, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    Mapping,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.core.feature import ProfileVector
 from repro.core.performance_model import PerformanceModel, canonical_order
@@ -36,6 +48,28 @@ if TYPE_CHECKING:
     from repro.hetero.types import OperatingPoint
 
 Assignment = Mapping[int, Sequence[str]]
+
+#: One cache domain's part of a state estimate: its watts terms, its IPS
+#: increments and its Eq. 10 combination count.
+DomainPart = Tuple[Tuple[float, ...], Tuple[float, ...], int]
+
+#: A canonical machine state: ``((core, names), ...)`` sorted by core,
+#: idle cores dropped; with a bound P-state table each entry also
+#: carries the core's P-state index, ``(core, names, index)``.
+State = Tuple[tuple, ...]
+
+#: Per-domain parts a model keeps before it drops its oldest.
+DOMAIN_MEMO_ENTRIES = 4096
+
+
+class _PStateTable(NamedTuple):
+    """What :meth:`CombinedModel.bind_pstates` fixes for the model's life."""
+
+    points: Dict[Tuple[int, int], "OperatingPoint"]
+    idle_points: Tuple["OperatingPoint", ...]
+    #: Raises the descriptive range error for a pair ``points`` lacks.
+    resolve: Callable[[int, int], "OperatingPoint"]
+    unit: bool  #: every point multiplies by exactly 1.0
 
 
 @dataclass(frozen=True)
@@ -100,11 +134,11 @@ class CombinedModel:
             searches) pools that work.  Omitted, the model owns a
             private cache.
 
-    Each cache domain's part of a state estimate is memoised too, keyed
-    on the domain's per-core residents and operating points, so a model
-    that lives across searches re-prices only domains it has never
-    seen.  That memo assumes the power model and profiles stay as they
-    were at construction: build a new model after refitting either.
+    Each cache domain's part of a canonical state's estimate is
+    memoised too, keyed on the state's entries on that domain, so a
+    model that lives across searches re-prices only domains it has
+    never seen.  That memo assumes the power model and profiles stay as
+    they were at construction: build a new model after refitting either.
     """
 
     def __init__(
@@ -138,9 +172,27 @@ class CombinedModel:
         self._corun_cache = (
             corun_cache if corun_cache is not None else EquilibriumCache()
         )
-        # Per-domain (terms, IPS increments, combinations) keyed by
-        # (domain, residents per core, operating points per core).
-        self._domain_cache = EquilibriumCache(warm_start=False)
+        self._domain_of: Dict[int, int] = {
+            core: index
+            for index, domain in enumerate(topology.domains)
+            for core in domain.core_ids
+        }
+        # DomainPart keyed by (tag, the state's entries on the domain).
+        # The tag is the domain index, plus the number of domains for
+        # P-state entries, so the two kinds of state never share a key
+        # (an idle domain's entries are () in both).  A plain dict
+        # keeps lookups to one C-level hash, without the lock; inserts
+        # and the counters take it, and an insert drops the oldest
+        # entry beyond DOMAIN_MEMO_ENTRIES.
+        self._domain_memo: Dict[Tuple[int, State], DomainPart] = {}
+        self._memo_lock = threading.Lock()
+        self._memo_hits = 0
+        self._memo_misses = 0
+        self._memo_evictions = 0
+        count = len(topology.domains)
+        self._paper_tags = tuple(range(count))
+        self._pstate_tags = tuple(range(count, 2 * count))
+        self._pstates: Optional[_PStateTable] = None
 
     @property
     def corun_cache_stats(self) -> CacheStats:
@@ -150,7 +202,46 @@ class CombinedModel:
     @property
     def domain_cache_stats(self) -> CacheStats:
         """Hit/miss/eviction counters of the per-domain pricing memo."""
-        return self._domain_cache.stats
+        with self._memo_lock:
+            return CacheStats(
+                hits=self._memo_hits,
+                misses=self._memo_misses,
+                evictions=self._memo_evictions,
+                warm_starts=0,
+                entries=len(self._domain_memo),
+                max_entries=DOMAIN_MEMO_ENTRIES,
+            )
+
+    def bind_pstates(
+        self,
+        points: Mapping[Tuple[int, int], OperatingPoint],
+        idle_points: Sequence[OperatingPoint],
+        resolve: Callable[[int, int], OperatingPoint],
+    ) -> None:
+        """Price :meth:`state_metrics` states at a P-state table.
+
+        ``points`` maps every valid ``(core, P-state index)`` to its
+        :class:`~repro.hetero.types.OperatingPoint`, ``idle_points``
+        gives each core's parked point, and ``resolve`` raises the
+        descriptive range error for a pair ``points`` lacks.  The memo
+        keys entries on the P-state *index*, so the table is fixed for
+        the model's life: binding a different one raises.  A table of
+        unit points prices with ``points=None``, the paper machine's
+        arithmetic, after checking each index.
+        """
+        if self._pstates is not None:
+            if self._pstates.points == points:
+                return
+            raise ConfigurationError(
+                "this CombinedModel already prices another P-state table; "
+                "build one model per spec"
+            )
+        self._pstates = _PStateTable(
+            dict(points),
+            tuple(idle_points),
+            resolve,
+            all(point.is_unit for point in points.values()),
+        )
 
     # ------------------------------------------------------------------
     # Process power from predicted SPI / L2MPR
@@ -240,80 +331,210 @@ class CombinedModel:
         gives every core its operating point (see
         :class:`~repro.hetero.types.OperatingPoint`), idle cores
         included; ``None`` is the paper's machine, every core at the
-        profiled clock.  Each co-run combination is looked up once and
-        yields both its watts and its IPS.
+        profiled clock, and is served from the per-domain memo.  Each
+        co-run combination is looked up once and yields both its watts
+        and its IPS.
         """
         observer = get_observer()
-        if not observer.enabled:
-            return self._estimate_state_impl(assignment, points)
+        if observer.enabled:
+            watts, per_domain, combos, ips = self._observed(
+                observer,
+                assignment.values(),
+                self._estimate_state_impl,
+                assignment,
+                points,
+            )
+        else:
+            watts, per_domain, combos, ips = self._estimate_state_impl(
+                assignment, points
+            )
+        return AssignmentPowerEstimate(
+            watts=watts,
+            per_domain_watts=tuple(per_domain),
+            combinations_evaluated=combos,
+            ips=ips,
+        )
+
+    def state_metrics(self, state: State) -> Tuple[float, float]:
+        """(watts, instructions per second) of a canonical machine state.
+
+        ``state`` is ``((core, names), ...)`` sorted by core with idle
+        cores dropped (see :func:`repro.fleet.evaluator.canonical_state`),
+        priced on the paper's machine; on a model bound by
+        :meth:`bind_pstates` each entry is ``(core, names, P-state
+        index)``, priced at the table's points.  Either way it is the
+        :meth:`estimate_state` arithmetic, served from the per-domain
+        memo.
+        """
+        observer = get_observer()
+        if observer.enabled:
+            watts, _, _, ips = self._observed(
+                observer,
+                (entry[1] for entry in state),
+                self._price_state,
+                state,
+                self._pstates,
+            )
+        else:
+            watts, _, _, ips = self._price_state(state, self._pstates)
+        return float(watts), float(ips)
+
+    @staticmethod
+    def _observed(
+        observer,
+        residents: Iterable[Sequence[str]],
+        price: Callable[..., Tuple[float, List[float], int, float]],
+        *args,
+    ) -> Tuple[float, List[float], int, float]:
+        """``price(*args)`` inside a ``combined.power`` span."""
+        residents = list(residents)
         with observer.span(
             "combined.power",
-            cores=len(assignment),
-            processes=sum(len(names) for names in assignment.values()),
+            cores=len(residents),
+            processes=sum(len(names) for names in residents),
         ) as span:
-            estimate = self._estimate_state_impl(assignment, points)
-            span.annotate(
-                watts=estimate.watts,
-                ips=estimate.ips,
-                combinations=estimate.combinations_evaluated,
-            )
+            result = price(*args)
+            watts, _, combos, ips = result
+            span.annotate(watts=watts, ips=ips, combinations=combos)
             observer.counter("combined.power_estimates").inc()
             observer.counter("combined.throughput_estimates").inc()
-            observer.counter("combined.combinations").inc(
-                estimate.combinations_evaluated
-            )
-            return estimate
+            observer.counter("combined.combinations").inc(combos)
+            return result
 
     def _estimate_state_impl(
         self,
         assignment: Assignment,
         points: Optional[Sequence[OperatingPoint]],
-    ) -> AssignmentPowerEstimate:
+    ) -> Tuple[float, List[float], int, float]:
         num_cores = self.topology.num_cores
         for core in assignment:
             if not 0 <= core < num_cores:
                 raise ConfigurationError(f"core {core} out of range")
-        # Two summation orders, each pinned by the answer corpus: the
-        # paper's machine totals each domain and sums the domains
-        # (Eq. 11); with operating points one running total takes
-        # every term in turn.  Reassociating either moves answers, so
-        # the memoised per-domain parts are replayed term by term.
+        if points is None:
+            state = tuple(
+                sorted(
+                    (core, tuple(names))
+                    for core, names in assignment.items()
+                    if names
+                )
+            )
+            return self._price_state(state, None)
+        # Explicit points are not a table the memo can key on, so each
+        # domain is priced afresh (its co-runs still come from the cache).
+        return self._total(
+            (
+                self._price_domain(
+                    domain_idx,
+                    tuple(tuple(assignment.get(c) or ()) for c in domain.core_ids),
+                    tuple(points[c] for c in domain.core_ids),
+                )
+                for domain_idx, domain in enumerate(self.topology.domains)
+            ),
+            paper=False,
+        )
+
+    def _price_state(
+        self, state: State, pstates: Optional[_PStateTable]
+    ) -> Tuple[float, List[float], int, float]:
+        """Replay a canonical state's memoised per-domain parts.
+
+        A miss resolves the domain's operating points and prices it;
+        an entry outside the machine or the P-state table raises before
+        anything keyed on it is stored.
+        """
+        domain_of = self._domain_of
+        slices: List[list] = [[] for _ in self._paper_tags]
+        for entry in state:
+            try:
+                slices[domain_of[entry[0]]].append(entry)
+            except KeyError:
+                if pstates is not None:
+                    pstates.resolve(entry[0], entry[2])
+                raise ConfigurationError(f"core {entry[0]} out of range") from None
+        tags = self._paper_tags if pstates is None else self._pstate_tags
+        memo = self._domain_memo
+        parts: List[DomainPart] = []
+        hits = 0
+        for domain_idx, entries in enumerate(slices):
+            key = (tags[domain_idx], tuple(entries))
+            part = memo.get(key)
+            if part is None:
+                part = self._price_slice(domain_idx, entries, pstates)
+                self._remember(key, part)
+            else:
+                hits += 1
+            parts.append(part)
+        if hits:
+            with self._memo_lock:
+                self._memo_hits += hits
+        return self._total(parts, paper=pstates is None or pstates.unit)
+
+    @staticmethod
+    def _total(
+        parts: Iterable[DomainPart], paper: bool
+    ) -> Tuple[float, List[float], int, float]:
+        """(watts, per-domain watts, combinations, IPS) of domain parts.
+
+        Two summation orders, each pinned by the answer corpus: the
+        paper's machine totals each domain and sums the domains (Eq.
+        11); with operating points one running total takes every term
+        in turn.  Reassociating either moves answers, so the parts are
+        replayed term by term.
+        """
         running = 0.0
         per_domain: List[float] = []
         total_ips = 0.0
         combos_evaluated = 0
-        for domain_idx, domain in enumerate(self.topology.domains):
-            cores = domain.core_ids
-            key = (
-                domain_idx,
-                tuple(tuple(assignment.get(c) or ()) for c in cores),
-                None if points is None else tuple(points[c] for c in cores),
-            )
-            priced = self._domain_cache.get(key)
-            if priced is None:
-                priced = self._price_domain(domain_idx, key[1], key[2])
-                self._domain_cache.put(key, priced)
-            terms, increments, combos = priced
+        for terms, increments, combos in parts:
             for increment in increments:
                 total_ips += increment
             combos_evaluated += combos
             per_domain.append(sum(terms))
-            if points is not None:
+            if not paper:
                 for term in terms:
                     running += term
-        return AssignmentPowerEstimate(
-            watts=float(sum(per_domain)) if points is None else running,
-            per_domain_watts=tuple(per_domain),
-            combinations_evaluated=combos_evaluated,
-            ips=total_ips,
+        watts = float(sum(per_domain)) if paper else running
+        return watts, per_domain, combos_evaluated, total_ips
+
+    def _price_slice(
+        self, domain_idx: int, entries: list, pstates: Optional[_PStateTable]
+    ) -> DomainPart:
+        """Price one domain from a canonical state's entries on it."""
+        cores = self.topology.domains[domain_idx].core_ids
+        residents: List[Tuple[str, ...]] = [()] * len(cores)
+        points = None
+        if pstates is not None:
+            points = [pstates.idle_points[core] for core in cores]
+        for entry in entries:
+            core, names = entry[0], entry[1]
+            position = cores.index(core)
+            residents[position] = tuple(names)
+            if points is not None and names:
+                point = pstates.points.get((core, entry[2]))
+                points[position] = (
+                    point if point is not None else pstates.resolve(core, entry[2])
+                )
+        return self._price_domain(
+            domain_idx,
+            tuple(residents),
+            None if points is None or pstates.unit else tuple(points),
         )
+
+    def _remember(self, key: Tuple[int, State], part: DomainPart) -> None:
+        with self._memo_lock:
+            self._memo_misses += 1
+            memo = self._domain_memo
+            if key not in memo and len(memo) >= DOMAIN_MEMO_ENTRIES:
+                del memo[next(iter(memo))]
+                self._memo_evictions += 1
+            memo[key] = part
 
     def _price_domain(
         self,
         domain_idx: int,
         residents: Tuple[Tuple[str, ...], ...],
         points: Optional[Tuple[OperatingPoint, ...]],
-    ) -> Tuple[Tuple[float, ...], Tuple[float, ...], int]:
+    ) -> DomainPart:
         """One cache domain's watts terms, IPS increments and combinations.
 
         ``residents`` and ``points`` are per core of the domain, in

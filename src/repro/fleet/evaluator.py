@@ -18,7 +18,11 @@ fleet-scale search tractable:
 :class:`SolvedCoRuns` store: one cold-start performance model per
 ``(ways, strategy)``, and one ``CombinedModel`` (with its
 ``HeteroPricer``) per machine config, which memoises each cache
-domain's part of a state estimate.  A
+domain's part of a state estimate in a plain dict keyed on the
+canonical state's entries on that domain (``(core, names)``, or
+``(core, names, P-state index)`` on hetero configs): no operating
+point and no LRU, so a state the request has not seen costs one
+C-level lookup per domain the store has priced before.  A
 :class:`~repro.api.ProfileSuiteResult` owns one store for as long as
 the suite object lives, so every solve on that suite reuses the
 co-runs and domain prices earlier solves computed; a bare-mapping
@@ -47,7 +51,17 @@ from __future__ import annotations
 import itertools
 import threading
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple, Union
+from typing import (
+    Callable,
+    Dict,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+    Union,
+)
 
 from repro.core.combined import CombinedModel
 from repro.core.feature import FeatureVector, ProfileVector
@@ -308,6 +322,9 @@ class _MachineConfig:
     idle_watts: float
     num_cores: int
     width: int  #: widest cache domain (max co-run size on this machine)
+    #: ``state -> (watts, ips)``: the pricer's, else the model's
+    #: ``state_metrics``.
+    price: Callable[[Union[MachineState, HeteroState]], Tuple[float, float]]
     key_id: int = 0  #: unique per distinct config; memo key component
     hetero: Optional[HeteroMachineSpec] = None
     pricer: Optional[HeteroPricer] = None
@@ -407,6 +424,7 @@ class FleetEvaluator:
                 idle_watts=idle_watts,
                 num_cores=topology.num_cores,
                 width=max(len(d.core_ids) for d in topology.domains),
+                price=(combined if pricer is None else pricer).state_metrics,
                 key_id=len(self._configs),
                 hetero=hetero,
                 pricer=pricer,
@@ -513,8 +531,9 @@ class FleetEvaluator:
         Hetero configs take :data:`~repro.hetero.model.HeteroState`
         (``(core, names, pstate_index)`` entries) and price through the
         config's :class:`~repro.hetero.model.HeteroPricer`; homogeneous
-        configs take two-element entries.  Either way the state is one
-        ``CombinedModel.estimate_state`` call.
+        configs take two-element entries and price through the
+        ``CombinedModel``.  Either way it is one
+        ``CombinedModel.state_metrics`` pass over memoised domain parts.
         """
         self.lookups += 1
         if not state:
@@ -523,12 +542,7 @@ class FleetEvaluator:
         cached = self._state_memo.get(key)
         if cached is not None:
             return cached
-        if config.pricer is not None:
-            watts, ips = config.pricer.state_metrics(state)
-        else:
-            estimate = config.combined.estimate_state(dict(state))
-            watts, ips = estimate.watts, estimate.ips
+        result = config.price(state)
         self.evaluations += 1
-        result = (float(watts), float(ips))
         self._state_memo[key] = result
         return result

@@ -389,10 +389,9 @@ def _solve_greedy(ctx: _Context) -> Tuple[List[Slot], PStateMap]:
         [{} for _ in range(group.count)] for group in fleet.groups
     ]
     metrics: List[List[Tuple[float, float]]] = [
-        [(evaluator.group_configs[g].idle_watts, 0.0)] * group.count
-        for g, group in enumerate(fleet.groups)
+        [(config.idle_watts, 0.0)] * group.count
+        for config, group in zip(evaluator.group_configs, fleet.groups)
     ]
-    metrics = [list(row) for row in metrics]
     states_of: List[List[MachineState]] = [
         [()] * group.count for group in fleet.groups
     ]

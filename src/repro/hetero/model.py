@@ -2,9 +2,9 @@
 
 A machine state here also carries a P-state index per busy core.  The
 spec resolves each ``(core, P-state)`` to an
-:class:`~repro.hetero.types.OperatingPoint`, and
-``CombinedModel.estimate_state`` prices the state with those points as
-per-core parameters of the one Eq. 9-11 procedure:
+:class:`~repro.hetero.types.OperatingPoint`, and the combined model
+prices the state with those points as per-core parameters of the one
+Eq. 9-11 procedure:
 
 - **Performance** — a core's frequency ratio feeds the SPI model
   (``PerformanceModel.predict(..., frequency_ratios=...)``), so
@@ -23,9 +23,19 @@ per-core parameters of the one Eq. 9-11 procedure:
   multiplier) — the race-to-idle assumption.
 
 Parity contract: a *unit* spec (every operating point exactly 1.0)
-prices with ``points=None``, the paper-machine call a plain machine
-makes, so its results are bit-identical to a plain machine rather than
-merely within float tolerance of one.
+prices with ``points=None``, the paper-machine arithmetic a plain
+machine uses, so its results are bit-identical to a plain machine
+rather than merely within float tolerance of one.
+
+Memo key: :class:`HeteroPricer` binds its ``(core, P-state) ->
+OperatingPoint`` table to the model once
+(``CombinedModel.bind_pstates``), and ``CombinedModel.state_metrics``
+memoises each cache domain's part on the state's ``(core, names,
+P-state index)`` entries on that domain.  The key holds no
+``OperatingPoint``; the fixed table resolves indices to points only
+when a domain is priced for the first time, which is also where an
+out-of-range core or index raises.  The model keeps the table, never
+the pricer, so the two form no reference cycle.
 """
 
 from __future__ import annotations
@@ -47,8 +57,10 @@ class HeteroPricer:
 
     One pricer per evaluator machine config.  It holds what the spec
     decides — the ``(core, P-state) -> OperatingPoint`` table, each
-    core's idle point and the idle machine's watts — and prices every
-    state through the config's ``CombinedModel``.
+    core's idle point and the idle machine's watts — binds the table to
+    the config's ``CombinedModel`` and prices every state through it.
+    A model serves one table: a pricer for another spec on the same
+    model raises.
     """
 
     def __init__(
@@ -86,21 +98,10 @@ class HeteroPricer:
             self.idle_watts = sum(
                 point.static_multiplier * p_idle for point in self.idle_points
             )
+        # The model keeps the table, not the pricer: a pricer -> model
+        # -> pricer cycle would outlive its suite until a collection.
+        combined.bind_pstates(self._points, self.idle_points, spec.operating_point)
 
     def state_metrics(self, state: HeteroState) -> Tuple[float, float]:
         """(watts, total instructions per second) of one machine state."""
-        points = list(self.idle_points)
-        for core, names, pstate_index in state:
-            if not names:
-                continue
-            point = self._points.get((core, pstate_index))
-            if point is None:
-                # A core or index outside the spec: it raises its
-                # descriptive range error.
-                point = self.spec.operating_point(core, pstate_index)
-            points[core] = point
-        estimate = self.combined.estimate_state(
-            {core: names for core, names, _ in state},
-            None if self.is_unit else points,
-        )
-        return estimate.watts, estimate.ips
+        return self.combined.state_metrics(state)

@@ -24,9 +24,9 @@ Three frozen value types capture this:
 
 The *unit* predicate is load-bearing: a spec whose every operating
 point multiplies by exactly 1.0 prices machine states with
-``points=None``, the very ``CombinedModel.estimate_state`` call a
-plain machine makes, which is what makes the homogeneous-parity pin
-bit-exact rather than merely close.
+``points=None``, the very ``CombinedModel`` arithmetic a plain machine
+uses, which is what makes the homogeneous-parity pin bit-exact rather
+than merely close.
 """
 
 from __future__ import annotations

@@ -1,14 +1,24 @@
 """Unit tests for the combined model (Section 5, Figure 1)."""
 
+import random
+import sys
+import threading
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.core import combined as combined_module
 from repro.core.combined import CombinedModel, classify_scenario
 from repro.core.feature import FeatureVector, ProfileVector
 from repro.core.performance_model import PerformanceModel
 from repro.core.power_model import CorePowerModel, PowerTrainingSet
+from repro.core.solver_cache import EquilibriumCache
 from repro.errors import ConfigurationError
 from repro.events import Event, RATE_EVENTS
+from repro.fleet.evaluator import canonical_state
+from repro.hetero import HeteroPricer, big_little_spec, unit_spec
 from repro.hetero.types import OperatingPoint
 from repro.machine.topology import four_core_server
 from repro.workloads.spec import BENCHMARKS
@@ -51,13 +61,15 @@ def power_model():
     return CorePowerModel().fit(training)
 
 
-def build_combined(power_model):
+def build_combined(power_model, perf=None):
     topology = four_core_server(sets=64)
-    perf = PerformanceModel(ways=16)
+    if perf is None:
+        perf = PerformanceModel(ways=16)
     profiles = {}
     for name in NAMES:
         benchmark = BENCHMARKS[name]
-        perf.register(FeatureVector.oracle(benchmark, FREQ))
+        if name not in perf.known_processes:
+            perf.register(FeatureVector.oracle(benchmark, FREQ))
         profiles[name] = ProfileVector(
             name=name,
             p_alone=20.0 + len(name),  # distinct, recognisable values
@@ -283,6 +295,147 @@ class TestEstimateState:
         estimate = combined.estimate_state({}, parked)
         assert estimate.watts == pytest.approx(2 * power_model.p_idle)
         assert estimate.ips == 0.0
+
+
+def _random_states(rng, spec, count=24):
+    """Canonical 4-core states: idle dies, time-shared cores, any P-state."""
+    counts = (1,) * 4 if spec is None else spec.pstate_counts
+    states = [()]
+    for _ in range(count):
+        assignment = {}
+        for core in range(4):
+            residents = rng.choice((0, 0, 1, 1, 2, 3))
+            if residents:
+                assignment[core] = [rng.choice(NAMES) for _ in range(residents)]
+        pstate_of = {core: rng.randrange(counts[core]) for core in assignment}
+        states.append(
+            canonical_state(assignment, None if spec is None else pstate_of)
+        )
+    return states
+
+
+def _explicit_estimate(power_model, perf, spec, state):
+    """``estimate_state`` with resolved points, on a model with a cold memo."""
+    assignment = {entry[0]: entry[1] for entry in state}
+    points = None
+    if spec is not None:
+        points = [
+            spec.operating_point(core, spec.core_type(core).idle_pstate_index)
+            for core in range(spec.num_cores)
+        ]
+        for core, _, index in state:
+            points[core] = spec.operating_point(core, index)
+        if spec.is_unit:
+            # The parity contract: unit points price as the paper machine.
+            assert all(point.is_unit for point in points)
+            points = None
+    estimate = build_combined(power_model, perf).estimate_state(assignment, points)
+    return estimate.watts, estimate.ips
+
+
+class TestCanonicalStatePricing:
+    """``state_metrics`` over the per-domain memo is ``estimate_state``, bit for bit."""
+
+    @pytest.fixture(scope="class")
+    def perf(self):
+        # Cold-start solves do not depend on history, so the shared
+        # model's caches cannot make two pricings differ.
+        return PerformanceModel(ways=16, cache=EquilibriumCache(warm_start=False))
+
+    @pytest.mark.parametrize("kind", ["plain", "unit", "big-little"])
+    @given(seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=4, deadline=None)
+    def test_shuffled_states_match_explicit_points(
+        self, power_model, perf, kind, seed
+    ):
+        spec = {
+            "plain": None,
+            "unit": unit_spec("4-core-server"),
+            "big-little": big_little_spec("4-core-server"),
+        }[kind]
+        rng = random.Random(seed)
+        states = _random_states(rng, spec)
+        expected = {
+            state: _explicit_estimate(power_model, perf, spec, state)
+            for state in states
+        }
+        combined = build_combined(power_model, perf)
+        price = combined.state_metrics
+        if spec is not None:
+            price = HeteroPricer(spec, combined.topology, combined).state_metrics
+        for warm in (False, True):
+            rng.shuffle(states)
+            misses = combined.domain_cache_stats.misses
+            for state in states:
+                assert price(state) == expected[state], (warm, state)
+            if warm:
+                assert combined.domain_cache_stats.misses == misses
+        assert combined.domain_cache_stats.hits > 0
+
+    def test_concurrent_pricing_counts_every_lookup(self, power_model, perf):
+        """Threads sharing one model get the same prices and lose no count."""
+        states = _random_states(random.Random(11), None, count=40)
+        expected = {
+            state: build_combined(power_model, perf).state_metrics(state)
+            for state in states
+        }
+        combined = build_combined(power_model, perf)
+        rounds, workers = 30, 6
+        wrong = []
+
+        def work(seed):
+            order = list(states)
+            random.Random(seed).shuffle(order)
+            for _ in range(rounds):
+                for state in order:
+                    if combined.state_metrics(state) != expected[state]:
+                        wrong.append(state)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=work, args=(seed,))
+                for seed in range(workers)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not wrong
+        stats = combined.domain_cache_stats
+        lookups = workers * rounds * len(states) * len(combined.topology.domains)
+        assert stats.hits + stats.misses == lookups
+
+    def test_memo_drops_its_oldest_entries_beyond_the_bound(
+        self, power_model, perf, monkeypatch
+    ):
+        monkeypatch.setattr(combined_module, "DOMAIN_MEMO_ENTRIES", 3)
+        states = [((0, (name,)),) for name in NAMES]
+        expected = [build_combined(power_model, perf).state_metrics(s) for s in states]
+        combined = build_combined(power_model, perf)
+        # Die 0 is new in every state; die 1 is idle throughout.  Drops
+        # go by insertion order, hits or not: the fourth state drops the
+        # idle part (inserted second) and then misses on it.
+        assert [combined.state_metrics(s) for s in states] == expected
+        stats = combined.domain_cache_stats
+        assert (stats.entries, stats.misses, stats.evictions) == (3, 6, 3)
+        # The first state's die 0 part was dropped; pricing it again
+        # misses, and gives the same bits.
+        assert combined.state_metrics(states[0]) == expected[0]
+        assert combined.domain_cache_stats.misses == 7
+
+    def test_a_model_prices_one_pstate_table(self, power_model):
+        combined = build_combined(power_model)
+        topology = combined.topology
+        HeteroPricer(big_little_spec("4-core-server"), topology, combined)
+        # The same table again is the same key space.
+        HeteroPricer(big_little_spec("4-core-server"), topology, combined)
+        with pytest.raises(ConfigurationError, match="another P-state table"):
+            HeteroPricer(unit_spec("4-core-server"), topology, combined)
 
 
 class TestConstruction:

@@ -808,6 +808,41 @@ class TestSolvedCoRuns:
         gc.collect()
         assert refs and all(ref() is None for ref in refs)
 
+    def test_dropped_store_frees_its_pricing_without_a_collection(
+        self, power_model
+    ):
+        """No reference cycle runs through a pricer and its model.
+
+        With the cyclic collector off, only reference counting frees
+        the store's ``CombinedModel``s, so a pricer -> model -> pricer
+        cycle would keep each one alive (and its memo) after the store
+        is dropped.
+        """
+        suite = _oracle_suite()
+        request = _anneal_request()
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            store = SolvedCoRuns()
+            solve(
+                request, suite.features, suite.profiles, power_model, models=store
+            )
+            configs = FleetEvaluator(
+                suite.features,
+                suite.profiles,
+                power_model,
+                request.fleet,
+                models=store,
+            ).group_configs
+            assert configs[0].pricer is not None  # the big.LITTLE group
+            refs = [weakref.ref(config.combined) for config in configs]
+            assert all(ref() is not None for ref in refs)
+            del configs, store
+            assert all(ref() is None for ref in refs)
+        finally:
+            if enabled:
+                gc.enable()
+
     def test_replaced_feature_gets_a_fresh_model(self, power_model):
         suite = _oracle_suite()
         request = _anneal_request()

@@ -407,6 +407,54 @@ class TestPricingErrors:
         with pytest.raises(ConfigurationError, match="out of range"):
             evaluator.machine_metrics(0, assignment, pstates)
 
+    # 4-core-server: dies {0, 1} and {2, 3}.  Each bad state keeps a
+    # valid entry on the die the warm-up states already priced.
+    @pytest.mark.parametrize(
+        "hetero, assignment, pstates",
+        [
+            (big_little_spec("4-core-server"), {0: ("mcf",), 2: ("art",)}, {2: 3}),
+            (big_little_spec("4-core-server"), {0: ("mcf",), 3: ("art",)}, {3: 2}),
+            (big_little_spec("4-core-server"), {0: ("mcf",), 4: ("art",)}, None),
+            (unit_spec("4-core-server"), {0: ("mcf",), 2: ("art",)}, {2: 1}),
+            (unit_spec("4-core-server"), {0: ("mcf",), 4: ("art",)}, None),
+            (None, {0: ("mcf",), 4: ("art",)}, None),
+        ],
+        ids=[
+            "pstate-big",
+            "pstate-little",
+            "core-big-little",
+            "pstate-unit-spec",
+            "core-unit-spec",
+            "core-plain",
+        ],
+    )
+    def test_warm_memo_still_raises(
+        self, suite, power_model, hetero, assignment, pstates
+    ):
+        fleet = FleetSpec(
+            groups=(MachineGroup(machine="4-core-server", sets=64, hetero=hetero),)
+        )
+
+        def evaluator():
+            return FleetEvaluator(suite.features, suite.profiles, power_model, fleet)
+
+        with pytest.raises(ConfigurationError, match="out of range") as cold:
+            evaluator().machine_metrics(0, assignment, pstates)
+        warm = evaluator()
+        # Die 0 as in the bad state, die 1 idle and with art at a valid
+        # P-state (on a unit spec, the bad index's only neighbour).
+        warm.machine_metrics(0, {0: ("mcf",)}, {0: 0})
+        warm.machine_metrics(0, {0: ("mcf",), 2: ("art",)}, {0: 0, 2: 0})
+        memo = warm.group_configs[0].combined
+        before = memo.domain_cache_stats
+        assert before.entries == 3
+        for _ in range(2):
+            with pytest.raises(ConfigurationError) as again:
+                warm.machine_metrics(0, assignment, pstates)
+            assert str(again.value) == str(cold.value)
+        # The valid die was a hit; nothing keyed on the bad entry stayed.
+        assert memo.domain_cache_stats.entries == before.entries
+
 
 # ----------------------------------------------------------------------
 # Oracle equality (placement x P-state enumeration)
