@@ -58,7 +58,7 @@ DomainPart = Tuple[Tuple[float, ...], Tuple[float, ...], int]
 #: carries the core's P-state index, ``(core, names, index)``.
 State = Tuple[tuple, ...]
 
-#: Per-domain parts a model keeps before it drops its oldest.
+#: Per-domain parts a model keeps before it drops its least recently used.
 DOMAIN_MEMO_ENTRIES = 4096
 
 
@@ -181,8 +181,9 @@ class CombinedModel:
         # The tag is the domain index, plus the number of domains for
         # P-state entries, so the two kinds of state never share a key
         # (an idle domain's entries are () in both).  A plain dict
-        # keeps lookups to one C-level hash, without the lock; inserts
-        # and the counters take it, and an insert drops the oldest
+        # keeps lookups to one C-level hash, without the lock; inserts,
+        # the counters (once per state) and, on a full memo, re-inserting
+        # hits take it, and an insert drops the least recently used
         # entry beyond DOMAIN_MEMO_ENTRIES.
         self._domain_memo: Dict[Tuple[int, State], DomainPart] = {}
         self._memo_lock = threading.Lock()
@@ -217,6 +218,7 @@ class CombinedModel:
         points: Mapping[Tuple[int, int], OperatingPoint],
         idle_points: Sequence[OperatingPoint],
         resolve: Callable[[int, int], OperatingPoint],
+        unit: bool,
     ) -> None:
         """Price :meth:`state_metrics` states at a P-state table.
 
@@ -225,9 +227,10 @@ class CombinedModel:
         gives each core's parked point, and ``resolve`` raises the
         descriptive range error for a pair ``points`` lacks.  The memo
         keys entries on the P-state *index*, so the table is fixed for
-        the model's life: binding a different one raises.  A table of
-        unit points prices with ``points=None``, the paper machine's
-        arithmetic, after checking each index.
+        the model's life: binding a different one raises.  ``unit``
+        says every point is exactly 1.0; such a table prices with
+        ``points=None``, the paper machine's arithmetic, after checking
+        each index.
         """
         if self._pstates is not None:
             if self._pstates.points == points:
@@ -240,7 +243,7 @@ class CombinedModel:
             dict(points),
             tuple(idle_points),
             resolve,
-            all(point.is_unit for point in points.values()),
+            unit,
         )
 
     # ------------------------------------------------------------------
@@ -453,6 +456,9 @@ class CombinedModel:
                 raise ConfigurationError(f"core {entry[0]} out of range") from None
         tags = self._paper_tags if pstates is None else self._pstate_tags
         memo = self._domain_memo
+        # Once the memo is full, hits are re-inserted so that the
+        # oldest entry an insert drops is the least recently used.
+        used: Optional[list] = [] if len(memo) >= DOMAIN_MEMO_ENTRIES else None
         parts: List[DomainPart] = []
         hits = 0
         for domain_idx, entries in enumerate(slices):
@@ -463,10 +469,16 @@ class CombinedModel:
                 self._remember(key, part)
             else:
                 hits += 1
+                if used is not None:
+                    used.append(key)
             parts.append(part)
         if hits:
             with self._memo_lock:
                 self._memo_hits += hits
+                for key in used or ():
+                    part = memo.pop(key, None)
+                    if part is not None:
+                        memo[key] = part
         return self._total(parts, paper=pstates is None or pstates.unit)
 
     @staticmethod

@@ -20,9 +20,10 @@ fleet-scale search tractable:
 ``HeteroPricer``) per machine config, which memoises each cache
 domain's part of a state estimate in a plain dict keyed on the
 canonical state's entries on that domain (``(core, names)``, or
-``(core, names, P-state index)`` on hetero configs): no operating
-point and no LRU, so a state the request has not seen costs one
-C-level lookup per domain the store has priced before.  A
+``(core, names, P-state index)`` on hetero configs).  The key holds
+no operating point and a lookup takes no lock, so a state the request
+has not seen costs one C-level lookup per domain the store has priced
+before.  A
 :class:`~repro.api.ProfileSuiteResult` owns one store for as long as
 the suite object lives, so every solve on that suite reuses the
 co-runs and domain prices earlier solves computed; a bare-mapping
@@ -327,7 +328,6 @@ class _MachineConfig:
     price: Callable[[Union[MachineState, HeteroState]], Tuple[float, float]]
     key_id: int = 0  #: unique per distinct config; memo key component
     hetero: Optional[HeteroMachineSpec] = None
-    pricer: Optional[HeteroPricer] = None
 
 
 class FleetEvaluator:
@@ -427,7 +427,6 @@ class FleetEvaluator:
                 price=(combined if pricer is None else pricer).state_metrics,
                 key_id=len(self._configs),
                 hetero=hetero,
-                pricer=pricer,
             )
             self._configs[key] = config
         return config

@@ -55,10 +55,11 @@ HeteroState = Tuple[Tuple[int, Tuple[str, ...], int], ...]
 class HeteroPricer:
     """Scores hetero machine states: (watts, instructions per second).
 
-    One pricer per evaluator machine config.  It holds what the spec
-    decides — the ``(core, P-state) -> OperatingPoint`` table, each
-    core's idle point and the idle machine's watts — binds the table to
-    the config's ``CombinedModel`` and prices every state through it.
+    One pricer per evaluator machine config.  It resolves what the spec
+    decides — the ``(core, P-state) -> OperatingPoint`` table and each
+    core's idle point — and binds both to the config's
+    ``CombinedModel``, which keeps the only copy.  The pricer keeps the
+    idle machine's watts and prices every state through the model.
     A model serves one table: a pricer for another spec on the same
     model raises.
     """
@@ -78,29 +79,30 @@ class HeteroPricer:
         self.spec = spec
         self.combined = combined
         p_idle = combined.power_model.p_idle
-        # Both are fixed by the (frozen) spec, so resolve them once
-        # instead of on every state.
-        self.is_unit = spec.is_unit
-        self._points: Dict[Tuple[int, int], OperatingPoint] = {
+        # Fixed by the (frozen) spec, so resolved once instead of on
+        # every state.
+        points: Dict[Tuple[int, int], OperatingPoint] = {
             (core, index): spec.operating_point(core, index)
             for core in range(spec.num_cores)
             for index in range(len(spec.core_type(core).pstates))
         }
-        self.idle_points: Tuple[OperatingPoint, ...] = tuple(
-            self._points[core, spec.core_type(core).idle_pstate_index]
+        idle_points = tuple(
+            points[core, spec.core_type(core).idle_pstate_index]
             for core in range(spec.num_cores)
         )
-        if self.is_unit:
+        if spec.is_unit:
             # Same expression the homogeneous config uses, so the two
             # idle baselines are the same float, not just equal sums.
             self.idle_watts = topology.num_cores * p_idle
         else:
             self.idle_watts = sum(
-                point.static_multiplier * p_idle for point in self.idle_points
+                point.static_multiplier * p_idle for point in idle_points
             )
         # The model keeps the table, not the pricer: a pricer -> model
         # -> pricer cycle would outlive its suite until a collection.
-        combined.bind_pstates(self._points, self.idle_points, spec.operating_point)
+        combined.bind_pstates(
+            points, idle_points, spec.operating_point, unit=spec.is_unit
+        )
 
     def state_metrics(self, state: HeteroState) -> Tuple[float, float]:
         """(watts, total instructions per second) of one machine state."""

@@ -372,13 +372,22 @@ class TestCanonicalStatePricing:
                 assert combined.domain_cache_stats.misses == misses
         assert combined.domain_cache_stats.hits > 0
 
-    def test_concurrent_pricing_counts_every_lookup(self, power_model, perf):
-        """Threads sharing one model get the same prices and lose no count."""
+    @pytest.mark.parametrize("bound", [None, 24])
+    def test_concurrent_pricing_counts_every_lookup(
+        self, power_model, perf, monkeypatch, bound
+    ):
+        """Threads sharing one model get the same prices and lose no count.
+
+        With ``bound`` set below the states' distinct domain parts, the
+        threads also drop and re-insert entries as they go.
+        """
         states = _random_states(random.Random(11), None, count=40)
         expected = {
             state: build_combined(power_model, perf).state_metrics(state)
             for state in states
         }
+        if bound is not None:
+            monkeypatch.setattr(combined_module, "DOMAIN_MEMO_ENTRIES", bound)
         combined = build_combined(power_model, perf)
         rounds, workers = 30, 6
         wrong = []
@@ -409,24 +418,27 @@ class TestCanonicalStatePricing:
         stats = combined.domain_cache_stats
         lookups = workers * rounds * len(states) * len(combined.topology.domains)
         assert stats.hits + stats.misses == lookups
+        if bound is not None:
+            assert stats.evictions > 0 and stats.entries <= bound
 
-    def test_memo_drops_its_oldest_entries_beyond_the_bound(
+    def test_memo_drops_its_least_recently_used_entries_beyond_the_bound(
         self, power_model, perf, monkeypatch
     ):
         monkeypatch.setattr(combined_module, "DOMAIN_MEMO_ENTRIES", 3)
         states = [((0, (name,)),) for name in NAMES]
         expected = [build_combined(power_model, perf).state_metrics(s) for s in states]
         combined = build_combined(power_model, perf)
-        # Die 0 is new in every state; die 1 is idle throughout.  Drops
-        # go by insertion order, hits or not: the fourth state drops the
-        # idle part (inserted second) and then misses on it.
+        # Die 0 is new in every state; die 1 is idle throughout.  Near
+        # the bound a hit re-inserts its entry, so the idle part, hit
+        # by every state, outlives the die 0 parts: after the first
+        # state only die 0 misses.
         assert [combined.state_metrics(s) for s in states] == expected
         stats = combined.domain_cache_stats
-        assert (stats.entries, stats.misses, stats.evictions) == (3, 6, 3)
+        assert (stats.entries, stats.misses, stats.evictions) == (3, 5, 2)
         # The first state's die 0 part was dropped; pricing it again
         # misses, and gives the same bits.
         assert combined.state_metrics(states[0]) == expected[0]
-        assert combined.domain_cache_stats.misses == 7
+        assert combined.domain_cache_stats.misses == 6
 
     def test_a_model_prices_one_pstate_table(self, power_model):
         combined = build_combined(power_model)

@@ -56,7 +56,7 @@ from repro.fleet import (
     fleet_score,
     solve,
 )
-from repro.hetero import big_little_spec
+from repro.hetero import HeteroPricer, big_little_spec
 from repro.machine.topology import STANDARD_MACHINES
 from repro.workloads.spec import BENCHMARKS
 
@@ -676,7 +676,11 @@ def _stored_models(suite, fleet):
 
 
 def _stored_pricing(suite, power_model, fleet):
-    """The suite's stored ``(CombinedModel, HeteroPricer)`` per group."""
+    """The suite's stored ``(CombinedModel, pricer)`` per group.
+
+    The pricer is the object whose ``state_metrics`` the config calls:
+    a ``HeteroPricer`` for a hetero group, else the model itself.
+    """
     evaluator = FleetEvaluator(
         suite.features,
         suite.profiles,
@@ -684,7 +688,10 @@ def _stored_pricing(suite, power_model, fleet):
         fleet,
         models=suite.solved_coruns,
     )
-    return [(config.combined, config.pricer) for config in evaluator.group_configs]
+    return [
+        (config.combined, config.price.__self__)
+        for config in evaluator.group_configs
+    ]
 
 
 @pytest.fixture
@@ -745,7 +752,7 @@ class TestSolvedCoRuns:
             combined.domain_cache_stats.hits > before
             for (combined, _), before in zip(again, hits)
         )
-        assert stored[0][1] is not None  # the big.LITTLE group's pricer
+        assert isinstance(stored[0][1], HeteroPricer)  # the big.LITTLE group
         assert first == second
         assert first.evaluations == second.evaluations
 
@@ -834,7 +841,7 @@ class TestSolvedCoRuns:
                 request.fleet,
                 models=store,
             ).group_configs
-            assert configs[0].pricer is not None  # the big.LITTLE group
+            assert configs[0].hetero is not None  # the big.LITTLE group
             refs = [weakref.ref(config.combined) for config in configs]
             assert all(ref() is not None for ref in refs)
             del configs, store
