@@ -60,7 +60,7 @@ def _build_batch(sizes):
         for name in sorted(BENCHMARKS)
     }
     model = PerformanceModel(
-        ways=WAYS, cache=EquilibriumCache(max_entries=0, warm_start=False)
+        ways=WAYS, cache=EquilibriumCache(max_entries=0)
     )
     model.register_all(features.values())
     names = sorted(features)

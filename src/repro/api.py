@@ -127,7 +127,7 @@ class ProfileSuiteResult:
 
     @property
     def solved_coruns(self) -> SolvedCoRuns:
-        """This suite's store of cold-start models (built on first use)."""
+        """This suite's store of solved co-runs (built on first use)."""
         try:
             return self.__dict__["_solved_coruns"]
         except KeyError:
@@ -444,7 +444,8 @@ def _pick_assignment_impl(
     The exhaustive pick is a one-machine :func:`solve_assignment` with
     ``solver="exhaustive"``: it shares the suite's solved co-runs with
     ``/v2`` and, like every fleet solve, prices each candidate from the
-    cold start, so its bits do not depend on earlier picks.
+    cold start, so its bits do not depend on earlier picks.  The greedy
+    pick solves every co-run from the cold start too.
 
     Args:
         names: Processes to place (duplicates allowed).

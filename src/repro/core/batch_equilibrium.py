@@ -914,7 +914,6 @@ class BatchNewtonSolver:
                 jacobian="analytic",
                 iterations=iterations,
                 residual_norm=norm_l[row],
-                warm_started=False,
                 fallback_reason=None,
             )
             result = new(EquilibriumResult)

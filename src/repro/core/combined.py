@@ -208,7 +208,6 @@ class CombinedModel:
                 hits=self._memo_hits,
                 misses=self._memo_misses,
                 evictions=self._memo_evictions,
-                warm_starts=0,
                 entries=len(self._domain_memo),
                 max_entries=DOMAIN_MEMO_ENTRIES,
             )

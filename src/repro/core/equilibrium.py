@@ -93,8 +93,9 @@ class SolverTelemetry:
         iterations: Iterations spent by the producing solver.
         residual_norm: Final Eq. 1 + Eq. 7 residual norm of the
             returned sizes (0 for uncontended short-circuits).
-        warm_started: Whether Newton started from a caller-supplied
-            initial guess instead of the proportional-demand default.
+        warm_started: Kept so saved documents keep their format.
+            Every solve starts Newton from the proportional-demand
+            guess, so new records always hold ``False``.
         fallback_reason: Why ``auto`` fell back to bisection (the
             Newton failure message), ``None`` when no fallback
             happened.
@@ -596,7 +597,6 @@ class NewtonSolver:
         self,
         processes: Sequence[EquilibriumProcess],
         total_ways: int,
-        initial: Optional[Sequence[float]] = None,
     ) -> EquilibriumResult:
         if not processes:
             raise ConfigurationError("need at least one process")
@@ -613,27 +613,15 @@ class NewtonSolver:
             )
             return _finish(processes, free, self.name, 0, False, telemetry)
 
-        k = len(processes)
         lo = NEWTON_DOMAIN_FLOOR
         caps = _newton_caps(processes, total_ways, lo)
-        caps_arr = np.array(caps)
-        warm_started = initial is not None
-        if initial is not None:
-            start = [float(v) for v in initial]
-            if len(start) != k:
-                raise ConfigurationError(
-                    "initial guess must have one size per process"
-                )
-        else:
-            start = _proportional_start(processes, total_ways)
+        start = _proportional_start(processes, total_ways)
         x = [min(max(s, lo), c) for s, c in zip(start, caps)]
 
         if self.jacobian == "analytic":
-            return self._solve_analytic(
-                processes, total_ways, x, caps, lo, warm_started
-            )
+            return self._solve_analytic(processes, total_ways, x, caps, lo)
         return self._solve_fd(
-            processes, total_ways, np.asarray(x), caps_arr, lo, warm_started
+            processes, total_ways, np.asarray(x), np.array(caps), lo
         )
 
     def _converged(
@@ -643,7 +631,6 @@ class NewtonSolver:
         x: List[float],
         caps: List[float],
         iteration: int,
-        warm_started: bool,
     ) -> EquilibriumResult:
         # Newton stops at ||res|| < tol, which leaves an O(tol)
         # capacity-constraint gap; close Eq. 1 exactly by
@@ -657,7 +644,6 @@ class NewtonSolver:
             jacobian=self.jacobian,
             iterations=iteration,
             residual_norm=_eq7_residual_norm(processes, x, total_ways),
-            warm_started=warm_started,
         )
         return _finish(processes, x, self.name, iteration, True, telemetry)
 
@@ -668,7 +654,6 @@ class NewtonSolver:
         x: List[float],
         caps: List[float],
         lo: float,
-        warm_started: bool,
     ) -> EquilibriumResult:
         """Newton with the analytic arrow Jacobian, in plain floats.
 
@@ -735,9 +720,7 @@ class NewtonSolver:
                     "residual left the finite domain", iterations=iteration
                 )
             if norm < self.tol:
-                return self._converged(
-                    processes, total_ways, x, caps, iteration, warm_started
-                )
+                return self._converged(processes, total_ways, x, caps, iteration)
             # Jacobian ingredients: only the tabulated segment slopes
             # are new; n, rate, spi come from the accepted evaluation.
             n1 = ns[0]
@@ -815,7 +798,6 @@ class NewtonSolver:
         x: np.ndarray,
         caps: np.ndarray,
         lo: float,
-        warm_started: bool,
     ) -> EquilibriumResult:
         """The original finite-difference Newton (debug/verify path)."""
         k = len(processes)
@@ -829,12 +811,7 @@ class NewtonSolver:
             norm = float(np.linalg.norm(res))
             if norm < self.tol:
                 return self._converged(
-                    processes,
-                    total_ways,
-                    x.tolist(),
-                    caps.tolist(),
-                    iteration,
-                    warm_started,
+                    processes, total_ways, x.tolist(), caps.tolist(), iteration
                 )
             jac = np.empty((k, k))
             for j in range(k):
@@ -873,7 +850,6 @@ def solve_equilibrium(
     processes: Sequence[EquilibriumProcess],
     total_ways: int,
     strategy: str = "auto",
-    initial: Optional[Sequence[float]] = None,
 ) -> EquilibriumResult:
     """Solve the shared-cache equilibrium with the chosen strategy.
 
@@ -884,22 +860,17 @@ def solve_equilibrium(
         strategy: ``newton``, ``bisection``, or ``auto`` (the paper's
             Newton–Raphson, falling back to the robust bisection
             scheme if it fails to converge).
-        initial: Optional warm-start sizes for Newton (e.g. the
-            solution of a neighbouring co-run from an
-            :class:`~repro.core.solver_cache.EquilibriumCache`).
-            Ignored by bisection.
     """
     observer = get_observer()
     if not observer.enabled:
-        return _solve_equilibrium_impl(processes, total_ways, strategy, initial)
+        return _solve_equilibrium_impl(processes, total_ways, strategy)
     with observer.span(
         "equilibrium.solve",
         strategy=strategy,
         processes=len(processes),
         total_ways=total_ways,
-        warm_started=initial is not None,
     ) as span:
-        result = _solve_equilibrium_impl(processes, total_ways, strategy, initial)
+        result = _solve_equilibrium_impl(processes, total_ways, strategy)
         observer.counter("equilibrium.solves").inc()
         if not result.contended:
             observer.counter("equilibrium.uncontended").inc()
@@ -910,15 +881,12 @@ def solve_equilibrium(
                 jacobian=telemetry.jacobian,
                 iterations=telemetry.iterations,
                 residual_norm=telemetry.residual_norm,
-                warm_started=telemetry.warm_started,
                 fallback_reason=telemetry.fallback_reason,
             )
             observer.counter("equilibrium.iterations").inc(telemetry.iterations)
             observer.histogram("equilibrium.residual_norm").observe(
                 telemetry.residual_norm
             )
-            if telemetry.warm_started:
-                observer.counter("equilibrium.warm_starts").inc()
             if telemetry.fallback_reason is not None:
                 observer.counter("equilibrium.fallbacks").inc()
         return result
@@ -928,7 +896,6 @@ def _solve_equilibrium_impl(
     processes: Sequence[EquilibriumProcess],
     total_ways: int,
     strategy: str,
-    initial: Optional[Sequence[float]],
 ) -> EquilibriumResult:
     """The uninstrumented solve (bench baseline for obs overhead)."""
 
@@ -938,7 +905,7 @@ def _solve_equilibrium_impl(
         return replace(result, telemetry=replace(result.telemetry, **updates))
 
     if strategy == "newton":
-        return NewtonSolver().solve(processes, total_ways, initial=initial)
+        return NewtonSolver().solve(processes, total_ways)
     if strategy == "bisection":
         return BisectionSolver().solve(processes, total_ways)
     if strategy != "auto":
@@ -946,7 +913,7 @@ def _solve_equilibrium_impl(
             f"unknown strategy {strategy!r}; choose newton, bisection or auto"
         )
     try:
-        result = NewtonSolver().solve(processes, total_ways, initial=initial)
+        result = NewtonSolver().solve(processes, total_ways)
         return _stamp(result, strategy="auto")
     except ConvergenceError as newton_err:
         try:

@@ -19,7 +19,7 @@ from repro.core.equilibrium import (
 )
 from repro.core.feature import FeatureVector
 from repro.core.solver_cache import CacheStats, EquilibriumCache
-from repro.errors import ConfigurationError, ConvergenceError
+from repro.errors import ConfigurationError
 from repro.io import document
 from repro.obs import get_observer
 
@@ -94,9 +94,9 @@ class PerformanceModel:
         strategy: Equilibrium solver strategy (``auto`` / ``newton`` /
             ``bisection``).
         cache: Optional shared :class:`EquilibriumCache`.  Predictions
-            are memoised per sorted (name, frequency-ratio) multiset,
-            and cache misses warm-start Newton from the processes'
-            most recent equilibrium sizes.  Omitted, the model owns a
+            are memoised per sorted (name, frequency-ratio) multiset;
+            every miss is solved cold, so a prediction depends on its
+            co-run alone.  Omitted, the model owns a
             private cache; pass ``EquilibriumCache(max_entries=0)`` to
             disable caching, or one shared instance to several models
             (e.g. the per-domain models inside a
@@ -290,7 +290,6 @@ class PerformanceModel:
         if result is None:
             result = self._solve(canon_names, canon_ratios)
             self.cache.put(key, result)
-            self.cache.record_sizes(canon_names, result.sizes)
         return self._restore(names, result, slot)
 
     def predict_batch(
@@ -306,12 +305,10 @@ class PerformanceModel:
         cache misses are solved as one stacked-numpy Newton problem
         instead of one scalar solve per mix.
 
-        The sequential loop is used verbatim (no vectorization) when
-        any of its order-dependent behaviours would be observable:
-        warm-started caches (solution depends on solve order), the
-        ``bisection`` strategy (nothing to vectorize), an enabled
-        observer (per-mix ``predict`` spans keep their exact shape), or
-        a batch too small to win.
+        The sequential loop is used verbatim (no vectorization) for the
+        ``bisection`` strategy (nothing to vectorize), under an enabled
+        observer (per-mix ``predict`` spans keep their exact shape), and
+        for a batch too small to win.
 
         Cache-counter parity with the sequential loop holds for the
         totals: each mix performs exactly one ``get`` — the first
@@ -341,7 +338,6 @@ class PerformanceModel:
             per_mix_ratios = list(frequency_ratios)
         if (
             len(mixes) < BATCH_MIN_STACK
-            or self.cache.warm_start
             or self.strategy == "bisection"
             or get_observer().enabled
         ):
@@ -377,7 +373,6 @@ class PerformanceModel:
             solved = solver.solve_batch(jobs, self.ways)
             for (key, index), result in zip(pending.items(), solved):
                 self.cache.put(key, result)
-                self.cache.record_sizes(plans[index][0], result.sizes)
                 hits[index] = result
         for index in deferred:
             # The probe keeps one get per mix (counter parity); the
@@ -404,23 +399,9 @@ class PerformanceModel:
     def _solve(
         self, names: Sequence[str], ratios: Sequence[float]
     ) -> EquilibriumResult:
-        """Solve one (canonically ordered) co-run, warm-starting Newton."""
+        """Solve one (canonically ordered) co-run from the cold start."""
         inputs = self._equilibrium_inputs(names, ratios)
-        initial = self.cache.suggest_initial(names, self.ways)
-        try:
-            return solve_equilibrium(
-                inputs, self.ways, strategy=self.strategy, initial=initial
-            )
-        except ConvergenceError:
-            if initial is None:
-                raise
-            # A stale warm start can strand Newton in a bad basin;
-            # the cold proportional-demand start is the reference
-            # behaviour, so retry from it before giving up.
-            observer = get_observer()
-            if observer.enabled:
-                observer.counter("predict.cold_retries").inc()
-            return solve_equilibrium(inputs, self.ways, strategy=self.strategy)
+        return solve_equilibrium(inputs, self.ways, strategy=self.strategy)
 
     @property
     def cache_stats(self) -> CacheStats:

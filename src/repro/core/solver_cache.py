@@ -5,10 +5,10 @@ estimates, and the assignment searchers that sit on top of them —
 funnels through the same ``solve_equilibrium`` hot path, and an
 assignment search revisits the same co-run combinations hundreds of
 times.  :class:`EquilibriumCache` memoises those solves behind a
-bounded LRU with hit/miss/eviction counters, and remembers each
-process's most recent equilibrium size so Newton can warm-start from
-the solution of a *neighbouring* co-run (same processes, different
-partners) instead of the cold proportional-demand guess.
+bounded LRU with hit/miss/eviction counters.  It stores solutions
+only: every miss is solved from the cold proportional-demand guess, so
+a solution depends on its co-run alone, never on which solves came
+before it.
 
 One cache instance can be shared across
 :class:`~repro.core.combined.CombinedModel` instances and
@@ -27,7 +27,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Dict, Hashable, List, Optional, Sequence
+from typing import Any, Hashable, Optional
 
 from repro.errors import ConfigurationError
 from repro.obs import get_observer
@@ -40,7 +40,6 @@ class CacheStats:
     hits: int
     misses: int
     evictions: int
-    warm_starts: int
     entries: int
     max_entries: int
 
@@ -64,7 +63,6 @@ class CacheStats:
             hits=self.hits - earlier.hits,
             misses=self.misses - earlier.misses,
             evictions=self.evictions - earlier.evictions,
-            warm_starts=self.warm_starts - earlier.warm_starts,
             entries=self.entries,
             max_entries=self.max_entries,
         )
@@ -72,7 +70,7 @@ class CacheStats:
     def __str__(self) -> str:
         return (
             f"{self.hits}/{self.lookups} hits ({self.hit_rate * 100:.1f} %), "
-            f"{self.evictions} evictions, {self.warm_starts} warm starts, "
+            f"{self.evictions} evictions, "
             f"{self.entries}/{self.max_entries} entries"
         )
 
@@ -84,26 +82,17 @@ class EquilibriumCache:
         max_entries: Capacity bound.  Beyond it the least recently
             used entry is evicted.  ``0`` disables storage entirely
             (every lookup misses) — useful for honest benchmarking.
-        warm_start: When ``False``, :meth:`suggest_initial` always
-            returns ``None`` so every cache miss is solved from the
-            cold proportional-demand guess.  Cold solves depend only
-            on the co-run itself — not on which solves happened
-            before — which is what makes the :mod:`repro.parallel`
-            batch predictor bit-identical to the scalar solver.
     """
 
-    def __init__(self, max_entries: int = 4096, warm_start: bool = True):
+    def __init__(self, max_entries: int = 4096):
         if max_entries < 0:
             raise ConfigurationError("max_entries must be non-negative")
         self.max_entries = max_entries
-        self.warm_start = warm_start
         self._data: "OrderedDict[Hashable, Any]" = OrderedDict()
-        self._last_sizes: Dict[str, float] = {}
         self._lock = threading.Lock()
         self._hits = 0
         self._misses = 0
         self._evictions = 0
-        self._warm_starts = 0
 
     # ------------------------------------------------------------------
     # Mapping interface
@@ -151,47 +140,9 @@ class EquilibriumCache:
             return key in self._data
 
     def clear(self) -> None:
-        """Drop all entries and warm-start memory (counters survive)."""
+        """Drop all entries (counters survive)."""
         with self._lock:
             self._data.clear()
-            self._last_sizes.clear()
-
-    # ------------------------------------------------------------------
-    # Newton warm starts
-    # ------------------------------------------------------------------
-    def record_sizes(self, names: Sequence[str], sizes: Sequence[float]) -> None:
-        """Remember each process's most recent equilibrium size."""
-        with self._lock:
-            for name, size in zip(names, sizes):
-                self._last_sizes[name] = float(size)
-
-    def suggest_initial(
-        self, names: Sequence[str], total_ways: int
-    ) -> Optional[List[float]]:
-        """Warm-start sizes from cached neighbour solutions.
-
-        Returns the processes' most recent equilibrium sizes rescaled
-        to the Eq. 1 capacity, or ``None`` when any process has never
-        been solved (the solver's default guess is then as good) or
-        warm starting is disabled.
-        """
-        if not self.warm_start:
-            return None
-        with self._lock:
-            try:
-                sizes = [self._last_sizes[name] for name in names]
-            except KeyError:
-                return None
-            total = sum(sizes)
-            if total <= 0.0:
-                return None
-            self._warm_starts += 1
-            scale = total_ways / total
-            suggestion = [s * scale for s in sizes]
-        observer = get_observer()
-        if observer.enabled:
-            observer.counter("solver_cache.warm_starts").inc()
-        return suggestion
 
     # ------------------------------------------------------------------
     # Telemetry
@@ -203,7 +154,6 @@ class EquilibriumCache:
                 hits=self._hits,
                 misses=self._misses,
                 evictions=self._evictions,
-                warm_starts=self._warm_starts,
                 entries=len(self._data),
                 max_entries=self.max_entries,
             )

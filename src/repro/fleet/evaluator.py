@@ -15,7 +15,7 @@ fleet-scale search tractable:
   request: it belongs to the suite.
 
 :class:`FleetEvaluator` exploits all three.  It takes its models from a
-:class:`SolvedCoRuns` store: one cold-start performance model per
+:class:`SolvedCoRuns` store: one performance model per
 ``(ways, strategy)``, and one ``CombinedModel`` (with its
 ``HeteroPricer``) per machine config, which memoises each cache
 domain's part of a state estimate in a plain dict keyed on the
@@ -42,9 +42,10 @@ on what the store already holds.  The greedy solver adds its own
 per-request memo of each state's candidate scan on top
 (:func:`repro.fleet.solver._solve_greedy`).
 
-All equilibrium caches are built with ``warm_start=False``: solves are
-order-independent, which is what makes scores bit-identical across
-solvers, runs, and cold or warm stores (the determinism the tests pin).
+Every equilibrium solve starts Newton cold, from the co-run alone:
+solves are order-independent, which is what makes scores bit-identical
+across solvers, runs, and cold or warm stores (the determinism the
+tests pin).
 """
 
 from __future__ import annotations
@@ -68,7 +69,6 @@ from repro.core.combined import CombinedModel
 from repro.core.feature import FeatureVector, ProfileVector
 from repro.core.performance_model import PerformanceModel
 from repro.core.power_model import CorePowerModel
-from repro.core.solver_cache import EquilibriumCache
 from repro.errors import ConfigurationError
 from repro.fleet.spec import FleetSpec
 from repro.hetero.model import HeteroPricer, HeteroState
@@ -177,13 +177,13 @@ def canonical_state(
 
 
 class SolvedCoRuns:
-    """Cold-start models and state pricers kept for the life of their owner.
+    """Performance models and state pricers kept for the life of their owner.
 
     Holds one :class:`PerformanceModel` per ``(ways, strategy)``, each
-    over its own ``EquilibriumCache(warm_start=False)``, so every solve
-    that shares the store reuses the co-runs earlier solves priced.
-    Cold-start solves do not depend on what the cache holds, so reuse
-    cannot change an answer.  It also keeps one ``CombinedModel`` (and
+    over its own equilibrium cache, so every solve that shares the
+    store reuses the co-runs earlier solves priced.  Solves start cold
+    and do not depend on what the cache holds, so reuse cannot change
+    an answer.  It also keeps one ``CombinedModel`` (and
     ``HeteroPricer``) per machine config, whose per-domain memo lets
     later solves skip the states earlier ones priced.
 
@@ -223,11 +223,7 @@ class SolvedCoRuns:
                 registered, model, _primed = entry
                 if _same_objects(registered, features):
                     return model
-            model = PerformanceModel(
-                ways=ways,
-                strategy=strategy,
-                cache=EquilibriumCache(warm_start=False),
-            )
+            model = PerformanceModel(ways=ways, strategy=strategy)
             model.register_all(list(features.values()))
             # The snapshot pins the feature objects, so an identity
             # match can never be a recycled id.
@@ -270,7 +266,6 @@ class SolvedCoRuns:
                 performance_models=models,
                 power_model=power_model,
                 profiles=profiles,
-                corun_cache=EquilibriumCache(warm_start=False),
             )
             pricer = (
                 None if hetero is None else HeteroPricer(hetero, topology, combined)
@@ -465,7 +460,7 @@ class FleetEvaluator:
         Returns the number of mixes sent to the batch solver: only
         closure mixes the store has not primed on that model before,
         so 0 on a warm store.  Optional for correctness (cold-start
-        caches make later on-demand solves bit-identical); it exists so
+        solves make later on-demand solves bit-identical); it exists so
         fleet-scale searches pay the equilibrium solves once per store,
         through the stacked batch solver.
         """

@@ -24,7 +24,7 @@ comparable bit-for-bit:
 
 Every tie is broken by ``(score, candidate index)`` — the first
 candidate in the deterministic enumeration order wins — and all state
-pricing goes through cold-start caches, so for a fixed request the
+pricing goes through cold-start solves, so for a fixed request the
 result is bit-identical across runs.
 """
 

@@ -8,11 +8,10 @@ module keeps both:
 - **Bit-equality.**  :class:`ParallelPredictor` solves each batch
   in-process with the stacked solver of
   :meth:`~repro.core.performance_model.PerformanceModel.predict_batch`
-  over an :class:`~repro.core.solver_cache.EquilibriumCache` built with
-  ``warm_start=False``, so every cache miss is solved from the cold
-  proportional-demand guess and the result depends only on the co-run
-  itself, never on which solves happened before (a warm start changes
-  Newton's initial guess and therefore the result bits).
+  over an :class:`~repro.core.solver_cache.EquilibriumCache`.  Every
+  cache miss is solved from the cold proportional-demand guess, so the
+  result depends only on the co-run itself, never on which solves
+  happened before.
 
 - **Deterministic seeds.**  Simulation tasks without an explicit seed
   draw per-task seeds from ``numpy.random.SeedSequence`` spawning
@@ -144,10 +143,11 @@ class ParallelPredictor:
     Every batch is solved in-process by
     :meth:`PerformanceModel.predict_batch` — the stacked Newton solver,
     which falls back to the scalar solver row by row where it must —
-    over one cold-start cache, so results are bit-identical to a
-    scalar :meth:`PerformanceModel.predict` loop.  The model is built
-    on first use and kept across :meth:`predict_mixes` calls.  Use as a
-    context manager (or call :meth:`close`) to retire the predictor.
+    over one cache.  Every solve starts cold, so results are
+    bit-identical to a scalar :meth:`PerformanceModel.predict` loop.
+    The model is built on first use and kept across
+    :meth:`predict_mixes` calls.  Use as a context manager (or call
+    :meth:`close`) to retire the predictor.
 
     Args:
         features: Feature vectors of every process mixes may name
@@ -155,9 +155,7 @@ class ParallelPredictor:
         ways: Associativity of the shared cache being modelled.
         strategy: Equilibrium solver strategy.
         cache: :class:`EquilibriumCache` that accumulates every
-            solution and its telemetry.  Must have
-            ``warm_start=False`` — warm starts would make results
-            depend on solve order.
+            solution and its telemetry.
     """
 
     def __init__(
@@ -173,15 +171,7 @@ class ParallelPredictor:
         self.features = list(features)
         self.ways = ways
         self.strategy = strategy
-        if cache is None:
-            cache = EquilibriumCache(warm_start=False)
-        elif cache.warm_start:
-            raise ConfigurationError(
-                "the batch predictor needs a warm_start=False cache: warm "
-                "starts make solutions depend on solve order, breaking "
-                "bit-equality with the scalar solver"
-            )
-        self.cache = cache
+        self.cache = EquilibriumCache() if cache is None else cache
         self._model: Optional[PerformanceModel] = None
         self._closed = False
 

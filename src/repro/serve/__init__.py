@@ -31,8 +31,8 @@ long-running surface, stdlib-only:
   server processes behind ``SO_REUSEPORT`` for multi-core scale-out.
 
 Served predictions are **bit-identical** to :func:`repro.api.predict_mix`
-for the same suite/mix: batches run through cold-start equilibrium
-caches, so a solution depends only on the co-run itself, never on
+for the same suite/mix: every equilibrium solve starts cold, so a
+solution depends only on the co-run itself, never on
 batching, concurrency, or request order.
 """
 

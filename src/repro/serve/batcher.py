@@ -9,7 +9,7 @@ lone request wait for companions:
 - Concurrent :meth:`~MicroBatcher.submit` calls append to a pending
   queue; a single flusher task assembles batches and dispatches them
   through a persistent :class:`~repro.parallel.ParallelPredictor`
-  (whose cold-start caches make served results bit-identical to
+  (whose cold-start solves make served results bit-identical to
   independent :func:`repro.api.predict_mix` calls — see
   :mod:`repro.parallel`).
 - Dispatch runs on a one-thread executor so the event loop keeps

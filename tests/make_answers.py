@@ -2,7 +2,8 @@
 
 Usage (from the repository root)::
 
-    PYTHONPATH=src python tests/make_answers.py
+    PYTHONPATH=src python tests/make_answers.py           # rewrite the file
+    PYTHONPATH=src python tests/make_answers.py --report  # diff, write nothing
 
 Each case stores the :class:`~repro.api.AssignmentRequest` document it
 solved and the plan the code produced: placements, P-states, the
@@ -18,14 +19,21 @@ exhaustive and greedy, under each legacy objective.
 each stored state and re-picks each stored pick, and checks all three
 for exact equality.  Regenerate the file only in a change that
 alters answers on purpose, and say why in CHANGES.md.
+
+``--report`` compares the code's answers with the stored file instead:
+per section, how many entries changed, how many of those changed a
+placement (any field that is not a float) and how many moved floats
+only, and the largest relative float move.
 """
 
 from __future__ import annotations
 
+import argparse
 import itertools
 import json
 import pathlib
-from typing import Dict, List
+import re
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -387,25 +395,90 @@ def requests(suite, power) -> Dict[str, AssignmentRequest]:
     return cases
 
 
-def main() -> None:
-    suite, power = build_suite(), build_power_model()
-    corpus: List[Dict] = []
+def corpus(suite, power) -> Dict[str, List[Dict]]:
+    """Every section of the answer file, as the code answers now."""
+    cases: List[Dict] = []
     for name, request in requests(suite, power).items():
         plan = solve_assignment(request, suite, power)
-        corpus.append(
+        cases.append(
             {"name": name, "request": request.to_dict(), "answer": answer_of(plan)}
         )
-    priced = states(suite, power)
-    picked = picks(suite, power)
-    PATH.write_text(
-        json.dumps(
-            {"cases": corpus, "states": priced, "picks": picked}, indent=1
+    return {
+        "cases": cases,
+        "states": states(suite, power),
+        "picks": picks(suite, power),
+    }
+
+
+_HEX_FLOAT = re.compile(r"-?0x[0-9a-f]+(\.[0-9a-f]*)?p[+-]?\d+")
+
+
+def compare(old, new) -> Tuple[bool, float]:
+    """``(placement changed, largest relative float move)``.
+
+    Floats are the ``float.hex`` strings; every other leaf, and the
+    shape of the document, is placement.
+    """
+    if isinstance(old, str) and isinstance(new, str):
+        if _HEX_FLOAT.fullmatch(old) and _HEX_FLOAT.fullmatch(new):
+            a, b = float.fromhex(old), float.fromhex(new)
+            return False, abs(b - a) / abs(a) if a else float(a != b)
+        return old != new, 0.0
+    if isinstance(old, dict) and isinstance(new, dict):
+        if old.keys() != new.keys():
+            return True, 0.0
+        pairs = [(old[key], new[key]) for key in old]
+    elif isinstance(old, list) and isinstance(new, list):
+        if len(old) != len(new):
+            return True, 0.0
+        pairs = list(zip(old, new))
+    else:
+        return old != new, 0.0
+    placed, move = False, 0.0
+    for a, b in pairs:
+        changed, moved = compare(a, b)
+        placed, move = placed or changed, max(move, moved)
+    return placed, move
+
+
+def report(stored: Dict[str, List[Dict]], fresh: Dict[str, List[Dict]]) -> None:
+    """Print, per section, what answering again would change."""
+    for section, entries in fresh.items():
+        before = {entry["name"]: entry for entry in stored.get(section, [])}
+        changed = placements = 0
+        largest = 0.0
+        for entry in entries:
+            old = before.pop(entry["name"], None)
+            if old == entry:
+                continue
+            changed += 1
+            placed, move = (True, 0.0) if old is None else compare(old, entry)
+            placements += placed
+            largest = max(largest, move)
+        print(
+            f"{section}: {changed} of {len(entries)} entries changed "
+            f"({placements} placements, {changed - placements} floats only), "
+            f"largest relative float move {largest:.3g}"
+            + (f"; {len(before)} stored entries gone" if before else "")
         )
-        + "\n"
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument(
+        "--report",
+        action="store_true",
+        help="compare with the stored file per section; write nothing",
     )
+    args = parser.parse_args()
+    fresh = corpus(build_suite(), build_power_model())
+    if args.report:
+        report(json.loads(PATH.read_text()), fresh)
+        return
+    PATH.write_text(json.dumps(fresh, indent=1) + "\n")
     print(
-        f"wrote {len(corpus)} cases, {len(priced)} states and "
-        f"{len(picked)} picks to {PATH}"
+        f"wrote {len(fresh['cases'])} cases, {len(fresh['states'])} states and "
+        f"{len(fresh['picks'])} picks to {PATH}"
     )
 
 

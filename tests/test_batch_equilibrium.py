@@ -210,7 +210,7 @@ class TestBatchScalarBitEquality:
         names = sorted(features)
         rng = random.Random(42)
         model = PerformanceModel(
-            ways=WAYS, cache=EquilibriumCache(max_entries=0, warm_start=False)
+            ways=WAYS, cache=EquilibriumCache(max_entries=0)
         )
         model.register_all(features.values())
         batch = []
@@ -491,9 +491,7 @@ MIXES = [
 
 
 def fresh_model(features, **kwargs):
-    model = PerformanceModel(
-        ways=8, cache=EquilibriumCache(warm_start=False), **kwargs
-    )
+    model = PerformanceModel(ways=8, **kwargs)
     model.register_all(features.values())
     return model
 
@@ -534,7 +532,7 @@ class TestPredictBatch:
             ["mcf", "gzip"],
         ]
         model = PerformanceModel(
-            ways=8, cache=EquilibriumCache(max_entries=4, warm_start=False)
+            ways=8, cache=EquilibriumCache(max_entries=4)
         )
         model.register_all(features.values())
         batched = model.predict_batch(mixes)

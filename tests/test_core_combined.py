@@ -14,7 +14,6 @@ from repro.core.combined import CombinedModel, classify_scenario
 from repro.core.feature import FeatureVector, ProfileVector
 from repro.core.performance_model import PerformanceModel
 from repro.core.power_model import CorePowerModel, PowerTrainingSet
-from repro.core.solver_cache import EquilibriumCache
 from repro.errors import ConfigurationError
 from repro.events import Event, RATE_EVENTS
 from repro.fleet.evaluator import canonical_state
@@ -338,9 +337,9 @@ class TestCanonicalStatePricing:
 
     @pytest.fixture(scope="class")
     def perf(self):
-        # Cold-start solves do not depend on history, so the shared
-        # model's caches cannot make two pricings differ.
-        return PerformanceModel(ways=16, cache=EquilibriumCache(warm_start=False))
+        # Solves do not depend on history, so the shared model's
+        # caches cannot make two pricings differ.
+        return PerformanceModel(ways=16)
 
     @pytest.mark.parametrize("kind", ["plain", "unit", "big-little"])
     @given(seed=st.integers(0, 2**32 - 1))

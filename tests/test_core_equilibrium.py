@@ -175,13 +175,6 @@ class TestTelemetry:
         assert result.telemetry.strategy == "auto"
         assert result.telemetry.solver == "newton"
 
-    def test_warm_start_recorded(self, heavy, light):
-        result = NewtonSolver().solve(
-            [heavy, light], WAYS, initial=[WAYS / 2, WAYS / 2]
-        )
-        assert result.telemetry.warm_started
-        assert abs(result.total_size - WAYS) <= 1e-9 * WAYS
-
     def test_invalid_jacobian_mode_rejected(self):
         with pytest.raises(ConfigurationError):
             NewtonSolver(jacobian="symbolic")
@@ -200,7 +193,7 @@ class TestAutoFallback:
     def test_fallback_reason_recorded(self, heavy, light, monkeypatch):
         """When Newton fails, auto surfaces why in the telemetry."""
 
-        def failing_solve(self, processes, total_ways, initial=None):
+        def failing_solve(self, processes, total_ways):
             raise ConvergenceError(
                 "forced failure", iterations=7, residual=1.23
             )
@@ -219,7 +212,7 @@ class TestAutoFallback:
     def test_double_failure_chains_newton_error(self, heavy, light, monkeypatch):
         """Regression: the Newton error used to be silently discarded."""
 
-        def newton_fails(self, processes, total_ways, initial=None):
+        def newton_fails(self, processes, total_ways):
             raise ConvergenceError("newton exploded", iterations=3, residual=9.9)
 
         def bisection_fails(self, processes, total_ways):
@@ -241,7 +234,7 @@ class TestAutoFallback:
         assert cause.iterations == 3
 
     def test_newton_strategy_propagates_error(self, heavy, light, monkeypatch):
-        def newton_fails(self, processes, total_ways, initial=None):
+        def newton_fails(self, processes, total_ways):
             raise ConvergenceError("newton exploded", iterations=3)
 
         monkeypatch.setattr(

@@ -4,7 +4,6 @@ import pytest
 
 from repro.core.feature import FeatureVector
 from repro.core.performance_model import PerformanceModel
-from repro.core.solver_cache import EquilibriumCache
 from repro.errors import ConfigurationError
 from repro.workloads.spec import BENCHMARKS
 
@@ -122,9 +121,9 @@ class TestSolverInputs:
     def test_ratio_predictions_match_registered_scaled_profile(self, model):
         features = [model.feature(name) for name in ("mcf", "art")]
         for ratio in (0.6, 0.8, 1.7):
-            cold = PerformanceModel(ways=16, cache=EquilibriumCache(warm_start=False))
+            cold = PerformanceModel(ways=16)
             cold.register_all(features)
-            scaled = PerformanceModel(ways=16, cache=EquilibriumCache(warm_start=False))
+            scaled = PerformanceModel(ways=16)
             scaled.register_all([features[0].with_frequency_ratio(ratio), features[1]])
             assert cold.predict(["mcf", "art"], [ratio, 1.0]) == scaled.predict(
                 ["mcf", "art"]

@@ -60,7 +60,7 @@ def features():
 
 def _scalar_reference(features, mixes, frequency_ratios=None):
     """One scalar ``predict`` per mix over a fresh cold-start cache."""
-    model = PerformanceModel(ways=8, cache=EquilibriumCache(warm_start=False))
+    model = PerformanceModel(ways=8)
     model.register_all(features)
     if frequency_ratios is None:
         frequency_ratios = [None] * len(mixes)
@@ -105,7 +105,7 @@ class TestPredictMixes:
         )
 
     def test_fills_shared_cache(self, features):
-        cache = EquilibriumCache(warm_start=False)
+        cache = EquilibriumCache()
         with ParallelPredictor(features, ways=8, cache=cache) as predictor:
             predictor.predict_mixes(MIXES)
         stats = cache.stats
@@ -130,10 +130,6 @@ class TestPredictMixes:
     def test_worker_errors_propagate(self, features):
         with pytest.raises(KeyError, match="no feature vector"):
             batch_predict(features, [["mcf", "nosuch"]], ways=8)
-
-    def test_warm_start_cache_rejected(self, features):
-        with pytest.raises(ConfigurationError, match="warm_start"):
-            ParallelPredictor(features, ways=8, cache=EquilibriumCache())
 
 
 class TestEngineSelection:

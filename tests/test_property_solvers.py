@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.equilibrium import (
@@ -58,7 +58,10 @@ def equilibrium_processes(draw):
     api = draw(st.floats(min_value=0.005, max_value=0.1))
     penalty = draw(st.floats(min_value=50.0, max_value=300.0))
     base = draw(st.floats(min_value=0.3, max_value=1.5))
-    frequency = 2e8
+    return _process(hist, api, penalty, base)
+
+
+def _process(hist, api, penalty, base, frequency=2e8):
     return EquilibriumProcess(
         occupancy=OccupancyModel(hist, max_ways=WAYS),
         mpa=hist.mpa,
@@ -66,6 +69,18 @@ def equilibrium_processes(draw):
         alpha=api * penalty / frequency,
         beta=base / frequency,
     )
+
+
+# Two distinct Eq. 7 roots about 0.32 ways apart: the analytic mode
+# lands on sizes (3.699, 5.003, 3.298), the fd mode on
+# (4.017, 4.811, 3.171).
+_NEARBY_ROOTS = [
+    _process(
+        ReuseDistanceHistogram([1.0, 0.5, 0.125, 0.25], 0.25), 0.0625, 201.0, 0.3125
+    ),
+    _process(ReuseDistanceHistogram([1.0] * 5, 1.0), 0.05078125, 50.0, 1.5),
+    _process(ReuseDistanceHistogram([1.0] * 5, 1.0), 0.005, 50.0, 0.30078125),
+]
 
 
 class TestCapacityInvariant:
@@ -232,6 +247,7 @@ class TestJacobianAgreement:
         assert np.allclose(analytic, fd, rtol=5e-3, atol=1e-3)
 
     @given(st.lists(equilibrium_processes(), min_size=2, max_size=3))
+    @example(_NEARBY_ROOTS)
     @settings(max_examples=15, deadline=None)
     def test_fd_mode_reaches_same_solution(self, processes):
         try:
@@ -239,18 +255,13 @@ class TestJacobianAgreement:
             fd = NewtonSolver(jacobian="fd").solve(processes, WAYS)
         except ConvergenceError:
             return
-        disagreement = max(
-            abs(a - b) for a, b in zip(analytic.sizes, fd.sizes)
-        )
-        if disagreement > 0.5:
-            # Distinct Eq. 7 fixed points: both modes converged (small
-            # residuals), so demand the distinct-basin certificate —
-            # the residual must hump between two separate roots.
-            mid = [(a + b) / 2.0 for a, b in zip(analytic.sizes, fd.sizes)]
-            worst = max(
-                analytic.telemetry.residual_norm, fd.telemetry.residual_norm
-            )
-            assert _eq7_residual_norm(processes, mid, WAYS) > 100.0 * worst
+        # Eq. 7 can have distinct fixed points, however close
+        # (_NEARBY_ROOTS).  Both modes converged (small residuals), so
+        # a residual that humps between them certifies two separate
+        # roots; without that certificate they must be one root.
+        mid = [(a + b) / 2.0 for a, b in zip(analytic.sizes, fd.sizes)]
+        worst = max(analytic.telemetry.residual_norm, fd.telemetry.residual_norm)
+        if _eq7_residual_norm(processes, mid, WAYS) > 100.0 * worst:
             return
         for a, b in zip(analytic.sizes, fd.sizes):
             assert a == pytest.approx(b, abs=1e-4)

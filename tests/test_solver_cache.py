@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.combined import CombinedModel
 from repro.core.feature import FeatureVector, ProfileVector
@@ -56,26 +58,9 @@ class TestEquilibriumCache:
         cache = EquilibriumCache()
         cache.put("a", 1)
         cache.get("a")
-        cache.record_sizes(["p"], [3.0])
         cache.clear()
         assert len(cache) == 0
-        assert cache.suggest_initial(["p"], WAYS) is None
         assert cache.stats.hits == 1  # counters survive a clear
-
-    def test_suggest_initial_rescales_to_capacity(self):
-        cache = EquilibriumCache()
-        cache.record_sizes(["a", "b"], [2.0, 6.0])
-        initial = cache.suggest_initial(["a", "b"], WAYS)
-        assert initial is not None
-        assert sum(initial) == pytest.approx(WAYS)
-        # Relative proportions of the remembered solution survive.
-        assert initial[1] / initial[0] == pytest.approx(3.0)
-        assert cache.stats.warm_starts == 1
-
-    def test_suggest_initial_requires_all_names(self):
-        cache = EquilibriumCache()
-        cache.record_sizes(["a"], [4.0])
-        assert cache.suggest_initial(["a", "unknown"], WAYS) is None
 
 
 def _feature(name, probs, inf_mass, api=0.05):
@@ -88,13 +73,17 @@ def _feature(name, probs, inf_mass, api=0.05):
     )
 
 
-@pytest.fixture
-def features():
+def _features():
     return [
         _feature("heavy", [0.05] * 12, 0.4, api=0.06),
         _feature("light", [0.5, 0.3, 0.15], 0.05, api=0.01),
         _feature("mid", [0.1] * 8, 0.2, api=0.03),
     ]
+
+
+@pytest.fixture
+def features():
+    return _features()
 
 
 class TestPerformanceModelCaching:
@@ -141,15 +130,6 @@ class TestPerformanceModelCaching:
         model.register(_feature("new", [0.3, 0.3], 0.1))
         assert len(model.cache) == 1
 
-    def test_warm_start_used_for_neighbour_combo(self, features):
-        model = PerformanceModel(ways=WAYS)
-        model.register_all(features)
-        model.predict(["heavy", "light"])
-        model.predict(["light", "mid"])
-        before = model.cache_stats.warm_starts
-        model.predict(["heavy", "mid"])  # both names now remembered
-        assert model.cache_stats.warm_starts == before + 1
-
     def test_shared_cache_across_models(self, features):
         cache = EquilibriumCache()
         a = PerformanceModel(ways=WAYS, cache=cache)
@@ -192,6 +172,46 @@ class TestPerformanceModelCaching:
                     pb.effective_size, abs=1e-6
                 )
                 assert pa.spi == pytest.approx(pb.spi, rel=1e-6)
+
+
+    @given(
+        st.lists(
+            st.lists(
+                st.tuples(
+                    st.sampled_from(["heavy", "light", "mid"]),
+                    st.sampled_from([1.0, 0.5, 1.5]),
+                ),
+                min_size=2,
+                max_size=4,
+            ),
+            min_size=1,
+            max_size=8,
+        ),
+        st.randoms(use_true_random=False),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_prediction_does_not_depend_on_solve_history(self, mixes, rng):
+        # Every mix here contends for the cache, so the first sight of
+        # each is an equilibrium solve.  Neither the mixes a model
+        # solved before nor their order may move a bit of the answer.
+        features = _features()
+
+        def model():
+            fresh = PerformanceModel(ways=WAYS)
+            fresh.register_all(features)
+            return fresh
+
+        def predict(on, mix):
+            names = [name for name, _ in mix]
+            return on.predict(names, frequency_ratios=[r for _, r in mix])
+
+        shuffled = list(mixes)
+        rng.shuffle(shuffled)
+        for on, order in ((model(), mixes), (model(), shuffled)):
+            for mix in order:
+                alone = predict(model(), mix)
+                assert alone.contended
+                assert predict(on, mix) == alone
 
 
 class TestCombinedModelSharedCache:
