@@ -18,8 +18,8 @@ same 32-way-concurrent closed-loop client traffic, and compares:
 
 Every mix in the work list is a *distinct* multiset, so both servers
 run every solve cold (no equilibrium-cache hits flattering either
-side).  Both modes use the ``auto`` (Newton) strategy and differ only
-in the number of requests per batch.  The win is vectorized math, not
+side).  Both modes use the same Newton solve and differ only in the
+number of requests per batch.  The win is vectorized math, not
 extra cores, so both gates hold on any host, 1 CPU included, and each
 batched mode must pass them:
 

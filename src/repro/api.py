@@ -292,7 +292,6 @@ def predict_mix(
     suite: Union[ProfileSuiteResult, Pathish],
     *,
     ways: int,
-    strategy: str = "auto",
     frequency_ratios: Optional[Sequence[float]] = None,
 ) -> MixPrediction:
     """Price a co-run combination from saved profiles (Section 3.3).
@@ -301,14 +300,13 @@ def predict_mix(
         names: Processes sharing the cache (duplicates allowed).
         suite: A :class:`ProfileSuiteResult` or path to a saved suite.
         ways: Associativity of the shared cache being modelled.
-        strategy: Equilibrium solver strategy.
         frequency_ratios: Optional per-process core-clock ratios
             relative to the profiled clock (heterogeneous machines /
             DVFS P-states); ``None`` or all-1.0 is the homogeneous
             path, bit for bit.
     """
     resolved = _resolve_suite(suite)
-    model = PerformanceModel(ways=ways, strategy=strategy)
+    model = PerformanceModel(ways=ways)
     model.register_all(list(resolved.features.values()))
     prediction = model.predict(
         list(names),
@@ -324,7 +322,6 @@ def predict_mixes(
     suite: Union[ProfileSuiteResult, Pathish],
     *,
     ways: int,
-    strategy: str = "auto",
     frequency_ratios: Optional[Sequence[Optional[Sequence[float]]]] = None,
 ) -> Tuple[MixPrediction, ...]:
     """Price a batch of co-run combinations in one stacked solve.
@@ -338,7 +335,6 @@ def predict_mixes(
         mixes: Co-run combinations, each a sequence of process names.
         suite: A :class:`ProfileSuiteResult` or path to a saved suite.
         ways: Associativity of the shared cache being modelled.
-        strategy: Equilibrium solver strategy.
         frequency_ratios: Optional per-mix core-clock ratios — one
             entry per mix, each ``None`` or a per-process ratio
             sequence.
@@ -350,7 +346,6 @@ def predict_mixes(
         resolved.features,
         mixes,
         ways=ways,
-        strategy=strategy,
         frequency_ratios=frequency_ratios,
     )
     return tuple(
@@ -517,8 +512,6 @@ def solve_assignment(
     request: AssignmentRequest,
     suite: Union[ProfileSuiteResult, Pathish],
     power_model: Union[CorePowerModel, Pathish],
-    *,
-    strategy: str = "auto",
 ) -> FleetAssignment:
     """Solve a declarative assignment request (single machine or fleet).
 
@@ -536,7 +529,6 @@ def solve_assignment(
             later solves on it skip those equilibria; a path loads a
             fresh suite per call.
         power_model: A fitted :class:`CorePowerModel` or path to one.
-        strategy: Equilibrium solver strategy.
     """
     from repro.fleet import solve
 
@@ -548,7 +540,6 @@ def solve_assignment(
         resolved.features,
         resolved.profiles,
         power_model,
-        strategy=strategy,
         models=resolved.solved_coruns,
     )
 
@@ -558,7 +549,6 @@ def serve(
     *,
     host: str = "127.0.0.1",
     port: int = 0,
-    strategy: str = "auto",
     max_batch_size: int = 32,
     max_linger_ms: float = 0.0,
     max_queue: int = 256,
@@ -579,7 +569,6 @@ def serve(
             :class:`CorePowerModel` instances, saved-JSON paths, or
             raw documents.
         host / port: Bind address (``port=0`` = ephemeral).
-        strategy: Equilibrium solver strategy.
         max_batch_size: Dispatch a batch at this many queued requests.
         max_linger_ms: Hold a partial batch until its oldest request
             has waited this long.  The default ``0`` dispatches at
@@ -599,7 +588,6 @@ def serve(
         models,
         host=host,
         port=port,
-        strategy=strategy,
         max_batch_size=max_batch_size,
         max_linger_ms=max_linger_ms,
         max_queue=max_queue,

@@ -371,7 +371,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
     if args.http_workers < 1:
         raise ValueError("--http-workers must be >= 1")
     common = dict(
-        strategy=args.strategy,
         max_batch_size=args.max_batch,
         max_linger_ms=args.linger_ms,
         max_queue=args.max_queue,
@@ -596,9 +595,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--model", metavar="NAME=FILE", action="append", default=None,
         help="publish an extra artifact under NAME (repeatable)",
-    )
-    serve.add_argument(
-        "--strategy", default="auto", help="equilibrium solver strategy"
     )
     serve.add_argument(
         "--max-batch", type=int, default=32,

@@ -24,7 +24,7 @@ holding every stackable mix of the batch, whatever its ``k``:
 Bit-compatibility policy
 ------------------------
 Batched rows are **bit-identical** to the scalar
-``solve_equilibrium(..., strategy=...)`` result for the payload fields
+``solve_equilibrium(...)`` result for the payload fields
 ``sizes``, ``mpas``, ``spis``, ``solver``, ``iterations`` and
 ``contended``.  This is achieved by replicating the scalar path's
 IEEE-754 float64 operation ordering exactly, not by a tolerance:
@@ -52,16 +52,17 @@ guarantee.
 Fallback ladder
 ---------------
 A row leaves the stack and is solved by the ordinary scalar
-:func:`~repro.core.equilibrium.solve_equilibrium` (with this solver's
-``fallback_strategy``) when any of these hold:
+:func:`~repro.core.equilibrium.solve_equilibrium` (Newton, then
+bisection if Newton fails) when any of these hold:
 
 - its curves are not sniffable as tabulated histogram/occupancy pairs
   (custom ``mpa`` callables, explicit ``mpa_slope`` overrides,
   subclassed models — anything whose scalar evaluation the kernels
   cannot replicate bit-for-bit);
 - it is uncontended (the scalar short-circuit is already cheap);
-- the batch has fewer than ``min_stack`` stackable rows, or fewer than
-  ``min_stack`` contended ones (numpy overhead would exceed the win);
+- the batch has fewer than ``BATCH_MIN_STACK`` stackable rows, or
+  fewer than ``BATCH_MIN_STACK`` contended ones (numpy overhead would
+  exceed the win);
 - its Newton iteration fails (non-finite residual, singular Jacobian,
   exhausted line search or iteration budget) — mirroring the scalar
   solver's own failure → fallback behaviour.
@@ -107,6 +108,8 @@ import numpy as np
 
 from repro.core.equilibrium import (
     NEWTON_DOMAIN_FLOOR,
+    NEWTON_MAX_ITERATIONS,
+    NEWTON_TOL,
     EquilibriumProcess,
     EquilibriumResult,
     NewtonSolver,
@@ -116,7 +119,6 @@ from repro.core.equilibrium import (
 )
 from repro.core.histogram import ReuseDistanceHistogram
 from repro.core.occupancy import OccupancyModel
-from repro.errors import ConfigurationError
 
 __all__ = ["BATCH_MIN_STACK", "BatchNewtonSolver"]
 
@@ -238,7 +240,7 @@ def _close_capacity(
     ks: np.ndarray,
     total_ways: int,
 ) -> np.ndarray:
-    """Close Eq. 1 on converged rows, as ``NewtonSolver._converged`` does.
+    """Close Eq. 1 on converged rows, as ``NewtonSolver.solve`` does.
 
     The well-conditioned case of ``_redistribute_to_capacity`` — no
     entry saturates, one proportional pass closes within roundoff — is
@@ -569,7 +571,7 @@ class _Stack:
         """Full-stack residual + Jacobian-ingredient evaluation.
 
         Mirrors the ``evaluate`` closure of
-        ``NewtonSolver._solve_analytic`` (residual entries, left-to-right
+        ``NewtonSolver.solve`` (residual entries, left-to-right
         capacity sum, squared-norm accumulation order) plus the
         ``g_inverse_slope`` / ``mpa_slope`` lookups the Jacobian pass
         needs — the masks and segment indices are shared, so the extra
@@ -678,36 +680,16 @@ class _Stack:
 class BatchNewtonSolver:
     """Damped Newton over a stack of equilibrium systems at once.
 
-    Args:
-        tol / max_iterations: Must match the scalar
-            :class:`NewtonSolver` defaults for bit-compatibility (they
-            do by default; override both paths together or not at all).
-        fallback_strategy: Strategy handed to
-            :func:`solve_equilibrium` for rows the stack cannot or did
-            not solve (see the module docstring's fallback ladder).
-        min_stack: Fewest stackable rows (of any ``k``) worth
-            vectorizing; a smaller batch, or one with fewer contended
-            rows, takes the scalar path.
+    It iterates with :class:`NewtonSolver`'s default tolerance and
+    budget, and stacks a batch only from ``BATCH_MIN_STACK`` contended
+    rows up; rows the stack cannot or did not solve go to
+    :func:`solve_equilibrium` (see the module docstring's fallback
+    ladder).
     """
 
     name = "batch_newton"
 
-    def __init__(
-        self,
-        tol: float = 1e-7,
-        max_iterations: int = 120,
-        fallback_strategy: str = "auto",
-        min_stack: int = BATCH_MIN_STACK,
-    ):
-        if fallback_strategy not in ("auto", "newton", "bisection"):
-            raise ConfigurationError(
-                f"unknown strategy {fallback_strategy!r}; "
-                "choose newton, bisection or auto"
-            )
-        self.tol = tol
-        self.max_iterations = max_iterations
-        self.fallback_strategy = fallback_strategy
-        self.min_stack = max(1, int(min_stack))
+    def __init__(self) -> None:
         self._tables = _TableRegistry()
 
     def solve_batch(
@@ -719,16 +701,13 @@ class BatchNewtonSolver:
 
         Returns one :class:`EquilibriumResult` per input row, in order,
         each bit-identical (payload fields) to
-        ``solve_equilibrium(row, total_ways, strategy=fallback_strategy)``.
+        ``solve_equilibrium(row, total_ways)``.
         Exceptions (validation errors, rows where even the fallback
         fails) propagate exactly as the equivalent scalar loop would
         raise them.
         """
         jobs = [list(row) for row in batch]
         results: List[Optional[EquilibriumResult]] = [None] * len(jobs)
-        if self.fallback_strategy == "bisection":
-            # Nothing to vectorize: the batch kernels implement Newton.
-            return [self._fallback(row, total_ways) for row in jobs]
         slots = _Slots(self._tables)
         stackable: List[int] = []
         stack_rows: List[List[int]] = []
@@ -744,22 +723,15 @@ class BatchNewtonSolver:
                 continue
             stackable.append(index)
             stack_rows.append(cells)
-        if len(stackable) < self.min_stack:
+        if len(stackable) < BATCH_MIN_STACK:
             scalar_rows.extend(stackable)
         else:
             scalar_rows.extend(
                 self._solve_stack(slots, stack_rows, stackable, total_ways, results)
             )
         for index in sorted(scalar_rows):
-            results[index] = self._fallback(jobs[index], total_ways)
+            results[index] = solve_equilibrium(jobs[index], total_ways)
         return results  # type: ignore[return-value]
-
-    def _fallback(
-        self, processes: List[EquilibriumProcess], total_ways: int
-    ) -> EquilibriumResult:
-        return solve_equilibrium(
-            processes, total_ways, strategy=self.fallback_strategy
-        )
 
     def _solve_stack(
         self,
@@ -780,7 +752,7 @@ class BatchNewtonSolver:
             uncontended_rows = [members[i] for i in np.flatnonzero(~contended)]
             if uncontended_rows:
                 keep = np.flatnonzero(contended)
-                if keep.size < self.min_stack:
+                if keep.size < BATCH_MIN_STACK:
                     return list(members)
                 members = [members[i] for i in keep]
                 stack = stack.take(keep)
@@ -807,11 +779,11 @@ class BatchNewtonSolver:
             ids = np.arange(stack.m)
             alive = np.ones(stack.m, dtype=bool)
             state = stack.evaluate(x)
-            for iteration in range(1, self.max_iterations + 1):
+            for iteration in range(1, NEWTON_MAX_ITERATIONS + 1):
                 # Scalar order: the finite check precedes the tol check
                 # (a non-finite norm never compares below tol).
                 norm = state.norm
-                done = alive & (norm < self.tol)
+                done = alive & (norm < NEWTON_TOL)
                 if done.any():
                     rows = np.flatnonzero(done)
                     where = ids[rows]
@@ -884,7 +856,6 @@ class BatchNewtonSolver:
         mpas, spis = _Stack(
             slots, all_cells[solved, :width], ks, total_ways
         ).final_curves(closed)
-        strategy_label = self.fallback_strategy
         # Result construction is the batch's largest fixed per-row cost
         # (two frozen dataclasses per row, 512 per 256-mix batch), so
         # the hot loop avoids both per-row numpy indexing (one
@@ -909,11 +880,12 @@ class BatchNewtonSolver:
             iterations = conv_l[row]
             telemetry = new(SolverTelemetry)
             telemetry.__dict__.update(
-                strategy=strategy_label,
+                strategy="auto",
                 solver=batch_name,
                 jacobian="analytic",
                 iterations=iterations,
                 residual_norm=norm_l[row],
+                warm_started=False,
                 fallback_reason=None,
             )
             result = new(EquilibriumResult)

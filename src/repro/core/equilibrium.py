@@ -12,11 +12,10 @@ the capacity constraint ``Σ S_i = A`` (Eq. 1).  Two solvers are
 provided:
 
 - :class:`NewtonSolver` — damped Newton–Raphson on the Eq. 7 residual
-  system, the method the paper names.  The Jacobian is analytic by
-  default — both ``G⁻¹`` and ``MPA`` are tabulated piecewise-linear
-  curves, so their derivatives are exact segment slopes — with the
-  original finite-difference Jacobian kept as a debug/verify option
-  (``jacobian="fd"``).
+  system, the method the paper names.  The Jacobian is analytic: both
+  ``G⁻¹`` and ``MPA`` are tabulated piecewise-linear curves, so their
+  derivatives are exact segment slopes.  (A finite-difference
+  reference lives with the tests, which check the two agree.)
 - :class:`BisectionSolver` — a robust nested fixed-point/bisection
   scheme on the window length ``T``: for a trial ``T`` each process's
   occupancy is the greatest fixed point of ``S = G(T · APS(S))``
@@ -24,11 +23,11 @@ provided:
   occupancy is monotone in ``T``.
 
 Both return identical answers on well-behaved inputs (the solver
-ablation benchmark quantifies this); the default strategy tries
-Newton and falls back to bisection.  Every result carries a
-:class:`SolverTelemetry` record (strategy, iterations, residual norm,
-fallback reason) so callers can observe the solve without re-running
-it.
+ablation benchmark quantifies this).  :func:`solve_equilibrium`, the
+one entry point, runs Newton and falls back to bisection when Newton
+fails.  Every result carries a :class:`SolverTelemetry` record
+(solver, iterations, residual norm, fallback reason) so callers can
+observe the solve without re-running it.
 """
 
 from __future__ import annotations
@@ -85,11 +84,13 @@ class SolverTelemetry:
     """Per-solve observability record.
 
     Attributes:
-        strategy: Strategy the caller requested (``newton``,
-            ``bisection`` or ``auto``).
+        strategy: ``auto`` for :func:`solve_equilibrium` results,
+            otherwise the name of the solver class called directly
+            (``newton`` / ``bisection``).
         solver: Solver that actually produced the result.
-        jacobian: Jacobian mode used by Newton (``analytic`` / ``fd``),
-            ``None`` for bisection or uncontended short-circuits.
+        jacobian: ``analytic`` for Newton (saved documents may hold
+            the retired ``fd``), ``None`` for bisection or uncontended
+            short-circuits.
         iterations: Iterations spent by the producing solver.
         residual_norm: Final Eq. 1 + Eq. 7 residual norm of the
             returned sizes (0 for uncontended short-circuits).
@@ -279,6 +280,12 @@ def _redistribute_to_capacity(
 #: paths clamp identically.
 NEWTON_DOMAIN_FLOOR = 0.05
 
+#: Newton's default convergence threshold on the residual norm and
+#: iteration budget; the batch solver reads the same values, which its
+#: bit parity with the scalar path depends on.
+NEWTON_TOL = 1e-7
+NEWTON_MAX_ITERATIONS = 120
+
 
 def _newton_caps(
     processes: Sequence[EquilibriumProcess], total_ways: int, lo: float
@@ -312,15 +319,48 @@ def _proportional_start(
     return [d * scale for d in demand]
 
 
+def _eq7_residual(
+    processes: Sequence[EquilibriumProcess],
+    sizes: Sequence[float],
+    total_ways: int,
+) -> np.ndarray:
+    """The Eq. 1 + Eq. 7 residual vector at ``sizes``.
+
+    Row 0 is the capacity gap ``Σ S_i - A``; row ``i`` is the Eq. 7
+    ratio condition against process 0, ``inf`` where ``G⁻¹`` is not
+    finite.
+    """
+    k = len(processes)
+    res = np.empty(k)
+    p1 = processes[0]
+    s1 = float(sizes[0])
+    n1 = p1.occupancy.g_inverse(s1)
+    rate1 = p1.api / (p1.alpha * p1.mpa(s1) + p1.beta)
+    total = s1
+    n1_finite = math.isfinite(n1)
+    for i in range(1, k):
+        pi = processes[i]
+        si = float(sizes[i])
+        total += si
+        ni = pi.occupancy.g_inverse(si)
+        ratei = pi.api / (pi.alpha * pi.mpa(si) + pi.beta)
+        # Eq. 7 rearranged as n1 * rate_i ... / (n_i * rate_1) - 1,
+        # numerically kinder than the raw difference of ratios.
+        if not n1_finite or not math.isfinite(ni):
+            res[i] = np.inf
+        else:
+            res[i] = (n1 * ratei) / (ni * rate1) - 1.0
+    res[0] = total - total_ways
+    return res
+
+
 def _eq7_residual_norm(
     processes: Sequence[EquilibriumProcess],
     sizes: Sequence[float],
     total_ways: int,
 ) -> float:
     """Norm of the Eq. 1 + Eq. 7 residual at ``sizes`` (for telemetry)."""
-    res = NewtonSolver()._residual(
-        processes, np.asarray(sizes, dtype=float), total_ways
-    )
+    res = _eq7_residual(processes, sizes, total_ways)
     finite = res[np.isfinite(res)]
     return float(np.linalg.norm(finite)) if finite.size else float("inf")
 
@@ -442,156 +482,25 @@ class BisectionSolver:
 class NewtonSolver:
     """Damped Newton–Raphson on the Eq. 1 + Eq. 7 residual system.
 
+    The Jacobian is built from the tabulated growth-curve and MPA-tail
+    segment slopes and has arrow structure: row 0 (the capacity
+    constraint) is all ones and row i has nonzeros only at columns 0
+    and i.  The "arrow elimination" in :meth:`solve` solves
+    J·Δ = -res by eliminating each Δ_i against row 0, in O(k) with no
+    matrix assembly.
+
     Args:
         tol: Convergence threshold on the residual norm.
         max_iterations: Iteration budget.
-        fd_step: Step for the finite-difference Jacobian (debug path).
-        jacobian: ``analytic`` (default) builds the Jacobian from the
-            tabulated growth-curve and MPA-tail segment slopes and
-            solves the arrow-structured system in O(k); ``fd`` keeps
-            the original k² finite-difference evaluation for
-            verification.
     """
 
     name = "newton"
 
     def __init__(
-        self,
-        tol: float = 1e-7,
-        max_iterations: int = 120,
-        fd_step: float = 1e-4,
-        jacobian: str = "analytic",
+        self, tol: float = NEWTON_TOL, max_iterations: int = NEWTON_MAX_ITERATIONS
     ):
-        if jacobian not in ("analytic", "fd"):
-            raise ConfigurationError(
-                f"unknown jacobian mode {jacobian!r}; choose analytic or fd"
-            )
         self.tol = tol
         self.max_iterations = max_iterations
-        self.fd_step = fd_step
-        self.jacobian = jacobian
-
-    def _residual(
-        self,
-        processes: Sequence[EquilibriumProcess],
-        sizes: np.ndarray,
-        total_ways: int,
-    ) -> np.ndarray:
-        k = len(processes)
-        res = np.empty(k)
-        p1 = processes[0]
-        s1 = float(sizes[0])
-        n1 = p1.occupancy.g_inverse(s1)
-        rate1 = p1.api / (p1.alpha * p1.mpa(s1) + p1.beta)
-        total = s1
-        n1_finite = math.isfinite(n1)
-        for i in range(1, k):
-            pi = processes[i]
-            si = float(sizes[i])
-            total += si
-            ni = pi.occupancy.g_inverse(si)
-            ratei = pi.api / (pi.alpha * pi.mpa(si) + pi.beta)
-            # Eq. 7 rearranged as n1 * rate_i ... / (n_i * rate_1) - 1,
-            # numerically kinder than the raw difference of ratios.
-            if not n1_finite or not math.isfinite(ni):
-                res[i] = np.inf
-            else:
-                res[i] = (n1 * ratei) / (ni * rate1) - 1.0
-        res[0] = total - total_ways
-        return res
-
-    def _evaluate(
-        self,
-        processes: Sequence[EquilibriumProcess],
-        slopes: Sequence[Callable[[float], float]],
-        sizes: np.ndarray,
-        total_ways: int,
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Residual and analytic-Jacobian ingredients in one pass.
-
-        Returns ``(res, q, nlog, rlog)`` where ``q[i]`` is the Eq. 7
-        ratio term (``res[i] = q[i] - 1``), and ``nlog``/``rlog`` are
-        the logarithmic derivatives d ln G⁻¹/dS and d ln rate/dS read
-        off the tabulated segment slopes.
-        """
-        k = len(processes)
-        ns = np.empty(k)
-        rates = np.empty(k)
-        nlog = np.empty(k)
-        rlog = np.empty(k)
-        total = 0.0
-        for i, p in enumerate(processes):
-            s = float(sizes[i])
-            total += s
-            occ = p.occupancy
-            n = occ.g_inverse(s)
-            m = p.mpa(s)
-            spi = p.alpha * m + p.beta
-            ns[i] = n
-            rates[i] = p.api / spi
-            n_slope = occ.g_inverse_slope(s)
-            nlog[i] = n_slope / n if n > 0 and math.isfinite(n) else np.inf
-            rlog[i] = -p.alpha * slopes[i](s) / spi
-        res = np.empty(k)
-        q = np.empty(k)
-        res[0] = total - total_ways
-        q[0] = np.nan  # unused; row 0 is the capacity constraint
-        n1, rate1 = ns[0], rates[0]
-        for i in range(1, k):
-            if not (math.isfinite(ns[i]) and math.isfinite(n1)):
-                res[i] = np.inf
-                q[i] = np.inf
-            else:
-                q[i] = (n1 * rates[i]) / (ns[i] * rate1)
-                res[i] = q[i] - 1.0
-        return res, q, nlog, rlog
-
-    def _caps(
-        self, processes: Sequence[EquilibriumProcess], total_ways: int, lo: float
-    ) -> np.ndarray:
-        return np.array(_newton_caps(processes, total_ways, lo))
-
-    # ------------------------------------------------------------------
-    # Debug / verification Jacobians
-    # ------------------------------------------------------------------
-    def jacobian_fd(
-        self,
-        processes: Sequence[EquilibriumProcess],
-        sizes: np.ndarray,
-        total_ways: int,
-    ) -> np.ndarray:
-        """Finite-difference Jacobian of the residual at ``sizes``."""
-        k = len(processes)
-        x = np.asarray(sizes, dtype=float)
-        caps = self._caps(processes, total_ways, 0.05)
-        res = self._residual(processes, x, total_ways)
-        jac = np.empty((k, k))
-        h = self.fd_step
-        for j in range(k):
-            xh = x.copy()
-            step = h if x[j] + h <= caps[j] else -h
-            xh[j] += step
-            res_h = self._residual(processes, xh, total_ways)
-            jac[:, j] = (res_h - res) / step
-        return jac
-
-    def jacobian_analytic(
-        self,
-        processes: Sequence[EquilibriumProcess],
-        sizes: np.ndarray,
-        total_ways: int,
-    ) -> np.ndarray:
-        """Analytic Jacobian of the residual at ``sizes`` (assembled)."""
-        k = len(processes)
-        slopes = [_resolve_mpa_slope(p) for p in processes]
-        x = np.asarray(sizes, dtype=float)
-        _, q, nlog, rlog = self._evaluate(processes, slopes, x, total_ways)
-        jac = np.zeros((k, k))
-        jac[0, :] = 1.0
-        for i in range(1, k):
-            jac[i, 0] = q[i] * (nlog[0] - rlog[0])
-            jac[i, i] = q[i] * (rlog[i] - nlog[i])
-        return jac
 
     def solve(
         self,
@@ -613,59 +522,14 @@ class NewtonSolver:
             )
             return _finish(processes, free, self.name, 0, False, telemetry)
 
+        # The hot loop deliberately avoids numpy: for the k <= 16
+        # processes a cache domain can hold, Python-float segment
+        # lookups beat small-ndarray round trips by an order of
+        # magnitude.
         lo = NEWTON_DOMAIN_FLOOR
         caps = _newton_caps(processes, total_ways, lo)
         start = _proportional_start(processes, total_ways)
         x = [min(max(s, lo), c) for s, c in zip(start, caps)]
-
-        if self.jacobian == "analytic":
-            return self._solve_analytic(processes, total_ways, x, caps, lo)
-        return self._solve_fd(
-            processes, total_ways, np.asarray(x), np.array(caps), lo
-        )
-
-    def _converged(
-        self,
-        processes: Sequence[EquilibriumProcess],
-        total_ways: int,
-        x: List[float],
-        caps: List[float],
-        iteration: int,
-    ) -> EquilibriumResult:
-        # Newton stops at ||res|| < tol, which leaves an O(tol)
-        # capacity-constraint gap; close Eq. 1 exactly by
-        # redistributing the residual over uncapped processes
-        # (a <= tol-sized adjustment).
-        if sum(caps) > total_ways:
-            x = _redistribute_to_capacity(x, caps, float(total_ways))
-        telemetry = SolverTelemetry(
-            strategy=self.name,
-            solver=self.name,
-            jacobian=self.jacobian,
-            iterations=iteration,
-            residual_norm=_eq7_residual_norm(processes, x, total_ways),
-        )
-        return _finish(processes, x, self.name, iteration, True, telemetry)
-
-    def _solve_analytic(
-        self,
-        processes: Sequence[EquilibriumProcess],
-        total_ways: int,
-        x: List[float],
-        caps: List[float],
-        lo: float,
-    ) -> EquilibriumResult:
-        """Newton with the analytic arrow Jacobian, in plain floats.
-
-        The hot loop deliberately avoids numpy: for the k <= 16
-        processes a cache domain can hold, Python-float segment
-        lookups beat small-ndarray round trips by an order of
-        magnitude.  The Jacobian has arrow structure: row 0 (the
-        capacity constraint) is all ones and row i has nonzeros only
-        at columns 0 and i.  The "arrow elimination" loop below solves
-        J·Δ = -res by eliminating each Δ_i against row 0, in O(k) with
-        no matrix assembly.
-        """
         k = len(processes)
         g_inv = [p.occupancy.g_inverse for p in processes]
         g_inv_slope = [p.occupancy.g_inverse_slope for p in processes]
@@ -720,7 +584,20 @@ class NewtonSolver:
                     "residual left the finite domain", iterations=iteration
                 )
             if norm < self.tol:
-                return self._converged(processes, total_ways, x, caps, iteration)
+                # Newton stops at ||res|| < tol, which leaves an O(tol)
+                # capacity-constraint gap; close Eq. 1 exactly by
+                # redistributing the residual over uncapped processes
+                # (a <= tol-sized adjustment).
+                if sum(caps) > total_ways:
+                    x = _redistribute_to_capacity(x, caps, float(total_ways))
+                telemetry = SolverTelemetry(
+                    strategy=self.name,
+                    solver=self.name,
+                    jacobian="analytic",
+                    iterations=iteration,
+                    residual_norm=_eq7_residual_norm(processes, x, total_ways),
+                )
+                return _finish(processes, x, self.name, iteration, True, telemetry)
             # Jacobian ingredients: only the tabulated segment slopes
             # are new; n, rate, spi come from the accepted evaluation.
             n1 = ns[0]
@@ -791,86 +668,30 @@ class NewtonSolver:
             residual=norm,
         )
 
-    def _solve_fd(
-        self,
-        processes: Sequence[EquilibriumProcess],
-        total_ways: int,
-        x: np.ndarray,
-        caps: np.ndarray,
-        lo: float,
-    ) -> EquilibriumResult:
-        """The original finite-difference Newton (debug/verify path)."""
-        k = len(processes)
-        h = self.fd_step
-        for iteration in range(1, self.max_iterations + 1):
-            res = self._residual(processes, x, total_ways)
-            if not np.all(np.isfinite(res)):
-                raise ConvergenceError(
-                    "residual left the finite domain", iterations=iteration
-                )
-            norm = float(np.linalg.norm(res))
-            if norm < self.tol:
-                return self._converged(
-                    processes, total_ways, x.tolist(), caps.tolist(), iteration
-                )
-            jac = np.empty((k, k))
-            for j in range(k):
-                xh = x.copy()
-                step = h if x[j] + h <= caps[j] else -h
-                xh[j] += step
-                res_h = self._residual(processes, xh, total_ways)
-                jac[:, j] = (res_h - res) / step
-            try:
-                delta = np.linalg.solve(jac, -res)
-            except np.linalg.LinAlgError:
-                raise ConvergenceError(
-                    "singular Jacobian", iterations=iteration, residual=norm
-                ) from None
-            # Damped line search: halve until the residual improves.
-            damping = 1.0
-            for _ in range(30):
-                x_new = np.clip(x + damping * delta, lo, caps)
-                res_new = self._residual(processes, x_new, total_ways)
-                if np.all(np.isfinite(res_new)) and np.linalg.norm(res_new) < norm:
-                    break
-                damping *= 0.5
-            else:
-                raise ConvergenceError(
-                    "line search failed", iterations=iteration, residual=norm
-                )
-            x = x_new
-        raise ConvergenceError(
-            "Newton iteration budget exhausted",
-            iterations=self.max_iterations,
-            residual=float(np.linalg.norm(self._residual(processes, x, total_ways))),
-        )
-
 
 def solve_equilibrium(
     processes: Sequence[EquilibriumProcess],
     total_ways: int,
-    strategy: str = "auto",
 ) -> EquilibriumResult:
-    """Solve the shared-cache equilibrium with the chosen strategy.
+    """Solve the shared-cache equilibrium (paper Eq. 1 + Eq. 7).
+
+    Runs the paper's Newton–Raphson and falls back to the robust
+    bisection scheme if Newton fails to converge.
 
     Args:
         processes: One entry per cache-sharing (simultaneously
             running) process.
         total_ways: Associativity ``A`` of the shared cache.
-        strategy: ``newton``, ``bisection``, or ``auto`` (the paper's
-            Newton–Raphson, falling back to the robust bisection
-            scheme if it fails to converge).
     """
     observer = get_observer()
     if not observer.enabled:
-        return _solve_equilibrium_impl(processes, total_ways, strategy)
+        return _solve_equilibrium_impl(processes, total_ways)
     with observer.span(
         "equilibrium.solve",
-        strategy=strategy,
         processes=len(processes),
         total_ways=total_ways,
     ) as span:
-        result = _solve_equilibrium_impl(processes, total_ways, strategy)
+        result = _solve_equilibrium_impl(processes, total_ways)
         observer.counter("equilibrium.solves").inc()
         if not result.contended:
             observer.counter("equilibrium.uncontended").inc()
@@ -895,26 +716,11 @@ def solve_equilibrium(
 def _solve_equilibrium_impl(
     processes: Sequence[EquilibriumProcess],
     total_ways: int,
-    strategy: str,
 ) -> EquilibriumResult:
     """The uninstrumented solve (bench baseline for obs overhead)."""
-
-    def _stamp(result: EquilibriumResult, **updates) -> EquilibriumResult:
-        if result.telemetry is None:
-            return result
-        return replace(result, telemetry=replace(result.telemetry, **updates))
-
-    if strategy == "newton":
-        return NewtonSolver().solve(processes, total_ways)
-    if strategy == "bisection":
-        return BisectionSolver().solve(processes, total_ways)
-    if strategy != "auto":
-        raise ConfigurationError(
-            f"unknown strategy {strategy!r}; choose newton, bisection or auto"
-        )
     try:
         result = NewtonSolver().solve(processes, total_ways)
-        return _stamp(result, strategy="auto")
+        fallback_reason = None
     except ConvergenceError as newton_err:
         try:
             result = BisectionSolver().solve(processes, total_ways)
@@ -929,11 +735,13 @@ def _solve_equilibrium_impl(
                 iterations=bisection_err.iterations,
                 residual=bisection_err.residual,
             ) from newton_err
-        return _stamp(
-            result,
-            strategy="auto",
-            fallback_reason=(
-                f"newton failed after {newton_err.iterations} iterations: "
-                f"{newton_err}"
-            ),
+        fallback_reason = (
+            f"newton failed after {newton_err.iterations} iterations: "
+            f"{newton_err}"
         )
+    return replace(
+        result,
+        telemetry=replace(
+            result.telemetry, strategy="auto", fallback_reason=fallback_reason
+        ),
+    )

@@ -91,8 +91,6 @@ class PerformanceModel:
     Args:
         ways: Associativity of the shared last-level cache the
             predictions are for.
-        strategy: Equilibrium solver strategy (``auto`` / ``newton`` /
-            ``bisection``).
         cache: Optional shared :class:`EquilibriumCache`.  Predictions
             are memoised per sorted (name, frequency-ratio) multiset;
             every miss is solved cold, so a prediction depends on its
@@ -107,13 +105,11 @@ class PerformanceModel:
     def __init__(
         self,
         ways: int,
-        strategy: str = "auto",
         cache: Optional[EquilibriumCache] = None,
     ):
         if ways < 1:
             raise ConfigurationError("ways must be >= 1")
         self.ways = ways
-        self.strategy = strategy
         self.cache = cache if cache is not None else EquilibriumCache()
         self._features: Dict[str, FeatureVector] = {}
         # Unit-ratio solver inputs, one per registered name; other
@@ -257,7 +253,7 @@ class PerformanceModel:
         order, slot = canonical_order(names, ratios)
         canon_names = [names[i] for i in order]
         canon_ratios = [ratios[i] for i in order]
-        key = (self.ways, self.strategy, tuple(zip(canon_names, canon_ratios)))
+        key = (self.ways, tuple(zip(canon_names, canon_ratios)))
         return canon_names, canon_ratios, key, slot
 
     def _restore(
@@ -305,10 +301,9 @@ class PerformanceModel:
         cache misses are solved as one stacked-numpy Newton problem
         instead of one scalar solve per mix.
 
-        The sequential loop is used verbatim (no vectorization) for the
-        ``bisection`` strategy (nothing to vectorize), under an enabled
-        observer (per-mix ``predict`` spans keep their exact shape), and
-        for a batch too small to win.
+        The sequential loop is used verbatim (no vectorization) under
+        an enabled observer (per-mix ``predict`` spans keep their exact
+        shape) and for a batch too small to win.
 
         Cache-counter parity with the sequential loop holds for the
         totals: each mix performs exactly one ``get`` — the first
@@ -336,11 +331,7 @@ class PerformanceModel:
                     "frequency_ratios must have one entry per mix"
                 )
             per_mix_ratios = list(frequency_ratios)
-        if (
-            len(mixes) < BATCH_MIN_STACK
-            or self.strategy == "bisection"
-            or get_observer().enabled
-        ):
+        if len(mixes) < BATCH_MIN_STACK or get_observer().enabled:
             return tuple(
                 self.predict(mix, ratios)
                 for mix, ratios in zip(mixes, per_mix_ratios)
@@ -387,13 +378,12 @@ class PerformanceModel:
         )
 
     def _batch_solver(self):
-        """Lazy per-model batch solver, rebuilt if ``strategy`` changed."""
+        """Lazy per-model batch solver."""
         from repro.core.batch_equilibrium import BatchNewtonSolver
 
         solver = getattr(self, "_batch_solver_cache", None)
-        if solver is None or solver.fallback_strategy != self.strategy:
-            solver = BatchNewtonSolver(fallback_strategy=self.strategy)
-            self._batch_solver_cache = solver
+        if solver is None:
+            solver = self._batch_solver_cache = BatchNewtonSolver()
         return solver
 
     def _solve(
@@ -401,7 +391,7 @@ class PerformanceModel:
     ) -> EquilibriumResult:
         """Solve one (canonically ordered) co-run from the cold start."""
         inputs = self._equilibrium_inputs(names, ratios)
-        return solve_equilibrium(inputs, self.ways, strategy=self.strategy)
+        return solve_equilibrium(inputs, self.ways)
 
     @property
     def cache_stats(self) -> CacheStats:

@@ -14,8 +14,8 @@ One cache instance can be shared across
 :class:`~repro.core.combined.CombinedModel` instances and
 :class:`~repro.core.performance_model.PerformanceModel` instances, as
 long as they are built over the same registered profiles — the cache
-keys carry the cache geometry and solver strategy but deliberately
-not the profile contents.  Replacing a registered feature vector must
+keys carry the cache geometry and the co-run but deliberately not the
+profile contents.  Replacing a registered feature vector must
 therefore invalidate the cache (``PerformanceModel.register`` does).
 
 The cache is guarded by a lock so a future batched/async serving

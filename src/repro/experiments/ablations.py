@@ -140,31 +140,25 @@ def run_solver_ablation(
 
 
 # ----------------------------------------------------------------------
-# Predict hot-path ablation (analytic vs finite-difference Jacobian)
+# Predict hot-path ablation (bare solve vs cold and cached predict)
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class PredictHotPathResult:
-    """Timing and agreement of the predict hot path on one co-run mix.
+    """Timing of the predict hot path on one co-run mix.
 
-    ``analytic_ms``/``fd_ms`` time the Newton solve itself with each
-    Jacobian mode; ``predict_ms`` times the full uncached
-    ``PerformanceModel.predict`` call; ``warm_predict_ms`` the same
-    call answered from a hot :class:`EquilibriumCache`.
+    ``newton_ms`` times the Newton solve itself; ``predict_ms`` times
+    the full uncached ``PerformanceModel.predict`` call;
+    ``warm_predict_ms`` the same call answered from a hot
+    :class:`EquilibriumCache`.
     """
 
     mix: Tuple[str, ...]
     contended: bool
-    analytic_ms: float
-    fd_ms: float
+    newton_ms: float
     predict_ms: float
     warm_predict_ms: float
-    max_abs_diff: float
     cache_hit_rate: float
     telemetry: Optional[SolverTelemetry]
-
-    @property
-    def jacobian_speedup(self) -> float:
-        return self.fd_ms / self.analytic_ms if self.analytic_ms > 0 else float("nan")
 
     @property
     def cached_speedup(self) -> float:
@@ -191,10 +185,8 @@ def run_predict_hot_path(
 ) -> PredictHotPathResult:
     """Time the equilibrium hot path on a contended multi-process mix.
 
-    Compares the analytic-Jacobian Newton solve against the
-    finite-difference debug path (the pre-optimisation algorithm) and
-    verifies both land on the same partition; also times the full
-    ``predict`` call cold (cache disabled) and warm (cache hit).
+    Times the bare Newton solve, then the full ``predict`` call cold
+    (cache disabled) and warm (cache hit).
     """
     if mix is None:
         names = list(context.benchmark_names)
@@ -204,17 +196,9 @@ def run_predict_hot_path(
     ways = base.ways
     inputs = base._equilibrium_inputs(list(mix))
 
-    analytic_solver = NewtonSolver(jacobian="analytic")
-    fd_solver = NewtonSolver(jacobian="fd")
-    analytic = analytic_solver.solve(inputs, ways)
-    fd = fd_solver.solve(inputs, ways)
-    max_abs_diff = max(
-        max(abs(a - b) for a, b in zip(analytic.sizes, fd.sizes)),
-        max(abs(a - b) for a, b in zip(analytic.spis, fd.spis)),
-    )
-
-    analytic_ms = _median_ms(lambda: analytic_solver.solve(inputs, ways), repeats)
-    fd_ms = _median_ms(lambda: fd_solver.solve(inputs, ways), repeats)
+    solver = NewtonSolver()
+    solved = solver.solve(inputs, ways)
+    newton_ms = _median_ms(lambda: solver.solve(inputs, ways), repeats)
 
     # Full predict() timings: cold path with caching disabled, then
     # the cache-hit path of a default model.
@@ -231,14 +215,12 @@ def run_predict_hot_path(
 
     return PredictHotPathResult(
         mix=mix,
-        contended=analytic.contended,
-        analytic_ms=analytic_ms,
-        fd_ms=fd_ms,
+        contended=solved.contended,
+        newton_ms=newton_ms,
         predict_ms=predict_ms,
         warm_predict_ms=warm_predict_ms,
-        max_abs_diff=float(max_abs_diff),
         cache_hit_rate=warm.cache_stats.hit_rate,
-        telemetry=analytic.telemetry,
+        telemetry=solved.telemetry,
     )
 
 

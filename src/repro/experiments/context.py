@@ -107,11 +107,11 @@ class ExperimentContext:
     # ------------------------------------------------------------------
     # Models
     # ------------------------------------------------------------------
-    def performance_model(self, strategy: str = "auto") -> PerformanceModel:
+    def performance_model(self) -> PerformanceModel:
         """Fitted performance model over the profiled suite."""
-        if self._performance_model is None or self._performance_model.strategy != strategy:
+        if self._performance_model is None:
             ways = self.topology.domains[0].geometry.ways
-            model = PerformanceModel(ways=ways, strategy=strategy)
+            model = PerformanceModel(ways=ways)
             model.register_all(list(self.feature_vectors().values()))
             self._performance_model = model
         return self._performance_model

@@ -15,8 +15,8 @@ fleet-scale search tractable:
   request: it belongs to the suite.
 
 :class:`FleetEvaluator` exploits all three.  It takes its models from a
-:class:`SolvedCoRuns` store: one performance model per
-``(ways, strategy)``, and one ``CombinedModel`` (with its
+:class:`SolvedCoRuns` store: one performance model per cache
+associativity, and one ``CombinedModel`` (with its
 ``HeteroPricer``) per machine config, which memoises each cache
 domain's part of a state estimate in a plain dict keyed on the
 canonical state's entries on that domain (``(core, names)``, or
@@ -179,8 +179,8 @@ def canonical_state(
 class SolvedCoRuns:
     """Performance models and state pricers kept for the life of their owner.
 
-    Holds one :class:`PerformanceModel` per ``(ways, strategy)``, each
-    over its own equilibrium cache, so every solve that shares the
+    Holds one :class:`PerformanceModel` per associativity ``ways``,
+    each over its own equilibrium cache, so every solve that shares the
     store reuses the co-runs earlier solves priced.  Solves start cold
     and do not depend on what the cache holds, so reuse cannot change
     an answer.  It also keeps one ``CombinedModel`` (and
@@ -201,33 +201,32 @@ class SolvedCoRuns:
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        # (ways, strategy) -> (registered features, model, unit-clock
-        # mixes batch-solved on that model).
+        # ways -> (registered features, model, unit-clock mixes
+        # batch-solved on that model).
         self._models: Dict[
-            Tuple[int, str],
+            int,
             Tuple[Dict[str, FeatureVector], PerformanceModel, Set[Tuple[str, ...]]],
         ] = {}
         self._pricing: Dict[
-            Tuple[str, int, Optional[HeteroMachineSpec], str],
+            Tuple[str, int, Optional[HeteroMachineSpec]],
             Tuple[Tuple, CombinedModel, Optional[HeteroPricer]],
         ] = {}
 
     def model(
-        self, ways: int, strategy: str, features: Mapping[str, FeatureVector]
+        self, ways: int, features: Mapping[str, FeatureVector]
     ) -> PerformanceModel:
-        """The stored model for ``(ways, strategy)`` over ``features``."""
-        key = (ways, strategy)
+        """The stored model for ``ways`` over ``features``."""
         with self._lock:
-            entry = self._models.get(key)
+            entry = self._models.get(ways)
             if entry is not None:
                 registered, model, _primed = entry
                 if _same_objects(registered, features):
                     return model
-            model = PerformanceModel(ways=ways, strategy=strategy)
+            model = PerformanceModel(ways=ways)
             model.register_all(list(features.values()))
             # The snapshot pins the feature objects, so an identity
             # match can never be a recycled id.
-            self._models[key] = (dict(features), model, set())
+            self._models[ways] = (dict(features), model, set())
             return model
 
     def pricing(
@@ -246,9 +245,7 @@ class SolvedCoRuns:
         serves now.  ``CorePowerModel.fit`` refits in place, so the
         coefficients are matched along with the power model's identity.
         """
-        # The strategy keys the entry so that requests alternating
-        # between strategies do not rebuild each other's pricing.
-        key = (machine, sets, hetero, models[0].strategy)
+        key = (machine, sets, hetero)
         fit = (power_model.p_idle, tuple(power_model.coefficients.values()))
         with self._lock:
             entry = self._pricing.get(key)
@@ -335,7 +332,6 @@ class FleetEvaluator:
             per-instruction rates of Eq. 9).
         power_model: Fitted per-core power model.
         fleet: The machine inventory being packed.
-        strategy: Equilibrium solver strategy.
         models: Store to take the per-ways performance models from
             (a suite's, so its solved co-runs outlive this request);
             ``None`` builds a private one.
@@ -348,14 +344,12 @@ class FleetEvaluator:
         power_model: CorePowerModel,
         fleet: FleetSpec,
         *,
-        strategy: str = "auto",
         models: Optional[SolvedCoRuns] = None,
     ):
         self.features = dict(features)
         self.profiles = dict(profiles)
         self.power_model = power_model
         self.fleet = fleet
-        self.strategy = strategy
         self._store = models if models is not None else SolvedCoRuns()
         self._models_by_ways: Dict[int, PerformanceModel] = {}
         self._configs: Dict[
@@ -379,7 +373,7 @@ class FleetEvaluator:
     def _model_for(self, ways: int) -> PerformanceModel:
         model = self._models_by_ways.get(ways)
         if model is None:
-            model = self._store.model(ways, self.strategy, self.features)
+            model = self._store.model(ways, self.features)
             self._models_by_ways[ways] = model
         return model
 

@@ -845,7 +845,6 @@ def solve(
     profiles: Mapping[str, ProfileVector],
     power_model: CorePowerModel,
     *,
-    strategy: str = "auto",
     max_candidates: Optional[int] = None,
     sweep_limit: Optional[int] = None,
     models: Optional[SolvedCoRuns] = None,
@@ -853,9 +852,8 @@ def solve(
     """Solve a declarative fleet-assignment request.
 
     The request says *what* to solve; everything here is an execution
-    knob (solver strategy, enumeration caps, the store of solved
-    co-runs to reuse) that cannot change the returned bits — only how
-    fast they arrive.
+    knob (enumeration caps, the store of solved co-runs to reuse) that
+    cannot change the returned bits — only how fast they arrive.
     """
     fleet = request.resolved_fleet()
     objective = canonical_objective(request.objective)
@@ -864,7 +862,6 @@ def solve(
         profiles,
         power_model,
         fleet,
-        strategy=strategy,
         models=models,
     )
     ctx = _Context(

@@ -153,7 +153,6 @@ class ParallelPredictor:
         features: Feature vectors of every process mixes may name
             (a sequence, or a ``name -> FeatureVector`` mapping).
         ways: Associativity of the shared cache being modelled.
-        strategy: Equilibrium solver strategy.
         cache: :class:`EquilibriumCache` that accumulates every
             solution and its telemetry.
     """
@@ -163,14 +162,12 @@ class ParallelPredictor:
         features: Union[Sequence[FeatureVector], Mapping[str, FeatureVector]],
         *,
         ways: int,
-        strategy: str = "auto",
         cache: Optional[EquilibriumCache] = None,
     ):
         if isinstance(features, Mapping):
             features = [features[name] for name in sorted(features)]
         self.features = list(features)
         self.ways = ways
-        self.strategy = strategy
         self.cache = EquilibriumCache() if cache is None else cache
         self._model: Optional[PerformanceModel] = None
         self._closed = False
@@ -212,9 +209,7 @@ class ParallelPredictor:
     # -- prediction -----------------------------------------------------
     def _performance_model(self) -> PerformanceModel:
         if self._model is None:
-            model = PerformanceModel(
-                ways=self.ways, strategy=self.strategy, cache=self.cache
-            )
+            model = PerformanceModel(ways=self.ways, cache=self.cache)
             model.register_all(self.features)
             self._model = model
         return self._model
@@ -268,14 +263,11 @@ def predict_mixes(
     mixes: Sequence[Sequence[str]],
     *,
     ways: int,
-    strategy: str = "auto",
     cache: Optional[EquilibriumCache] = None,
     frequency_ratios: Optional[Sequence[Optional[Sequence[float]]]] = None,
 ) -> Tuple[CoRunPrediction, ...]:
     """One-shot batched prediction (see :class:`ParallelPredictor`)."""
-    with ParallelPredictor(
-        features, ways=ways, strategy=strategy, cache=cache
-    ) as predictor:
+    with ParallelPredictor(features, ways=ways, cache=cache) as predictor:
         return predictor.predict_mixes(mixes, frequency_ratios=frequency_ratios)
 
 

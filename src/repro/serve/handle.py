@@ -98,7 +98,6 @@ def start_server(
     *,
     host: str = "127.0.0.1",
     port: int = 0,
-    strategy: str = "auto",
     max_batch_size: int = 32,
     max_linger_ms: float = 0.0,
     max_queue: int = 256,
@@ -115,7 +114,6 @@ def start_server(
             (result bundles, fitted power models, saved-JSON paths or
             raw documents — see :meth:`ModelRegistry.publish`).
         host / port: Bind address; ``port=0`` picks an ephemeral port.
-        strategy: Equilibrium solver strategy for served predictions.
         max_batch_size / max_linger_ms / max_queue: Micro-batching
             and admission-control knobs.  The default zero linger
             dispatches whenever the solver is idle (see
@@ -133,7 +131,6 @@ def start_server(
         registry.publish(name, source)
     service = PredictionService(
         registry,
-        strategy=strategy,
         max_batch_size=max_batch_size,
         max_linger_s=max_linger_ms / 1000.0,
         max_queue=max_queue,

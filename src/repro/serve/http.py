@@ -139,7 +139,6 @@ class PredictionService:
 
     Args:
         registry: Artifact store (default: a fresh empty one).
-        strategy: Equilibrium solver strategy for served predictions.
         max_batch_size / max_linger_s / max_queue: Batching and
             admission knobs, applied to every batcher (see
             :class:`MicroBatcher`).  The default zero linger
@@ -156,14 +155,12 @@ class PredictionService:
         self,
         registry: Optional[ModelRegistry] = None,
         *,
-        strategy: str = "auto",
         max_batch_size: int = 32,
         max_linger_s: float = 0.0,
         max_queue: int = 256,
         result_cache_size: int = 4096,
     ):
         self.registry = registry if registry is not None else ModelRegistry()
-        self.strategy = strategy
         self.max_batch_size = max_batch_size
         self.max_linger_s = max_linger_s
         self.max_queue = max_queue
@@ -200,9 +197,7 @@ class PredictionService:
         key = (artifact.name, artifact.version, ways)
         batcher = self._batchers.get(key)
         if batcher is None:
-            engine = ParallelPredictor(
-                artifact.obj.features, ways=ways, strategy=self.strategy
-            )
+            engine = ParallelPredictor(artifact.obj.features, ways=ways)
             batcher = MicroBatcher(
                 engine,
                 max_batch_size=self.max_batch_size,
@@ -377,13 +372,7 @@ class PredictionService:
         loop = asyncio.get_running_loop()
         result = await loop.run_in_executor(
             self._assign_pool,
-            functools.partial(
-                solve_assignment,
-                request,
-                suite.obj,
-                power_model,
-                strategy=self.strategy,
-            ),
+            functools.partial(solve_assignment, request, suite.obj, power_model),
         )
         self.metrics.counter("serve.assign_v2.completed").inc()
         return {

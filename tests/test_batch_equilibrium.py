@@ -3,8 +3,8 @@
 The contract under test is the bit-compatibility policy of
 ``repro.core.batch_equilibrium``: every payload field of every result
 (``sizes`` / ``mpas`` / ``spis`` / ``solver`` / ``iterations`` /
-``contended``) is ``==`` to the scalar
-``solve_equilibrium(row, ways, strategy=fallback_strategy)`` loop —
+``contended``) is ``==`` to the scalar ``solve_equilibrium(row, ways)``
+loop —
 not merely close — for arbitrary batches, including batches where
 individual rows are pathological (Newton-hostile inputs, unsniffable
 profiles, custom slopes) and must fall back alone without perturbing
@@ -25,7 +25,11 @@ from repro.core.batch_equilibrium import (
     _Stack,
     _StackState,
 )
-from repro.core.equilibrium import EquilibriumProcess, solve_equilibrium
+from repro.core.equilibrium import (
+    EquilibriumProcess,
+    SolverTelemetry,
+    solve_equilibrium,
+)
 from repro.core.histogram import ReuseDistanceHistogram
 from repro.core.occupancy import OccupancyModel
 from repro.core.performance_model import PerformanceModel
@@ -185,7 +189,7 @@ class TestBatchScalarBitEquality:
                 assert result.telemetry.solver == "batch_newton"
 
     def test_four_widths_share_one_stack(self):
-        """One row each of k = 2..5: below ``min_stack`` per width, but
+        """One row each of k = 2..5: below ``BATCH_MIN_STACK`` per width, but
         together they fill one padded stack and stay bit-equal."""
         pool = [
             make_profile(ReuseDistanceHistogram([1.0, 0.6, 0.3], 0.4)),
@@ -223,38 +227,29 @@ class TestBatchScalarBitEquality:
         for row, result in zip(batch, batched):
             assert_results_equal(result, solve_equilibrium(row, WAYS))
 
-    def test_strategy_newton_parity(self):
-        """fallback_strategy='newton' matches the scalar newton loop."""
+    def test_stacked_telemetry_assigns_every_field(self):
+        """A stacked row's telemetry holds every field, defaults included.
+
+        The result loop fills bare instances through ``__dict__``, so a
+        field it leaves out would still compare ``==`` (the class
+        default answers) while missing from ``vars()``.
+        """
         pool = [
-            make_profile(ReuseDistanceHistogram([1.0, 0.5, 0.2], 0.3)),
-            make_profile(ReuseDistanceHistogram([0.2, 0.8], 0.5), api=0.02),
-            make_profile(ReuseDistanceHistogram([0.5] * 6, 0.2), api=0.08),
+            make_profile(ReuseDistanceHistogram([1.0, 0.6, 0.3], 0.4)),
+            make_profile(ReuseDistanceHistogram([0.3, 0.9, 0.1], 0.6), api=0.03),
         ]
-        batch = [
-            [make_process(pool[i]), make_process(pool[j])]
-            for i in range(3)
-            for j in range(3)
-        ]
-        solver = BatchNewtonSolver(fallback_strategy="newton")
-        batched = solver.solve_batch(batch, WAYS)
-        for row, result in zip(batch, batched):
-            assert_results_equal(
-                result, solve_equilibrium(row, WAYS, strategy="newton")
+        batch = [[make_process(pool[0]), make_process(pool[1])]] * BATCH_MIN_STACK
+        for result in BatchNewtonSolver().solve_batch(batch, WAYS):
+            telemetry = result.telemetry
+            assert telemetry.solver == "batch_newton"
+            expected = SolverTelemetry(
+                "auto",
+                "batch_newton",
+                "analytic",
+                telemetry.iterations,
+                telemetry.residual_norm,
             )
-
-    def test_bisection_strategy_delegates_entirely(self):
-        pool = [make_profile(ReuseDistanceHistogram([1.0, 0.4], 0.4))]
-        batch = [[make_process(pool[0])] * 2 for _ in range(5)]
-        solver = BatchNewtonSolver(fallback_strategy="bisection")
-        batched = solver.solve_batch(batch, WAYS)
-        for row, result in zip(batch, batched):
-            scalar = solve_equilibrium(row, WAYS, strategy="bisection")
-            assert_results_equal(result, scalar)
-            assert result.solver == "bisection"
-
-    def test_unknown_strategy_rejected(self):
-        with pytest.raises(ConfigurationError, match="strategy"):
-            BatchNewtonSolver(fallback_strategy="magic")
+            assert vars(telemetry) == vars(expected)
 
 
 class TestFallbackIsolation:

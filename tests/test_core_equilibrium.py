@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from equilibrium_reference import jacobian_analytic, jacobian_fd
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -43,15 +44,19 @@ def light():
     return make_process([0.5, 0.3, 0.15], 0.05, WAYS, api=0.01, alpha=8e-9)
 
 
+#: The scalar solvers, by the ids their parametrized tests run under.
+SOLVERS = {"newton": NewtonSolver, "bisection": BisectionSolver}
+
+
 class TestCapacityConstraint:
-    @pytest.mark.parametrize("strategy", ["newton", "bisection"])
-    def test_contended_sizes_sum_to_ways(self, heavy, strategy, light):
-        result = solve_equilibrium([heavy, heavy, light], WAYS, strategy=strategy)
+    @pytest.mark.parametrize("solver", ["newton", "bisection"])
+    def test_contended_sizes_sum_to_ways(self, heavy, solver, light):
+        result = SOLVERS[solver]().solve([heavy, heavy, light], WAYS)
         assert result.contended
         assert abs(result.total_size - WAYS) <= 1e-9 * WAYS
 
-    @pytest.mark.parametrize("strategy", ["auto", "bisection"])
-    def test_capped_process_does_not_break_capacity(self, heavy, strategy):
+    @pytest.mark.parametrize("solve", ["auto", "bisection"])
+    def test_capped_process_does_not_break_capacity(self, heavy, solve):
         """Regression: a saturating process used to leak capacity.
 
         The old bisection finish rescaled all sizes proportionally and
@@ -65,12 +70,15 @@ class TestCapacityConstraint:
         tiny = make_process([0.7, 0.3], 0.0, WAYS, api=0.05)
         cap = tiny.occupancy.saturation_size
         assert cap < WAYS / 3  # genuinely capped
-        result = solve_equilibrium([heavy, heavy, tiny], WAYS, strategy=strategy)
+        if solve == "auto":
+            result = solve_equilibrium([heavy, heavy, tiny], WAYS)
+        else:
+            result = BisectionSolver().solve([heavy, heavy, tiny], WAYS)
         assert result.contended
         assert result.solver == "bisection"
         assert abs(result.total_size - WAYS) <= 1e-9 * WAYS
         assert result.sizes[2] <= cap + 1e-9
-        if strategy == "auto":
+        if solve == "auto":
             # A genuine (unmocked) Newton failure must be surfaced.
             assert result.telemetry.fallback_reason is not None
             assert "newton failed" in result.telemetry.fallback_reason
@@ -93,9 +101,9 @@ class TestCapacityConstraint:
 
 
 class TestSymmetryAndOrdering:
-    @pytest.mark.parametrize("strategy", ["newton", "bisection"])
-    def test_identical_processes_split_evenly(self, heavy, strategy):
-        result = solve_equilibrium([heavy, heavy], WAYS, strategy=strategy)
+    @pytest.mark.parametrize("solver", ["newton", "bisection"])
+    def test_identical_processes_split_evenly(self, heavy, solver):
+        result = SOLVERS[solver]().solve([heavy, heavy], WAYS)
         assert result.sizes[0] == pytest.approx(result.sizes[1], abs=0.05)
         assert result.sizes[0] == pytest.approx(WAYS / 2, abs=0.1)
 
@@ -120,7 +128,7 @@ class TestSolverAgreement:
             assert a == pytest.approx(b, abs=0.1)
 
     def test_auto_strategy_produces_result(self, heavy, light):
-        result = solve_equilibrium([heavy, light], WAYS, strategy="auto")
+        result = solve_equilibrium([heavy, light], WAYS)
         assert result.solver in ("newton", "bisection")
 
 
@@ -153,10 +161,6 @@ class TestTelemetry:
         assert not telemetry.warm_started
         assert telemetry.fallback_reason is None
 
-    def test_fd_jacobian_mode_recorded(self, heavy, light):
-        result = NewtonSolver(jacobian="fd").solve([heavy, light], WAYS)
-        assert result.telemetry.jacobian == "fd"
-
     def test_bisection_telemetry(self, heavy, light):
         result = BisectionSolver().solve([heavy, heavy, light], WAYS)
         telemetry = result.telemetry
@@ -171,20 +175,15 @@ class TestTelemetry:
         assert result.telemetry.residual_norm == 0.0
 
     def test_auto_strategy_stamped(self, heavy, light):
-        result = solve_equilibrium([heavy, light], WAYS, strategy="auto")
+        result = solve_equilibrium([heavy, light], WAYS)
         assert result.telemetry.strategy == "auto"
         assert result.telemetry.solver == "newton"
 
-    def test_invalid_jacobian_mode_rejected(self):
-        with pytest.raises(ConfigurationError):
-            NewtonSolver(jacobian="symbolic")
-
     def test_analytic_jacobian_matches_fd_at_solution(self, heavy, light):
-        solver = NewtonSolver()
-        result = solver.solve([heavy, heavy, light], WAYS)
+        result = NewtonSolver().solve([heavy, heavy, light], WAYS)
         sizes = np.asarray(result.sizes)
-        analytic = solver.jacobian_analytic([heavy, heavy, light], sizes, WAYS)
-        fd = solver.jacobian_fd([heavy, heavy, light], sizes, WAYS)
+        analytic = jacobian_analytic([heavy, heavy, light], sizes, WAYS)
+        fd = jacobian_fd([heavy, heavy, light], sizes, WAYS)
         assert np.allclose(analytic[0], 1.0)
         assert np.allclose(analytic, fd, rtol=5e-3, atol=1e-6)
 
@@ -201,7 +200,7 @@ class TestAutoFallback:
         monkeypatch.setattr(
             equilibrium_module.NewtonSolver, "solve", failing_solve
         )
-        result = solve_equilibrium([heavy, light], WAYS, strategy="auto")
+        result = solve_equilibrium([heavy, light], WAYS)
         assert result.solver == "bisection"
         telemetry = result.telemetry
         assert telemetry.strategy == "auto"
@@ -225,7 +224,7 @@ class TestAutoFallback:
             equilibrium_module.BisectionSolver, "solve", bisection_fails
         )
         with pytest.raises(ConvergenceError) as excinfo:
-            solve_equilibrium([heavy, light], WAYS, strategy="auto")
+            solve_equilibrium([heavy, light], WAYS)
         # Both diagnostics in the message, Newton error on the chain.
         assert "newton exploded" in str(excinfo.value)
         assert "bracket lost" in str(excinfo.value)
@@ -233,15 +232,16 @@ class TestAutoFallback:
         assert isinstance(cause, ConvergenceError)
         assert cause.iterations == 3
 
-    def test_newton_strategy_propagates_error(self, heavy, light, monkeypatch):
-        def newton_fails(self, processes, total_ways):
-            raise ConvergenceError("newton exploded", iterations=3)
+    def test_newton_strategy_propagates_error(self, heavy):
+        """Called directly, Newton raises where ``auto`` falls back.
 
-        monkeypatch.setattr(
-            equilibrium_module.NewtonSolver, "solve", newton_fails
-        )
-        with pytest.raises(ConvergenceError, match="newton exploded"):
-            solve_equilibrium([heavy, light], WAYS, strategy="newton")
+        G⁻¹ is infinite at saturation, so Newton cannot reach the
+        boundary equilibrium of a capped process (see
+        ``test_capped_process_does_not_break_capacity``).
+        """
+        tiny = make_process([0.7, 0.3], 0.0, WAYS, api=0.05)
+        with pytest.raises(ConvergenceError):
+            NewtonSolver().solve([heavy, heavy, tiny], WAYS)
 
 
 class TestValidation:
@@ -252,10 +252,6 @@ class TestValidation:
     def test_more_processes_than_ways_rejected(self, light):
         with pytest.raises(ConfigurationError):
             solve_equilibrium([light] * (WAYS + 1), WAYS)
-
-    def test_unknown_strategy_rejected(self, light):
-        with pytest.raises(ConfigurationError):
-            solve_equilibrium([light], WAYS, strategy="gradient")
 
     def test_equilibrium_process_validation(self):
         hist = ReuseDistanceHistogram([1.0])

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.equilibrium import BisectionSolver, NewtonSolver
 from repro.core.feature import FeatureVector
 from repro.core.performance_model import PerformanceModel
 from repro.errors import ConfigurationError
@@ -88,13 +89,12 @@ class TestStrategies:
         features = [
             FeatureVector.oracle(BENCHMARKS[name], FREQ) for name in ("mcf", "art")
         ]
-        newton = PerformanceModel(ways=16, strategy="newton")
-        bisect = PerformanceModel(ways=16, strategy="bisection")
-        newton.register_all(features)
-        bisect.register_all(features)
-        a = newton.predict(["mcf", "art"])
-        b = bisect.predict(["mcf", "art"])
-        assert a[0].effective_size == pytest.approx(b[0].effective_size, abs=0.1)
+        model = PerformanceModel(ways=16)
+        model.register_all(features)
+        inputs = model._equilibrium_inputs(["mcf", "art"])
+        a = NewtonSolver().solve(inputs, 16)
+        b = BisectionSolver().solve(inputs, 16)
+        assert a.sizes[0] == pytest.approx(b.sizes[0], abs=0.1)
 
 
 class TestSolverInputs:

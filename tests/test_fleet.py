@@ -672,7 +672,7 @@ def _stored_models(suite, fleet):
             for domain in STANDARD_MACHINES[group.machine](sets=group.sets).domains
         }
     )
-    return [suite.solved_coruns.model(w, "auto", suite.features) for w in ways]
+    return [suite.solved_coruns.model(w, suite.features) for w in ways]
 
 
 def _stored_pricing(suite, power_model, fleet):

@@ -111,7 +111,7 @@ class TestPredictMixes:
         stats = cache.stats
         assert stats.entries == 4  # one per distinct canonical mix
         assert stats.hits + stats.misses == len(MIXES)
-        assert (8, "auto", (("gzip", 1.0), ("mcf", 1.0))) in cache
+        assert (8, (("gzip", 1.0), ("mcf", 1.0))) in cache
 
     def test_observer_records_batch_span(self, features):
         observer = obs.Observer()

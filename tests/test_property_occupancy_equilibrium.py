@@ -61,7 +61,7 @@ class TestEquilibriumProperties:
     @given(st.lists(equilibrium_processes(), min_size=2, max_size=4))
     @settings(max_examples=20, deadline=None)
     def test_solution_feasible(self, processes):
-        result = solve_equilibrium(processes, WAYS, strategy="auto")
+        result = solve_equilibrium(processes, WAYS)
         assert all(0.0 <= s <= WAYS + 1e-6 for s in result.sizes)
         assert result.total_size <= WAYS + 1e-3
         if result.contended:
@@ -70,7 +70,7 @@ class TestEquilibriumProperties:
     @given(st.lists(equilibrium_processes(), min_size=2, max_size=3))
     @settings(max_examples=20, deadline=None)
     def test_outputs_self_consistent(self, processes):
-        result = solve_equilibrium(processes, WAYS, strategy="auto")
+        result = solve_equilibrium(processes, WAYS)
         for process, size, mpa, spi in zip(
             processes, result.sizes, result.mpas, result.spis
         ):
@@ -80,5 +80,5 @@ class TestEquilibriumProperties:
     @given(equilibrium_processes())
     @settings(max_examples=20, deadline=None)
     def test_self_pair_symmetric(self, process):
-        result = solve_equilibrium([process, process], WAYS, strategy="auto")
+        result = solve_equilibrium([process, process], WAYS)
         assert result.sizes[0] == pytest.approx(result.sizes[1], abs=0.1)

@@ -6,15 +6,17 @@ Covers the three invariants the refactor leans on:
   ``sum(S_i) == A`` to 1e-9 and agree with each other.
 - The vectorized kernels (``mpa_batch``, ``g_batch``,
   ``g_inverse_batch``) match their scalar counterparts element-wise.
-- The analytic Jacobian matches the finite-difference one away from
-  the kinks of the piecewise-linear tables (where FD straddles two
-  segments and neither side is "the" derivative).
+- The analytic Jacobian matches the finite-difference one of
+  ``equilibrium_reference`` away from the kinks of the piecewise-linear
+  tables (where FD straddles two segments and neither side is "the"
+  derivative), and the FD Newton reference reaches the same solution.
 """
 
 import math
 
 import numpy as np
 import pytest
+from equilibrium_reference import FD_STEP, jacobian_analytic, jacobian_fd, solve_fd
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -221,21 +223,20 @@ class TestJacobianAgreement:
     @given(st.lists(equilibrium_processes(), min_size=2, max_size=4))
     @settings(max_examples=25, deadline=None)
     def test_analytic_matches_fd(self, processes):
-        solver = NewtonSolver()
         try:
-            result = solver.solve(processes, WAYS)
+            result = NewtonSolver().solve(processes, WAYS)
         except ConvergenceError:
             return
         sizes = np.asarray(result.sizes)
-        margin = solver.fd_step * 10
+        margin = FD_STEP * 10
         assume(
             all(
                 _away_from_kinks(p, s, margin)
                 for p, s in zip(processes, sizes)
             )
         )
-        analytic = solver.jacobian_analytic(processes, sizes, WAYS)
-        fd = solver.jacobian_fd(processes, sizes, WAYS)
+        analytic = jacobian_analytic(processes, sizes, WAYS)
+        fd = jacobian_fd(processes, sizes, WAYS)
         assume(np.all(np.isfinite(analytic)) and np.all(np.isfinite(fd)))
         # Row 0 is the capacity constraint in both.
         assert np.allclose(analytic[0], 1.0)
@@ -251,8 +252,8 @@ class TestJacobianAgreement:
     @settings(max_examples=15, deadline=None)
     def test_fd_mode_reaches_same_solution(self, processes):
         try:
-            analytic = NewtonSolver(jacobian="analytic").solve(processes, WAYS)
-            fd = NewtonSolver(jacobian="fd").solve(processes, WAYS)
+            analytic = NewtonSolver().solve(processes, WAYS)
+            fd = solve_fd(processes, WAYS)
         except ConvergenceError:
             return
         # Eq. 7 can have distinct fixed points, however close

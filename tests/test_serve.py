@@ -595,7 +595,7 @@ class TestV2Assign:
                 "POST", "/v2/assign", {"request": document}
             )
             assert status == 200
-            model = suite.solved_coruns.model(ways, "auto", suite.features)
+            model = suite.solved_coruns.model(ways, suite.features)
             models.append((model, model.cache_stats))
         (first, before), (second, after) = models
         assert first is second
