@@ -386,6 +386,18 @@ def requests(suite, power) -> Dict[str, AssignmentRequest]:
                 max_iterations=iterations,
                 seed=SEED,
             )
+    # Without max_per_core, P-stated big.LITTLE cores can time-share:
+    # the anneal then moves names on and off busy hetero cores.
+    for objective in CANONICAL_OBJECTIVES:
+        cases[f"big_little_shared/anneal/{objective}"] = AssignmentRequest(
+            processes=PROCESSES,
+            fleet=big_little_fleet(),
+            objective=objective,
+            solver="anneal",
+            power_budget_watts=budget,
+            max_iterations=ANNEAL_ITERATIONS,
+            seed=SEED,
+        )
     cases["single/exhaustive/min-energy-per-instruction"] = AssignmentRequest(
         processes=("mcf", "gzip", "art"),
         fleet=FleetSpec.single("2-core-workstation", sets=32),

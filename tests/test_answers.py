@@ -3,7 +3,8 @@
 ``tests/data/answers.json`` (written by ``tests/make_answers.py``)
 holds greedy and anneal plans under each of the four objectives, on a
 small homogeneous fleet and on a big.LITTLE fleet under a watts
-budget, plus one tiny exhaustive case.  Every stored request is solved
+budget, anneal plans on that big.LITTLE fleet with time-shared cores
+allowed, plus one tiny exhaustive case.  Every stored request is solved
 again and compared exactly, floats as ``float.hex``.
 
 Its ``states`` section pins single machine states, priced through
@@ -66,12 +67,13 @@ def power_model():
 
 def test_corpus_covers_every_solver_objective_and_fleet():
     names = {case["name"] for case in CASES}
-    assert len(names) == len(CASES) == 17
+    assert len(names) == len(CASES) == 21
     for fleet in ("homogeneous", "big_little"):
         for solver in ("greedy", "anneal"):
             assert sum(
                 name.startswith(f"{fleet}/{solver}/") for name in names
             ) == 4
+    assert sum(name.startswith("big_little_shared/anneal/") for name in names) == 4
     assert any(name.startswith("single/exhaustive/") for name in names)
 
 
