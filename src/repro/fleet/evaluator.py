@@ -38,7 +38,10 @@ them.  States themselves are memoised per request by canonical key,
 shared across the interchangeable machines of a group, so greedy
 packing and annealing over 10k+ processes re-price only states they
 have never seen, and a plan's ``evaluations`` count does not depend
-on what the store already holds.  The greedy solver adds its own
+on what the store already holds.  The search hands this memo
+canonical states it splices from each machine's known state (one
+core's entry rebuilt per trial, :mod:`repro.fleet.solver`), equal to
+what :func:`canonical_state` builds from the edited assignment.  The greedy solver adds its own
 per-request memo of each state's candidate scan on top
 (:func:`repro.fleet.solver._solve_greedy`).
 

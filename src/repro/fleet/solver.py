@@ -22,6 +22,15 @@ comparable bit-for-bit:
   oracle there by construction; everywhere it is never worse than
   greedy (the incumbent starts as the greedy solution).
 
+The two heuristics know each machine only by its canonical state
+(:func:`~repro.fleet.evaluator.canonical_state`: per busy core, its
+sorted names and, on hetero groups, its P-state index).  Each trial
+state, a greedy placement or an anneal move, swap or P-state flip, is
+spliced from the machine's known state: the edited core's entry is
+rebuilt and the entries around it are reused, so no trial copies an
+assignment or sorts a machine again.  Only the exhaustive oracle and
+the final report build states from placements.
+
 Every tie is broken by ``(score, candidate index)`` — the first
 candidate in the deterministic enumeration order wins — and all state
 pricing goes through cold-start solves, so for a fixed request the
@@ -145,6 +154,98 @@ def _machine_state(
     """Canonical state of one machine; hetero groups carry P-states."""
     return canonical_state(
         assignment, None if ctx.hetero[group_index] is None else pstate_of
+    )
+
+
+def _split(state: MachineState, core: int):
+    """``(prefix, entry or None, suffix)`` of ``core`` in a canonical state.
+
+    The state's entries are sorted by core, so ``prefix + (entry,) +
+    suffix`` is the state again, with the core's new entry spliced in
+    (or ``prefix + suffix`` when the core goes idle).
+    """
+    for position, entry in enumerate(state):
+        if entry[0] >= core:
+            if entry[0] == core:
+                return state[:position], entry, state[position + 1:]
+            return state[:position], None, state[position:]
+    return state, None, ()
+
+
+def _entry(core: int, names: Tuple[str, ...], pstate: Optional[int]):
+    """A core's canonical entry; ``pstate`` is ``None`` on plain groups."""
+    return (core, names) if pstate is None else (core, names, pstate)
+
+
+def _edit(
+    state: MachineState,
+    core: int,
+    plain: bool,
+    drop: Optional[str] = None,
+    add: Optional[str] = None,
+    pstate: Optional[int] = None,
+) -> MachineState:
+    """``state`` with one core edited: ``drop`` leaves, ``add`` joins.
+
+    On hetero groups (``plain`` false) the core takes ``pstate`` when
+    given.  Otherwise it keeps its P-state, also when one name leaves
+    and another joins; an idle core starts at index 0.
+    """
+    prefix, entry, suffix = _split(state, core)
+    names = () if entry is None else entry[1]
+    if drop is not None:
+        position = names.index(drop)
+        names = names[:position] + names[position + 1:]
+    if add is not None:
+        names = tuple(sorted(names + (add,)))
+    if pstate is None and not plain:
+        pstate = 0 if entry is None else entry[2]
+    if not names:
+        return prefix + suffix
+    return prefix + (_entry(core, names, pstate),) + suffix
+
+
+def _pstate_map(
+    ctx: _Context, states: Mapping[Tuple[int, int], MachineState]
+) -> PStateMap:
+    """The busy hetero cores' P-states, read from machine states."""
+    return {
+        machine_key: {core: pstate for core, _names, pstate in state}
+        for machine_key, state in states.items()
+        if state and ctx.hetero[machine_key[0]] is not None
+    }
+
+
+def _machine_states(
+    ctx: _Context,
+    placements: Sequence[Slot],
+    pstates: Optional[PStateMap] = None,
+) -> Dict[Tuple[int, int], MachineState]:
+    """Canonical state of every busy machine of a placement."""
+    per_machine: Dict[Tuple[int, int], Dict[int, List[str]]] = {}
+    for name, (group_index, machine_index, core) in zip(ctx.processes, placements):
+        per_machine.setdefault((group_index, machine_index), {}).setdefault(
+            core, []
+        ).append(name)
+    pstates = pstates or {}
+    return {
+        machine_key: _machine_state(
+            ctx, machine_key[0], assignment, pstates.get(machine_key, {})
+        )
+        for machine_key, assignment in per_machine.items()
+    }
+
+
+def _fleet_states(
+    states: Mapping[Tuple[int, int], MachineState]
+) -> Tuple[Tuple[int, MachineState], ...]:
+    """The sorted busy-machine multiset :func:`_score_states` takes."""
+    return tuple(
+        sorted(
+            (machine_key[0], state)
+            for machine_key, state in states.items()
+            if state
+        )
     )
 
 
@@ -316,44 +417,50 @@ def _heap_representative(
     return None
 
 
-#: One greedy candidate of a machine state: ``(core, P-state option,
-#: core already at max_per_core, process name -> trial (watts, ips))``.
-_Candidate = Tuple[int, Optional[int], bool, Dict[str, Tuple[float, float]]]
+def _with_name(candidate: Tuple, name: str) -> MachineState:
+    """A greedy candidate's trial state: ``name`` joins its core."""
+    core, option, _full, prefix, names, suffix, _priced = candidate
+    entry = _entry(core, tuple(sorted(names + (name,))), option)
+    return prefix + (entry,) + suffix
 
 
 def _candidate_scan(
-    ctx: _Context,
-    group_index: int,
-    assignment: Mapping[int, Sequence[str]],
-    rep_pstates: Mapping[int, int],
-) -> List[_Candidate]:
-    """The distinct-content candidates of one machine, in scan order.
+    state: MachineState,
+    num_cores: int,
+    hetero: Optional[HeteroMachineSpec],
+    max_per_core: Optional[int],
+) -> List[Tuple]:
+    """The distinct-content greedy candidates of one machine state.
 
-    A machine's canonical state fixes its per-core sorted names and
-    busy-core P-states, so the result depends only on ``(group,
-    state)``.  Each candidate starts with an empty trial-price map.
+    Each candidate is ``(core, P-state option, full, prefix, names,
+    suffix, priced)``: ``full`` says the core is at ``max_per_core``,
+    ``names`` are its sorted names, ``prefix`` / ``suffix`` the state's
+    entries around it (see :func:`_split`), and ``priced`` maps a
+    process name to the trial's ``(watts, ips)``, empty at first.
     """
-    hetero = ctx.hetero[group_index]
-    counts = ctx.pstate_counts[group_index]
-    scan: List[_Candidate] = []
+    scan: List[Tuple] = []
     seen_contents = set()
-    for core in range(ctx.evaluator.group_configs[group_index].num_cores):
-        names = tuple(sorted(assignment.get(core, ())))
+    for core in range(num_cores):
+        prefix, entry, suffix = _split(state, core)
+        names = () if entry is None else entry[1]
         if hetero is None:
             content = names
             pstate_options: Tuple[Optional[int], ...] = (None,)
         else:
-            current = rep_pstates.get(core, 0) if names else None
+            current = None if entry is None else entry[2]
             content = (hetero.core_type_of[core], current, names)
-            if names:
-                pstate_options = (current,)
+            if entry is None:
+                pstate_options = tuple(range(hetero.pstate_counts[core]))
             else:
-                pstate_options = tuple(range(counts[core]))
+                pstate_options = (current,)
         if content in seen_contents:
             continue
         seen_contents.add(content)
-        full = ctx.max_per_core is not None and len(names) >= ctx.max_per_core
-        scan.extend((core, option, full, {}) for option in pstate_options)
+        full = max_per_core is not None and len(names) >= max_per_core
+        scan.extend(
+            (core, option, full, prefix, names, suffix, {})
+            for option in pstate_options
+        )
     return scan
 
 
@@ -372,22 +479,18 @@ def _solve_greedy(ctx: _Context) -> Tuple[List[Slot], PStateMap]:
     then keys on (core type, current P-state, names) so distinct
     operating points are never conflated.
 
-    Processes are placed in request order.  For the length of one
-    call, each ``(group, state)``'s candidate scan is built once, and
-    each candidate's trial ``(watts, ips)`` is looked up once per
-    process name: a state seen again at a later step re-scores its
-    candidates without rebuilding or re-pricing them.  Full candidates
-    still take their index, so the ``(score, index)`` tie-break and
-    the evaluator's ``evaluations`` count are unchanged.
+    Each machine is known only by its canonical state.  Processes are
+    placed in request order.  For the length of one call, each
+    ``(group, state)``'s candidate scan is built once, and each
+    candidate's trial state, spliced from the scan's prefix and
+    suffix, is priced once per process name: a state seen again at a
+    later step re-scores its candidates without rebuilding or
+    re-pricing them.  Full candidates still take their index, so the
+    ``(score, index)`` tie-break and the evaluator's ``evaluations``
+    count are unchanged.
     """
     evaluator = ctx.evaluator
     fleet = ctx.fleet
-    machines: List[List[Dict[int, List[str]]]] = [
-        [{} for _ in range(group.count)] for group in fleet.groups
-    ]
-    pstates_of: List[List[Dict[int, int]]] = [
-        [{} for _ in range(group.count)] for group in fleet.groups
-    ]
     metrics: List[List[Tuple[float, float]]] = [
         [(config.idle_watts, 0.0)] * group.count
         for config, group in zip(evaluator.group_configs, fleet.groups)
@@ -402,10 +505,9 @@ def _solve_greedy(ctx: _Context) -> Tuple[List[Slot], PStateMap]:
     total_ips = 0.0
     placements: List[Slot] = []
     # (group, state) -> the state's candidate scan; see _candidate_scan.
-    scans: Dict[Tuple[int, MachineState], List[_Candidate]] = {}
+    scans: Dict[Tuple[int, MachineState], List[Tuple]] = {}
     for name in ctx.processes:
-        best: Optional[Tuple[Tuple[float, int], int, int, int, Optional[int],
-                             float, float, float, float]] = None
+        best = None
         candidate_index = 0
         for group_index, config in enumerate(evaluator.group_configs):
             cap = ctx.caps[group_index]
@@ -418,27 +520,21 @@ def _solve_greedy(ctx: _Context) -> Tuple[List[Slot], PStateMap]:
                 scan = scans.get((group_index, state))
                 if scan is None:
                     scan = _candidate_scan(
-                        ctx, group_index, machines[group_index][rep],
-                        pstates_of[group_index][rep],
+                        state, config.num_cores, ctx.hetero[group_index],
+                        ctx.max_per_core,
                     )
                     scans[(group_index, state)] = scan
                 old_watts, old_ips = metrics[group_index][rep]
-                for core, pstate_option, full, priced in scan:
+                for candidate in scan:
                     index = candidate_index
                     candidate_index += 1
+                    _core, _option, full, _prefix, _names, _suffix, priced = candidate
                     if full:
                         continue
                     trial_metrics = priced.get(name)
                     if trial_metrics is None:
-                        assignment = machines[group_index][rep]
-                        trial = {c: list(v) for c, v in assignment.items()}
-                        trial.setdefault(core, []).append(name)
-                        trial_pstates = dict(pstates_of[group_index][rep])
-                        if pstate_option is not None:
-                            trial_pstates[core] = pstate_option
                         trial_metrics = evaluator.state_metrics(
-                            config,
-                            _machine_state(ctx, group_index, trial, trial_pstates),
+                            config, _with_name(candidate, name)
                         )
                         priced[name] = trial_metrics
                     watts, ips = trial_metrics
@@ -455,7 +551,7 @@ def _solve_greedy(ctx: _Context) -> Tuple[List[Slot], PStateMap]:
                     key = (score, index)
                     if best is None or key < best[0]:
                         best = (
-                            key, group_index, rep, core, pstate_option,
+                            key, group_index, rep, candidate,
                             watts, ips, new_total_watts, new_total_ips,
                         )
         if best is None:
@@ -463,37 +559,21 @@ def _solve_greedy(ctx: _Context) -> Tuple[List[Slot], PStateMap]:
                 f"greedy packing found no feasible slot for {name!r} under "
                 "the given power caps / budget / max_per_core constraints"
             )
-        (_key, group_index, rep, core, pstate_option,
+        (_key, group_index, rep, candidate,
          watts, ips, total_watts, total_ips) = best
-        machines[group_index][rep].setdefault(core, []).append(name)
-        if ctx.hetero[group_index] is not None:
-            if pstate_option is not None:
-                pstates_of[group_index][rep][core] = pstate_option
-            new_state = _machine_state(
-                ctx,
-                group_index,
-                machines[group_index][rep],
-                pstates_of[group_index][rep],
-            )
-        else:
-            new_state = canonical_state(machines[group_index][rep])
+        new_state = _with_name(candidate, name)
         states_of[group_index][rep] = new_state
         metrics[group_index][rep] = (watts, ips)
         heapq.heappush(heaps[group_index].setdefault(new_state, []), rep)
-        placements.append((group_index, rep, core))
-    pstate_map: PStateMap = {}
-    for group_index, group in enumerate(fleet.groups):
-        if ctx.hetero[group_index] is None:
-            continue
-        for machine_index in range(group.count):
-            busy = machines[group_index][machine_index]
-            if not busy:
-                continue
-            chosen = pstates_of[group_index][machine_index]
-            pstate_map[(group_index, machine_index)] = {
-                core: chosen.get(core, 0) for core in busy
-            }
-    return placements, pstate_map
+        placements.append((group_index, rep, candidate[0]))
+    return placements, _pstate_map(
+        ctx,
+        {
+            (group_index, machine_index): state
+            for group_index, group_states in enumerate(states_of)
+            for machine_index, state in enumerate(group_states)
+        },
+    )
 
 
 # ----------------------------------------------------------------------
@@ -521,33 +601,6 @@ def _solve_anneal(
     return _anneal_from(ctx, greedy, greedy_pstates)
 
 
-def _states_of_placements(
-    ctx: _Context,
-    placements: Sequence[Slot],
-    pstates: Optional[PStateMap] = None,
-) -> Tuple[Tuple[int, MachineState], ...]:
-    per_machine: Dict[Tuple[int, int], Dict[int, List[str]]] = {}
-    for name, (group_index, machine_index, core) in zip(ctx.processes, placements):
-        per_machine.setdefault((group_index, machine_index), {}).setdefault(
-            core, []
-        ).append(name)
-    pstates = pstates or {}
-    return tuple(
-        sorted(
-            (
-                machine_key[0],
-                _machine_state(
-                    ctx,
-                    machine_key[0],
-                    assignment,
-                    pstates.get(machine_key, {}),
-                ),
-            )
-            for machine_key, assignment in per_machine.items()
-        )
-    )
-
-
 def _anneal_from(
     ctx: _Context, start: List[Slot], start_pstates: PStateMap
 ) -> Tuple[List[Slot], PStateMap, str, int, List[Tuple[int, float]]]:
@@ -555,38 +608,37 @@ def _anneal_from(
     processes = ctx.processes
     slots = ctx.slots
     k = len(processes)
-    # Rebuild mutable state from the greedy placement.
-    machines: List[List[Dict[int, List[str]]]] = [
-        [{} for _ in range(group.count)] for group in ctx.fleet.groups
-    ]
-    for name, (group_index, machine_index, core) in zip(processes, start):
-        machines[group_index][machine_index].setdefault(core, []).append(name)
-    pstates: PStateMap = {
-        machine_key: dict(chosen) for machine_key, chosen in start_pstates.items()
-    }
+    # Every machine is known by its canonical state; trials splice it.
+    states: Dict[Tuple[int, int], MachineState] = {}
     metrics: Dict[Tuple[int, int], Tuple[float, float]] = {}
+    busy = _machine_states(ctx, start, start_pstates)
     for group_index, group in enumerate(ctx.fleet.groups):
         config = evaluator.group_configs[group_index]
         for machine_index in range(group.count):
-            state = _machine_state(
-                ctx,
-                group_index,
-                machines[group_index][machine_index],
-                pstates.get((group_index, machine_index), {}),
+            machine_key = (group_index, machine_index)
+            states[machine_key] = busy.get(machine_key, ())
+            metrics[machine_key] = evaluator.state_metrics(
+                config, states[machine_key]
             )
-            metrics[(group_index, machine_index)] = evaluator.state_metrics(
-                config, state
-            )
-    start_states = _states_of_placements(ctx, start, pstates)
+    start_states = _fleet_states(states)
     current_score, total_watts, total_ips = _score_states(ctx, start_states)
     placement = list(start)
     best_placement = list(start)
-    best_pstates: PStateMap = {
-        machine_key: dict(chosen) for machine_key, chosen in pstates.items()
-    }
+    best_states = dict(states)
     best_score = current_score
     improvements: List[Tuple[int, float]] = [(0, current_score)]
     has_pstate_choice = ctx.has_pstate_choice
+    # Trial states of the (at most two) machines the move touches.
+    trial: Dict[Tuple[int, int], MachineState] = {}
+
+    def splice(slot: Slot, **edit) -> None:
+        machine_key = slot[:2]
+        trial[machine_key] = _edit(
+            trial.get(machine_key, states[machine_key]),
+            slot[2],
+            ctx.hetero[slot[0]] is None,
+            **edit,
+        )
 
     iterations = (
         DEFAULT_ANNEAL_ITERATIONS
@@ -613,7 +665,6 @@ def _anneal_from(
         # sequence below is exactly the pre-hetero one — homogeneous
         # requests stay bit-identical seed for seed.  With P-states, a
         # third move kind flips one busy hetero core's P-state.
-        flip: Optional[Tuple[Tuple[int, int], int, int]] = None
         if has_pstate_choice:
             roll = rng.random()
             if k >= 2 and roll < 1.0 / 3.0:
@@ -624,12 +675,17 @@ def _anneal_from(
                 kind = "move"
         else:
             kind = "swap" if (k >= 2 and rng.random() < 0.5) else "move"
+        trial.clear()
         if kind == "swap":
             p = int(rng.integers(k))
             q = int(rng.integers(k))
             if p == q or processes[p] == processes[q] or placement[p] == placement[q]:
                 continue
+            # Each core swaps one name for another: its count and its
+            # P-state stay, so the trial is as feasible as the live plan.
             moves = [(p, placement[q]), (q, placement[p])]
+            splice(placement[p], drop=processes[p], add=processes[q])
+            splice(placement[q], drop=processes[q], add=processes[p])
         elif kind == "flip":
             p = int(rng.integers(k))
             group_index, machine_index, core = placement[p]
@@ -637,67 +693,33 @@ def _anneal_from(
             if counts is None or counts[core] <= 1:
                 continue
             new_pstate = int(rng.integers(counts[core]))
-            machine_key = (group_index, machine_index)
-            if new_pstate == pstates.get(machine_key, {}).get(core, 0):
+            _prefix, entry, _suffix = _split(
+                states[(group_index, machine_index)], core
+            )
+            if new_pstate == entry[2]:
                 continue
-            flip = (machine_key, core, new_pstate)
             moves = []
+            splice(placement[p], pstate=new_pstate)
         else:
             p = int(rng.integers(k))
             target = slots[int(rng.integers(len(slots)))]
             if placement[p] == target:
                 continue
+            if ctx.max_per_core is not None:
+                _prefix, entry, _suffix = _split(states[target[:2]], target[2])
+                if entry is not None and len(entry[1]) >= ctx.max_per_core:
+                    continue
             moves = [(p, target)]
-        # Trial states of the (at most four) touched machines.
-        touched: Dict[Tuple[int, int], Dict[int, List[str]]] = {}
-        trial_pstates: Dict[Tuple[int, int], Dict[int, int]] = {}
-
-        def trial_machine(machine_key: Tuple[int, int]) -> Dict[int, List[str]]:
-            if machine_key not in touched:
-                group_index, machine_index = machine_key
-                touched[machine_key] = {
-                    c: list(v)
-                    for c, v in machines[group_index][machine_index].items()
-                }
-                if ctx.hetero[group_index] is not None:
-                    trial_pstates[machine_key] = dict(
-                        pstates.get(machine_key, {})
-                    )
-            return touched[machine_key]
-
-        feasible = True
-        if flip is not None:
-            machine_key, core, new_pstate = flip
-            trial_machine(machine_key)
-            trial_pstates[machine_key][core] = new_pstate
-        for proc, _target in moves:
-            group_index, machine_index, core = placement[proc]
-            trial_machine((group_index, machine_index))[core].remove(
-                processes[proc]
-            )
-        for proc, target in moves:
-            group_index, machine_index, core = target
-            names = trial_machine((group_index, machine_index)).setdefault(
-                core, []
-            )
-            names.append(processes[proc])
-            if ctx.max_per_core is not None and len(names) > ctx.max_per_core:
-                feasible = False
-        if not feasible:
-            continue
+            splice(placement[p], drop=processes[p])
+            splice(target, add=processes[p])
         new_total_watts = total_watts
         new_total_ips = total_ips
         new_metrics: Dict[Tuple[int, int], Tuple[float, float]] = {}
-        for machine_key in sorted(touched):
+        feasible = True
+        for machine_key in sorted(trial):
             group_index = machine_key[0]
             config = evaluator.group_configs[group_index]
-            state = _machine_state(
-                ctx,
-                group_index,
-                touched[machine_key],
-                trial_pstates.get(machine_key, {}),
-            )
-            watts, ips = evaluator.state_metrics(config, state)
+            watts, ips = evaluator.state_metrics(config, trial[machine_key])
             cap = ctx.caps[group_index]
             if cap is not None and watts > cap:
                 feasible = False
@@ -716,20 +738,8 @@ def _anneal_from(
         delta = trial_score - current_score
         if delta > 0 and rng.random() >= math.exp(-delta / temperature):
             continue
-        # Accept: fold the trial into the live state.
-        for machine_key, assignment in touched.items():
-            group_index, machine_index = machine_key
-            machines[group_index][machine_index] = {
-                c: v for c, v in assignment.items() if v
-            }
-            if ctx.hetero[group_index] is not None:
-                live = machines[group_index][machine_index]
-                chosen = trial_pstates.get(machine_key, {})
-                pruned = {c: chosen.get(c, 0) for c in live}
-                if pruned:
-                    pstates[machine_key] = pruned
-                else:
-                    pstates.pop(machine_key, None)
+        # Accept: the trial states become the live ones.
+        states.update(trial)
         metrics.update(new_metrics)
         for proc, target in moves:
             placement[proc] = target
@@ -738,26 +748,19 @@ def _anneal_from(
         if current_score < best_score:
             best_score = current_score
             best_placement = list(placement)
-            best_pstates = {
-                machine_key: dict(chosen)
-                for machine_key, chosen in pstates.items()
-            }
+            best_states = dict(states)
             improvements.append((iteration, current_score))
     # Guard against pathological float drift between the incremental
     # search arithmetic and the canonical report: never return a
     # configuration whose canonical score is worse than the start's.
-    final_score, _w, _i = _score_states(
-        ctx, _states_of_placements(ctx, best_placement, best_pstates)
-    )
+    final_score, _w, _i = _score_states(ctx, _fleet_states(best_states))
     start_score, _w, _i = _score_states(ctx, start_states)
     if final_score > start_score:
-        best_placement = list(start)
-        best_pstates = {
-            machine_key: dict(chosen)
-            for machine_key, chosen in start_pstates.items()
-        }
-        improvements = [(0, start_score)]
-    return best_placement, best_pstates, "anneal", executed, improvements
+        return list(start), start_pstates, "anneal", executed, [(0, start_score)]
+    return (
+        best_placement, _pstate_map(ctx, best_states), "anneal", executed,
+        improvements,
+    )
 
 
 # ----------------------------------------------------------------------
@@ -773,35 +776,14 @@ def _materialize(
     improvements: Optional[Sequence[Tuple[int, float]]],
 ) -> FleetAssignment:
     evaluator = ctx.evaluator
-    pstates = pstates or {}
-    machines_acc: List[List[Dict[int, List[str]]]] = [
-        [{} for _ in range(group.count)] for group in ctx.fleet.groups
-    ]
-    for name, (group_index, machine_index, core) in zip(ctx.processes, placements):
-        machines_acc[group_index][machine_index].setdefault(core, []).append(name)
-
-    def state_of(group_index: int, machine_index: int):
-        return _machine_state(
-            ctx,
-            group_index,
-            machines_acc[group_index][machine_index],
-            pstates.get((group_index, machine_index), {}),
-        )
-
-    states = tuple(
-        sorted(
-            (group_index, state_of(group_index, machine_index))
-            for group_index, group in enumerate(ctx.fleet.groups)
-            for machine_index in range(group.count)
-            if state_of(group_index, machine_index)
-        )
-    )
+    busy = _machine_states(ctx, placements, pstates)
+    states = _fleet_states(busy)
     score, watts, ips = _score_states(ctx, states)
     machine_assignments: List[MachineAssignment] = []
     for group_index, group in enumerate(ctx.fleet.groups):
         config = evaluator.group_configs[group_index]
         for machine_index in range(group.count):
-            state = state_of(group_index, machine_index)
+            state = busy.get((group_index, machine_index), ())
             machine_watts, machine_ips = evaluator.state_metrics(config, state)
             if ctx.hetero[group_index] is None:
                 assignment = {core: names for core, names in state}

@@ -23,7 +23,8 @@ alters answers on purpose, and say why in CHANGES.md.
 ``--report`` compares the code's answers with the stored file instead:
 per section, how many entries changed, how many of those changed a
 placement (any field that is not a float) and how many moved floats
-only, and the largest relative float move.
+only, and the largest relative float move.  It exits with status 1
+when any section changed, 0 when every answer is the stored one.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ import itertools
 import json
 import pathlib
 import re
+import sys
 from typing import Dict, List, Tuple
 
 import numpy as np
@@ -453,8 +455,12 @@ def compare(old, new) -> Tuple[bool, float]:
     return placed, move
 
 
-def report(stored: Dict[str, List[Dict]], fresh: Dict[str, List[Dict]]) -> None:
-    """Print, per section, what answering again would change."""
+def report(stored: Dict[str, List[Dict]], fresh: Dict[str, List[Dict]]) -> bool:
+    """Print, per section, what answering again would change.
+
+    Returns whether any entry changed, appeared or is gone.
+    """
+    moved = False
     for section, entries in fresh.items():
         before = {entry["name"]: entry for entry in stored.get(section, [])}
         changed = placements = 0
@@ -473,6 +479,8 @@ def report(stored: Dict[str, List[Dict]], fresh: Dict[str, List[Dict]]) -> None:
             f"largest relative float move {largest:.3g}"
             + (f"; {len(before)} stored entries gone" if before else "")
         )
+        moved = moved or bool(changed or before)
+    return moved
 
 
 def main() -> None:
@@ -485,8 +493,7 @@ def main() -> None:
     args = parser.parse_args()
     fresh = corpus(build_suite(), build_power_model())
     if args.report:
-        report(json.loads(PATH.read_text()), fresh)
-        return
+        sys.exit(1 if report(json.loads(PATH.read_text()), fresh) else 0)
     PATH.write_text(json.dumps(fresh, indent=1) + "\n")
     print(
         f"wrote {len(fresh['cases'])} cases, {len(fresh['states'])} states and "

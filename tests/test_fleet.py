@@ -16,6 +16,8 @@ Four layers, pinned separately:
 - **Solved co-runs**: a suite object keeps its cold-start models for
   as long as it lives, never serves them for replaced features, and
   gives the same plans warm, cold and under concurrent solves.
+- **State splicing**: every trial state the greedy and the anneal
+  splice equals the canonical state of the edited assignment.
 """
 
 import copy
@@ -29,7 +31,7 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.api import (
@@ -56,6 +58,8 @@ from repro.fleet import (
     fleet_score,
     solve,
 )
+from repro.fleet.evaluator import canonical_state
+from repro.fleet.solver import _candidate_scan, _edit, _with_name
 from repro.hetero import HeteroPricer, big_little_spec
 from repro.machine.topology import STANDARD_MACHINES
 from repro.workloads.spec import BENCHMARKS
@@ -520,6 +524,103 @@ class TestStoreHistory:
         evaluations = [plan.evaluations for plan in fresh]
         for run in (first, repeat, warm):
             assert [plan.evaluations for plan in run] == evaluations
+
+
+class TestStateSplice:
+    """The search edits a machine's canonical state one core at a time.
+
+    Every trial state it splices must be the state
+    :func:`~repro.fleet.evaluator.canonical_state` builds from the
+    edited assignment and P-states: that is what keeps memo keys,
+    ``evaluations`` and prices bit-identical to pricing from scratch.
+    """
+
+    MACHINES = {
+        "plain/4-core-server": (4, None),
+        "plain/2-core-workstation": (2, None),
+        "big.LITTLE/4-core-server": (4, big_little_spec("4-core-server")),
+    }
+
+    @pytest.mark.parametrize(
+        "kind", ["add", "move-in", "remove", "flip", "swap"]
+    )
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_spliced_state_equals_canonical_state(self, kind, data):
+        machines = [
+            machine
+            for machine, (_cores, hetero) in sorted(self.MACHINES.items())
+            if kind != "flip" or hetero is not None
+        ]
+        num_cores, hetero = self.MACHINES[data.draw(st.sampled_from(machines))]
+        names = st.sampled_from(NAMES)
+        # Busy cores may time-share up to three names.
+        assignment = {
+            core: data.draw(st.lists(names, max_size=3))
+            for core in range(num_cores)
+        }
+        busy = [core for core in assignment if assignment[core]]
+        pstates = None
+        if hetero is not None:
+            pstates = {
+                core: data.draw(st.integers(0, hetero.pstate_counts[core] - 1))
+                for core in busy
+            }
+        # Edits other than adds need a busy core.
+        assume(busy or kind in ("add", "move-in"))
+        state = canonical_state(assignment, pstates)
+        plain = hetero is None
+        edited = {core: list(names_on) for core, names_on in assignment.items()}
+        edited_pstates = None if pstates is None else dict(pstates)
+        if kind == "add":
+            # Greedy: every candidate of the state's scan, P-state
+            # options on idle hetero cores included.
+            name = data.draw(names)
+            for candidate in _candidate_scan(state, num_cores, hetero, None):
+                core, option = candidate[0], candidate[1]
+                expected_pstates = None if pstates is None else dict(pstates)
+                if option is not None:
+                    expected_pstates[core] = option
+                expected = {c: list(v) for c, v in assignment.items()}
+                expected[core].append(name)
+                assert _with_name(candidate, name) == canonical_state(
+                    expected, expected_pstates
+                )
+            return
+        if kind == "move-in":
+            # Anneal: a name moves onto a core (idle cores start at 0).
+            core = data.draw(st.integers(0, num_cores - 1))
+            name = data.draw(names)
+            spliced = _edit(state, core, plain, add=name)
+            edited[core].append(name)
+        elif kind == "remove":
+            core = data.draw(st.sampled_from(busy))
+            name = data.draw(st.sampled_from(assignment[core]))
+            spliced = _edit(state, core, plain, drop=name)
+            edited[core].remove(name)
+        elif kind == "flip":
+            core = data.draw(st.sampled_from(busy))
+            pstate = data.draw(st.integers(0, hetero.pstate_counts[core] - 1))
+            spliced = _edit(state, core, plain, pstate=pstate)
+            edited_pstates[core] = pstate
+        else:
+            # Anneal swap: x leaves ``first`` and y joins it; when y came
+            # from another core of this machine, x joins that one.  A
+            # core holding x alone is vacated and refilled in one trial,
+            # and keeps its P-state.
+            first = data.draw(st.sampled_from(busy))
+            x = data.draw(st.sampled_from(assignment[first]))
+            y = data.draw(names.filter(lambda name: name != x))
+            spliced = _edit(state, first, plain, drop=x, add=y)
+            edited[first].remove(x)
+            edited[first].append(y)
+            others = [c for c in busy if c != first and y in assignment[c]]
+            if others and data.draw(st.booleans()):
+                second = data.draw(st.sampled_from(others))
+                spliced = _edit(spliced, second, plain, drop=y, add=x)
+                edited[second].remove(y)
+                edited[second].append(x)
+        assert spliced == canonical_state(edited, edited_pstates)
 
 
 # ----------------------------------------------------------------------
