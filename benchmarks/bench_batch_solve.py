@@ -21,6 +21,16 @@ Two things are pinned:
   batch has its own floors, ``MIXED_FLOOR``: a mix of fewer processes
   is cheaper for the scalar loop but costs the stack a full-width row.
 
+A third row times the layer above the solver:
+:meth:`~repro.core.performance_model.PerformanceModel.predict_batch` on
+``MODEL_BATCH`` mixes of k = 2..8 benchmarks drawn with replacement,
+every third mix at per-process clock ratios, against a
+:meth:`~repro.core.performance_model.PerformanceModel.predict` loop
+over the same mixes.  Both models run with caching disabled, so every
+pass plans, solves and restores every mix; the predictions must be
+``==`` on every run, and the batch must beat the loop by
+``MODEL_FLOOR``.
+
 Both sides are timed with interleaved best-of-N: container schedulers
 and frequency scaling routinely double a single measurement, so each
 repeat times one scalar pass and one batch pass back-to-back (both
@@ -48,6 +58,18 @@ BATCH = 64 if QUICK else 256
 REPEAT = 5 if QUICK else 15
 FLOOR = 5.0 if QUICK else 10.0
 MIXED_FLOOR = 1.5 if QUICK else 3.5
+MODEL_BATCH = 512
+MODEL_RATIOS = (1.0, 0.8, 0.6)
+MODEL_FLOOR = 2.0 if QUICK else 3.0
+
+
+def _uncached_model():
+    """A model of every benchmark whose cache never holds a solution."""
+    model = PerformanceModel(ways=WAYS, cache=EquilibriumCache(max_entries=0))
+    model.register_all(
+        FeatureVector.oracle(BENCHMARKS[name], 2e8) for name in sorted(BENCHMARKS)
+    )
+    return model
 
 
 def _build_batch(sizes):
@@ -55,15 +77,8 @@ def _build_batch(sizes):
 
     Model-idiom fresh process rows of distinct benchmarks.
     """
-    features = {
-        name: FeatureVector.oracle(BENCHMARKS[name], 2e8)
-        for name in sorted(BENCHMARKS)
-    }
-    model = PerformanceModel(
-        ways=WAYS, cache=EquilibriumCache(max_entries=0)
-    )
-    model.register_all(features.values())
-    names = sorted(features)
+    model = _uncached_model()
+    names = model.known_processes
     rng = random.Random(2010)
     batch = []
     for index in range(BATCH):
@@ -109,6 +124,43 @@ def _measure(sizes):
             for b in batch_results
             if b.telemetry is not None and b.telemetry.solver == "batch_newton"
         ),
+    }
+
+
+def _measure_model():
+    """``predict_batch`` against a ``predict`` loop on one mixed batch."""
+    names = sorted(BENCHMARKS)
+    rng = random.Random(2010)
+    mixes, ratios = [], []
+    for index in range(MODEL_BATCH):
+        mix = [rng.choice(names) for _ in range(rng.randint(2, 8))]
+        mixes.append(mix)
+        ratios.append(
+            [rng.choice(MODEL_RATIOS) for _ in mix] if index % 3 == 0 else None
+        )
+    batch_model, loop_model = _uncached_model(), _uncached_model()
+
+    def predict_loop():
+        return tuple(loop_model.predict(m, r) for m, r in zip(mixes, ratios))
+
+    def predict_batch():
+        return batch_model.predict_batch(mixes, ratios)
+
+    looped = predict_loop()
+    batched = predict_batch()
+    mismatches = sum(1 for s, b in zip(looped, batched) if s != b)
+    loop_times, batch_times = [], []
+    for _ in range(REPEAT):
+        loop_times.append(timeit.timeit(predict_loop, number=1))
+        batch_times.append(timeit.timeit(predict_batch, number=1))
+    t_loop = min(loop_times)
+    t_batch = min(batch_times)
+    return {
+        "mismatches": mismatches,
+        "t_loop_ms": t_loop * 1e3,
+        "t_batch_ms": t_batch * 1e3,
+        "speedup": t_loop / t_batch,
+        "contended_mixes": sum(1 for p in looped if p.contended),
     }
 
 
@@ -168,4 +220,39 @@ def test_mixed_width_batch_speedup_and_equality(benchmark):
     assert result["speedup"] >= MIXED_FLOOR, (
         f"mixed-width batch-of-{BATCH} speedup {result['speedup']:.2f}x "
         f"< {MIXED_FLOOR:.1f}x over the scalar loop on one core"
+    )
+
+
+def test_model_batch_speedup_and_equality(benchmark):
+    result = once(benchmark, _measure_model)
+    lines = [
+        render_table(
+            ["Mixes", "k", "predict loop (ms)", "predict_batch (ms)", "Speedup"],
+            [
+                (
+                    MODEL_BATCH,
+                    "2-8",
+                    result["t_loop_ms"],
+                    result["t_batch_ms"],
+                    result["speedup"],
+                )
+            ],
+            title=(
+                f"PerformanceModel.predict_batch, uncached, best of {REPEAT}, "
+                "one core"
+            ),
+            float_format="{:.4g}",
+        ),
+        "",
+        f"{result['contended_mixes']}/{MODEL_BATCH} mixes contended; every "
+        "third mix at per-process clock ratios",
+    ]
+    report("batch_solve_model", "\n".join(lines))
+
+    assert result["mismatches"] == 0, (
+        "predict_batch and the predict loop disagreed bit-for-bit"
+    )
+    assert result["speedup"] >= MODEL_FLOOR, (
+        f"predict_batch of {MODEL_BATCH} mixes {result['speedup']:.2f}x "
+        f"< {MODEL_FLOOR:.1f}x over the predict loop on one core"
     )

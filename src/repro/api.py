@@ -348,10 +348,20 @@ def predict_mixes(
         ways=ways,
         frequency_ratios=frequency_ratios,
     )
-    return tuple(
-        MixPrediction(ways=ways, names=tuple(mix), prediction=prediction)
-        for mix, prediction in zip(mixes, predictions)
-    )
+    # One record per mix, built like PerformanceModel._restore's: a
+    # bare instance whose __dict__ gets every field, equal field for
+    # field to ``MixPrediction(...)`` without the frozen ``__init__``'s
+    # per-field ``object.__setattr__``.
+    new = object.__new__
+    records = []
+    for mix, prediction in zip(mixes, predictions):
+        record = new(MixPrediction)
+        fields = record.__dict__
+        fields["ways"] = ways
+        fields["names"] = tuple(mix)
+        fields["prediction"] = prediction
+        records.append(record)
+    return tuple(records)
 
 
 def train_power(

@@ -330,20 +330,26 @@ class _Slots:
         self.alpha: List[float] = []
         self.beta: List[float] = []
 
-    def row(self, processes: List[EquilibriumProcess]) -> Optional[List[int]]:
-        # Runs once per process per batch (thousands of times per
-        # call), so the hit path is one dict probe; the batch holds
-        # every process, so an ``id`` cannot be reused mid-call.
-        slot_get = self._of.get
-        slots = []
-        for p in processes:
-            slot = slot_get(id(p))
-            if slot is None:
-                slot = self._add(p)
-            if slot < 0:
-                return None
-            slots.append(slot)
-        return slots
+    def row(self, processes: Sequence[EquilibriumProcess]) -> Optional[List[int]]:
+        # Runs once per row per batch, and a model hands out one
+        # process object per (name, ratio) of a call, so most rows hit
+        # only known slots: that path is one C-level pass of ``id``
+        # probes.  The batch holds every process, so an ``id`` cannot
+        # be reused mid-call.
+        of = self._of
+        try:
+            slots = list(map(of.__getitem__, map(id, processes)))
+        except KeyError:
+            slots = []
+            for p in processes:
+                slot = of.get(id(p))
+                if slot is None:
+                    slot = self._add(p)
+                if slot < 0:
+                    return None
+                slots.append(slot)
+            return slots
+        return None if -1 in slots else slots
 
     def _add(self, p: EquilibriumProcess) -> int:
         # An id-keyed registry hit already proved the exact types at
@@ -706,13 +712,12 @@ class BatchNewtonSolver:
         fails) propagate exactly as the equivalent scalar loop would
         raise them.
         """
-        jobs = [list(row) for row in batch]
-        results: List[Optional[EquilibriumResult]] = [None] * len(jobs)
+        results: List[Optional[EquilibriumResult]] = [None] * len(batch)
         slots = _Slots(self._tables)
         stackable: List[int] = []
         stack_rows: List[List[int]] = []
         scalar_rows: List[int] = []
-        for index, row in enumerate(jobs):
+        for index, row in enumerate(batch):
             if not row or total_ways < len(row):
                 # Scalar path raises the canonical validation error.
                 scalar_rows.append(index)
@@ -730,7 +735,7 @@ class BatchNewtonSolver:
                 self._solve_stack(slots, stack_rows, stackable, total_ways, results)
             )
         for index in sorted(scalar_rows):
-            results[index] = solve_equilibrium(jobs[index], total_ways)
+            results[index] = solve_equilibrium(batch[index], total_ways)
         return results  # type: ignore[return-value]
 
     def _solve_stack(

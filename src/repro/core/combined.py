@@ -306,13 +306,13 @@ class CombinedModel:
         """
         if ratios is None:
             ratios = (1.0,) * len(combo)
-        order, slot = canonical_order(combo, ratios)
-        key = (domain_idx, tuple((combo[i], ratios[i]) for i in order))
+        pairs, slot = canonical_order(combo, ratios)
+        key = (domain_idx, pairs)
         cached = self._corun_cache.get(key)
         if cached is None:
             prediction = self.performance_models[domain_idx].predict(
-                [combo[i] for i in order],
-                frequency_ratios=[ratios[i] for i in order],
+                [name for name, _ in pairs],
+                frequency_ratios=[ratio for _, ratio in pairs],
             )
             cached = tuple((p.spi, p.l2mpr) for p in prediction.processes)
             self._corun_cache.put(key, cached)

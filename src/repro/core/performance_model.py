@@ -26,22 +26,24 @@ from repro.obs import get_observer
 
 def canonical_order(
     names: Sequence[str], ratios: Sequence[float]
-) -> Tuple[List[int], List[int]]:
-    """The canonical (sorted) order of a mix and its inverse.
+) -> Tuple[Tuple[Tuple[str, float], ...], List[int]]:
+    """The canonical (sorted) form of a mix and the permutation back.
 
     The equilibrium is order-independent, so every solve happens in
     one canonical order: a stable sort by ``(name, ratio)``.  Returns
-    ``(order, slot)``: ``order[pos]`` is the original index at
-    canonical position ``pos`` and ``slot[i]`` is the canonical
-    position of original index ``i``, used to permute a solution back.
-    Equal ``(name, ratio)`` duplicates are symmetric, so the stable
-    tie-break (first seen, first placed) is as correct as any other.
+    ``(pairs, slot)``: ``pairs`` is the mix's ``(name, ratio)`` pairs
+    in that order (the part of every cache key that names the mix) and
+    ``slot[i]`` is the canonical position of original index ``i``,
+    used to permute a solution back.  Equal ``(name, ratio)``
+    duplicates are symmetric, so the stable tie-break (first seen,
+    first placed) is as correct as any other.
     """
-    order = sorted(range(len(names)), key=lambda i: (names[i], ratios[i]))
+    pairs = list(zip(names, ratios))
+    order = sorted(range(len(pairs)), key=pairs.__getitem__)
     slot = [0] * len(order)
     for pos, i in enumerate(order):
         slot[i] = pos
-    return order, slot
+    return tuple(map(pairs.__getitem__, order)), slot
 
 
 @document("process_prediction")
@@ -112,9 +114,12 @@ class PerformanceModel:
         self.ways = ways
         self.cache = cache if cache is not None else EquilibriumCache()
         self._features: Dict[str, FeatureVector] = {}
-        # Unit-ratio solver inputs, one per registered name; other
-        # clock ratios are derived per call (ratios come from clients,
-        # so caching them could grow without bound).
+        # Unit-ratio solver inputs, one per registered name, kept for
+        # the model's life.  Inputs at other clock ratios are shared
+        # within one call only: a (name, ratio) memo that the call
+        # creates and drops, so it holds at most one entry per process
+        # the call names.  Ratios come from clients, so a store kept
+        # across calls would grow with every ratio ever sent.
         self._inputs: Dict[str, EquilibriumProcess] = {}
 
     # ------------------------------------------------------------------
@@ -158,6 +163,43 @@ class PerformanceModel:
     # ------------------------------------------------------------------
     # Prediction
     # ------------------------------------------------------------------
+    def _input(self, name: str, ratio: float) -> EquilibriumProcess:
+        """Solver input of one process at one clock ratio."""
+        unit = self._inputs.get(name)
+        if unit is None:
+            self.feature(name)  # raises the descriptive KeyError
+        if ratio == 1.0:
+            return unit
+        if ratio <= 0:
+            raise ConfigurationError("ratio must be positive")
+        # The float operations of FeatureVector.with_frequency_ratio.
+        return EquilibriumProcess(
+            occupancy=unit.occupancy,
+            mpa=unit.mpa,
+            api=unit.api,
+            alpha=unit.alpha / ratio,
+            beta=unit.beta / ratio,
+        )
+
+    def _pair_inputs(
+        self,
+        pairs: Sequence[Tuple[str, float]],
+        memo: Dict[Tuple[str, float], EquilibriumProcess],
+    ) -> List[EquilibriumProcess]:
+        """Solver inputs of ``(name, ratio)`` pairs, one per distinct pair.
+
+        ``memo`` holds the inputs already built in the current call,
+        so every cell with the same pair gets the same object (and the
+        batch solver one slot for it).
+        """
+        try:
+            return [memo[pair] for pair in pairs]
+        except KeyError:
+            for pair in pairs:
+                if pair not in memo:
+                    memo[pair] = self._input(*pair)
+            return [memo[pair] for pair in pairs]
+
     def _equilibrium_inputs(
         self,
         names: Sequence[str],
@@ -169,25 +211,7 @@ class PerformanceModel:
             raise ConfigurationError(
                 "frequency_ratios must have one entry per process"
             )
-        registered = self._inputs
-        inputs = []
-        for name, ratio in zip(names, frequency_ratios):
-            unit = registered.get(name)
-            if unit is None:
-                self.feature(name)  # raises the descriptive KeyError
-            if ratio != 1.0:
-                if ratio <= 0:
-                    raise ConfigurationError("ratio must be positive")
-                # The float operations of FeatureVector.with_frequency_ratio.
-                unit = EquilibriumProcess(
-                    occupancy=unit.occupancy,
-                    mpa=unit.mpa,
-                    api=unit.api,
-                    alpha=unit.alpha / ratio,
-                    beta=unit.beta / ratio,
-                )
-            inputs.append(unit)
-        return inputs
+        return self._pair_inputs(list(zip(names, frequency_ratios)), {})
 
     def predict(
         self,
@@ -230,31 +254,31 @@ class PerformanceModel:
         self,
         names: Sequence[str],
         frequency_ratios: Optional[Sequence[float]],
-    ) -> Tuple[List[str], List[float], Tuple, List[int]]:
-        """Validate one mix; returns (canon_names, canon_ratios, key, slot).
+    ) -> Tuple[Tuple, List[int]]:
+        """Validate one mix; returns ``(key, slot)``.
 
-        Solves are cached in :func:`canonical_order`; ``slot`` permutes
-        the canonical solution back to the caller's order.
+        ``key`` is ``(ways, pairs)``: the mix's ``(name, ratio)`` pairs
+        in :func:`canonical_order`, the order every solve runs and is
+        cached in.  ``slot`` permutes the canonical solution back to
+        the caller's order.
         """
-        if not names:
+        count = len(names)
+        if not count:
             raise ConfigurationError("need at least one process name")
-        if len(names) > self.ways:
+        if count > self.ways:
             raise ConfigurationError(
-                f"{len(names)} processes cannot share a {self.ways}-way cache"
+                f"{count} processes cannot share a {self.ways}-way cache"
             )
         if frequency_ratios is None:
-            ratios: Tuple[float, ...] = (1.0,) * len(names)
+            ratios: Tuple[float, ...] = (1.0,) * count
         else:
-            if len(frequency_ratios) != len(names):
+            if len(frequency_ratios) != count:
                 raise ConfigurationError(
                     "frequency_ratios must have one entry per process"
                 )
-            ratios = tuple(float(r) for r in frequency_ratios)
-        order, slot = canonical_order(names, ratios)
-        canon_names = [names[i] for i in order]
-        canon_ratios = [ratios[i] for i in order]
-        key = (self.ways, tuple(zip(canon_names, canon_ratios)))
-        return canon_names, canon_ratios, key, slot
+            ratios = tuple(map(float, frequency_ratios))
+        pairs, slot = canonical_order(names, ratios)
+        return (self.ways, pairs), slot
 
     def _restore(
         self,
@@ -262,16 +286,35 @@ class PerformanceModel:
         result: EquilibriumResult,
         slot: Sequence[int],
     ) -> CoRunPrediction:
-        """Permute a canonical solution back to the caller's order."""
+        """Permute a canonical solution back to the caller's order.
+
+        A batch restores thousands of records per call, so they skip
+        the frozen-dataclass ``__init__`` (one ``object.__setattr__``
+        per field): each is a bare instance whose ``__dict__`` gets
+        every field, in declaration order, which gives field-for-field
+        the same objects (``==``, ``hash``, ``repr``, pickles) at a
+        third of the cost.  Item assignment keeps the instance dict
+        sharing its keys with the class's other instances, as
+        ``__init__`` does; ``__dict__.update`` would make each dict a
+        private table twice the size.
+        """
         sizes, mpas, spis = result.sizes, result.mpas, result.spis
-        return CoRunPrediction(
-            processes=tuple(
-                ProcessPrediction(name, sizes[pos], mpas[pos], spis[pos])
-                for name, pos in zip(names, slot)
-            ),
-            solver=result.solver,
-            contended=result.contended,
-        )
+        new = object.__new__
+        processes = []
+        for name, pos in zip(names, slot):
+            process = new(ProcessPrediction)
+            fields = process.__dict__
+            fields["name"] = name
+            fields["effective_size"] = sizes[pos]
+            fields["mpa"] = mpas[pos]
+            fields["spi"] = spis[pos]
+            processes.append(process)
+        prediction = new(CoRunPrediction)
+        fields = prediction.__dict__
+        fields["processes"] = tuple(processes)
+        fields["solver"] = result.solver
+        fields["contended"] = result.contended
+        return prediction
 
     def _predict_impl(
         self,
@@ -279,12 +322,10 @@ class PerformanceModel:
         frequency_ratios: Optional[Sequence[float]] = None,
     ) -> CoRunPrediction:
         """The uninstrumented predict (bench baseline for obs overhead)."""
-        canon_names, canon_ratios, key, slot = self._canonical_plan(
-            names, frequency_ratios
-        )
+        key, slot = self._canonical_plan(names, frequency_ratios)
         result = self.cache.get(key)
         if result is None:
-            result = self._solve(canon_names, canon_ratios)
+            result = self._solve(key[1])
             self.cache.put(key, result)
         return self._restore(names, result, slot)
 
@@ -322,59 +363,56 @@ class PerformanceModel:
         """
         from repro.core.batch_equilibrium import BATCH_MIN_STACK
 
-        mixes = [list(mix) for mix in mixes]
         if frequency_ratios is None:
-            per_mix_ratios: List[Optional[Sequence[float]]] = [None] * len(mixes)
-        else:
-            if len(frequency_ratios) != len(mixes):
-                raise ConfigurationError(
-                    "frequency_ratios must have one entry per mix"
-                )
-            per_mix_ratios = list(frequency_ratios)
+            frequency_ratios = [None] * len(mixes)
+        elif len(frequency_ratios) != len(mixes):
+            raise ConfigurationError("frequency_ratios must have one entry per mix")
         if len(mixes) < BATCH_MIN_STACK or get_observer().enabled:
             return tuple(
                 self.predict(mix, ratios)
-                for mix, ratios in zip(mixes, per_mix_ratios)
+                for mix, ratios in zip(mixes, frequency_ratios)
             )
-        plans = [
-            self._canonical_plan(mix, ratios)
-            for mix, ratios in zip(mixes, per_mix_ratios)
-        ]
+        plan = self._canonical_plan
+        plans = [plan(mix, ratios) for mix, ratios in zip(mixes, frequency_ratios)]
         # One get per mix, in order.  First occurrences of uncached
         # keys go to the batch solver; duplicates of a pending key
         # defer their (hitting) get until the solution is stored.
+        get = self.cache.get
         pending: Dict[Tuple, int] = {}
-        hits: Dict[int, EquilibriumResult] = {}
+        results: List[Optional[EquilibriumResult]] = [None] * len(plans)
         deferred: List[int] = []
-        for index, (_, _, key, _) in enumerate(plans):
+        for index, (key, _) in enumerate(plans):
             if key in pending:
                 deferred.append(index)
                 continue
-            cached = self.cache.get(key)
+            cached = get(key)
             if cached is None:
                 pending[key] = index
             else:
-                hits[index] = cached
+                results[index] = cached
         if pending:
-            solver = self._batch_solver()
-            jobs = [
-                self._equilibrium_inputs(plans[i][0], plans[i][1])
-                for i in pending.values()
-            ]
-            solved = solver.solve_batch(jobs, self.ways)
+            # One input per distinct (name, ratio) pair of this call:
+            # the memo is as big as the call, so it cannot grow past it.
+            memo: Dict[Tuple[str, float], EquilibriumProcess] = {}
+            jobs = [self._pair_inputs(key[1], memo) for key in pending]
+            solved = self._batch_solver().solve_batch(jobs, self.ways)
+            put = self.cache.put
             for (key, index), result in zip(pending.items(), solved):
-                self.cache.put(key, result)
-                hits[index] = result
+                put(key, result)
+                results[index] = result
         for index in deferred:
             # The probe keeps one get per mix (counter parity); the
             # answer comes from the solve, since a batch with more
             # distinct mixes than the cache holds may have evicted it.
-            key = plans[index][2]
-            self.cache.get(key)
-            hits[index] = hits[pending[key]]
+            key = plans[index][0]
+            get(key)
+            results[index] = results[pending[key]]
+        restore = self._restore
         return tuple(
-            self._restore(mix, hits[index], plans[index][3])
-            for index, mix in enumerate(mixes)
+            [
+                restore(mix, result, slot)
+                for mix, result, (_, slot) in zip(mixes, results, plans)
+            ]
         )
 
     def _batch_solver(self):
@@ -386,12 +424,9 @@ class PerformanceModel:
             solver = self._batch_solver_cache = BatchNewtonSolver()
         return solver
 
-    def _solve(
-        self, names: Sequence[str], ratios: Sequence[float]
-    ) -> EquilibriumResult:
-        """Solve one (canonically ordered) co-run from the cold start."""
-        inputs = self._equilibrium_inputs(names, ratios)
-        return solve_equilibrium(inputs, self.ways)
+    def _solve(self, pairs: Sequence[Tuple[str, float]]) -> EquilibriumResult:
+        """Solve one co-run of canonical ``(name, ratio)`` pairs, cold."""
+        return solve_equilibrium(self._pair_inputs(pairs, {}), self.ways)
 
     @property
     def cache_stats(self) -> CacheStats:

@@ -102,36 +102,30 @@ def _chunked(items: Sequence, workers: int, chunk_size: Optional[int]) -> List[L
     return [list(items[i : i + chunk_size]) for i in range(0, len(items), chunk_size)]
 
 
-def _normalize_mix_ratios(
-    mixes: Sequence[Tuple[str, ...]],
+def _check_mix_ratios(
+    mixes: Sequence[Sequence[str]],
     frequency_ratios: Optional[Sequence[Optional[Sequence[float]]]],
-) -> List[Optional[Tuple[float, ...]]]:
-    """Validate and freeze per-mix frequency ratios.
+) -> None:
+    """Validate per-mix frequency ratios against their mixes.
 
     ``None`` (no ratios anywhere) and per-mix ``None`` entries both
     mean the homogeneous default; non-``None`` entries must match
-    their mix's length.
+    their mix's length.  The entries are not copied: the model turns
+    each into floats once, when it plans the mix.
     """
     if frequency_ratios is None:
-        return [None] * len(mixes)
+        return
     if len(frequency_ratios) != len(mixes):
         raise ConfigurationError(
             f"frequency_ratios must have one entry per mix: got "
             f"{len(frequency_ratios)} for {len(mixes)} mixes"
         )
-    normalized: List[Optional[Tuple[float, ...]]] = []
-    for index, (mix, mix_ratios) in enumerate(zip(mixes, frequency_ratios)):
-        if mix_ratios is None:
-            normalized.append(None)
-            continue
-        ratios = tuple(float(r) for r in mix_ratios)
-        if len(ratios) != len(mix):
+    for index, (mix, ratios) in enumerate(zip(mixes, frequency_ratios)):
+        if ratios is not None and len(ratios) != len(mix):
             raise ConfigurationError(
                 f"frequency_ratios[{index}] has {len(ratios)} entries for a "
                 f"{len(mix)}-process mix"
             )
-        normalized.append(ratios)
-    return normalized
 
 
 # ----------------------------------------------------------------------
@@ -235,26 +229,24 @@ class ParallelPredictor:
                 per-process ratio sequence.
         """
         self._check_open()
-        normalized = [tuple(mix) for mix in mixes]
-        ratios = _normalize_mix_ratios(normalized, frequency_ratios)
+        _check_mix_ratios(mixes, frequency_ratios)
         observer = get_observer()
         if not observer.enabled:
-            return self._predict(normalized, ratios)
-        with observer.span("parallel.predict_mixes", mixes=len(normalized)):
-            results = self._predict(normalized, ratios)
-            observer.counter("parallel.mixes").inc(len(normalized))
+            return self._predict(mixes, frequency_ratios)
+        with observer.span("parallel.predict_mixes", mixes=len(mixes)):
+            results = self._predict(mixes, frequency_ratios)
+            observer.counter("parallel.mixes").inc(len(mixes))
             return results
 
     def _predict(
         self,
-        mixes: List[Tuple[str, ...]],
-        ratios: List[Optional[Tuple[float, ...]]],
+        mixes: Sequence[Sequence[str]],
+        ratios: Optional[Sequence[Optional[Sequence[float]]]],
     ) -> Tuple[CoRunPrediction, ...]:
         if not mixes:
             return ()
         return self._performance_model().predict_batch(
-            [list(n) for n in mixes],
-            frequency_ratios=[list(r) if r is not None else None for r in ratios],
+            mixes, frequency_ratios=ratios
         )
 
 

@@ -153,8 +153,7 @@ class PredictionResultCache:
             # Unit ratios are the model's ``None`` normalization: same
             # solve, same key — never fork the entry.
             return (digest, ways, canonical_mix(names))
-        order, _ = canonical_order(names, ratios)
-        return (digest, ways, tuple((names[i], ratios[i]) for i in order))
+        return (digest, ways, canonical_order(names, ratios)[0])
 
     def get(
         self,

@@ -1,10 +1,19 @@
 """Unit tests for the PerformanceModel façade."""
 
+import dataclasses
+import random
+
 import pytest
 
+from repro import api
+from repro.core.batch_equilibrium import BatchNewtonSolver
 from repro.core.equilibrium import BisectionSolver, NewtonSolver
 from repro.core.feature import FeatureVector
-from repro.core.performance_model import PerformanceModel
+from repro.core.performance_model import (
+    CoRunPrediction,
+    PerformanceModel,
+    ProcessPrediction,
+)
 from repro.errors import ConfigurationError
 from repro.workloads.spec import BENCHMARKS
 
@@ -146,3 +155,136 @@ class TestSolverInputs:
         assert after is not before
         assert after.beta == model.feature("mcf").beta
         assert len(model._inputs) == len(model.known_processes)
+
+
+#: The ten benchmarks and three clock ratios the batch tests draw from.
+BATCH_NAMES = tuple(sorted(BENCHMARKS))
+BATCH_RATIOS = (1.0, 0.8, 0.6)
+
+
+def _batch_features():
+    return [FeatureVector.oracle(BENCHMARKS[name], FREQ) for name in BATCH_NAMES]
+
+
+def _batch_model():
+    model = PerformanceModel(ways=16)
+    model.register_all(_batch_features())
+    return model
+
+
+def _mixed_batch(count, seed):
+    """Mixes shaped like the benchmark's batches: 2-8 names drawn with
+    replacement, every third mix with per-process clock ratios."""
+    rng = random.Random(seed)
+    mixes, ratios = [], []
+    for position in range(count):
+        names = [rng.choice(BATCH_NAMES) for _ in range(rng.randint(2, 8))]
+        mixes.append(names)
+        ratios.append(
+            [rng.choice(BATCH_RATIOS) for _ in names] if position % 3 == 0 else None
+        )
+    return mixes, ratios
+
+
+@pytest.fixture
+def solve_batch_calls(monkeypatch):
+    """The rows and results of every ``BatchNewtonSolver.solve_batch`` call."""
+    calls = []
+    original = BatchNewtonSolver.solve_batch
+
+    def spy(self, batch, total_ways):
+        results = original(self, batch, total_ways)
+        calls.append((batch, results))
+        return results
+
+    monkeypatch.setattr(BatchNewtonSolver, "solve_batch", spy)
+    return calls
+
+
+class TestBatchPricing:
+    """``predict_batch`` is a ``predict`` loop, one pass per mix."""
+
+    def _batch(self):
+        mixes, ratios = _mixed_batch(96, seed=3)
+        # The same (name, ratio) twice in one mix, and in later mixes.
+        mixes += [["mcf", "mcf", "art"], ["art", "mcf", "gzip"]]
+        ratios += [[0.8, 0.8, 1.0], [1.0, 0.8, 0.6]]
+        # Rows that do not stack: a solo run and an uncontended pair.
+        mixes += [["gzip"], ["gzip", "vpr"]]
+        ratios += [None, [0.6, 1.0]]
+        # A repeated uncached key, once as a permutation (deferred gets).
+        mixes += [["art", "mcf", "mcf"], ["mcf", "twolf"], ["twolf", "mcf"]]
+        ratios += [[1.0, 0.8, 0.8], None, [1.0, 1.0]]
+        # A key the cache already holds before the batch.
+        mixes += [["ammp", "equake"]]
+        ratios += [None]
+        return mixes, ratios
+
+    def test_matches_predict_loop(self, solve_batch_calls):
+        mixes, ratios = self._batch()
+        batch_model, loop_model = _batch_model(), _batch_model()
+        for model in (batch_model, loop_model):
+            model.predict(["ammp", "equake"])
+        batched = batch_model.predict_batch(mixes, ratios)
+        looped = tuple(loop_model.predict(m, r) for m, r in zip(mixes, ratios))
+        assert batched == looped
+        assert [hash(p) for p in batched] == [hash(p) for p in looped]
+        assert [p.to_dict() for p in batched] == [p.to_dict() for p in looped]
+        batch_stats, loop_stats = batch_model.cache_stats, loop_model.cache_stats
+        assert batch_stats.hits == loop_stats.hits
+        assert batch_stats.lookups == loop_stats.lookups
+        # The batch went through the stack, and not every row stacked.
+        ((_, results),) = solve_batch_calls
+        solvers = {r.telemetry.solver for r in results}
+        assert "batch_newton" in solvers
+        assert solvers - {"batch_newton"}
+
+    def test_records_are_frozen_dataclasses(self):
+        mixes, ratios = self._batch()
+        batched = _batch_model().predict_batch(mixes, ratios)
+        for prediction in batched:
+            assert type(prediction) is CoRunPrediction
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                prediction.solver = "other"
+            for process in prediction.processes:
+                assert type(process) is ProcessPrediction
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    process.spi = 0.0
+            built = CoRunPrediction(
+                processes=tuple(
+                    ProcessPrediction(p.name, p.effective_size, p.mpa, p.spi)
+                    for p in prediction.processes
+                ),
+                solver=prediction.solver,
+                contended=prediction.contended,
+            )
+            assert dataclasses.asdict(prediction) == dataclasses.asdict(built)
+
+    def test_api_records_are_frozen_dataclasses(self):
+        mixes, ratios = self._batch()
+        suite = api.ProfileSuiteResult(
+            machine="", features={f.name: f for f in _batch_features()}, profiles={}
+        )
+        records = api.predict_mixes(mixes, suite, ways=16, frequency_ratios=ratios)
+        for mix, record in zip(mixes, records):
+            assert type(record) is api.MixPrediction
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                record.ways = 8
+            built = api.MixPrediction(
+                ways=16, names=tuple(mix), prediction=record.prediction
+            )
+            assert record == built
+            assert hash(record) == hash(built)
+            assert dataclasses.asdict(record) == dataclasses.asdict(built)
+
+    def test_one_solver_input_per_name_and_ratio(self, solve_batch_calls):
+        mixes, ratios = _mixed_batch(512, seed=11)
+        _batch_model().predict_batch(mixes, ratios)
+        ((rows, _),) = solve_batch_calls
+        pairs = {
+            (name, ratio)
+            for mix, mix_ratios in zip(mixes, ratios)
+            for name, ratio in zip(mix, mix_ratios or [1.0] * len(mix))
+        }
+        inputs = {id(process) for row in rows for process in row}
+        assert len(inputs) == len(pairs) <= 30
