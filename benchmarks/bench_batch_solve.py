@@ -17,7 +17,7 @@ Two things are pinned:
   its batch of 64 amortizes less and its smaller repeat count is
   noisier on shared CI cores).  This is a one-core
   comparison: the win is vectorization, not parallelism, so it holds
-  on CI runners where the process pool cannot help.  The mixed-width
+  on single-core CI runners.  The mixed-width
   batch has its own floors, ``MIXED_FLOOR``: a mix of fewer processes
   is cheaper for the scalar loop but costs the stack a full-width row.
 

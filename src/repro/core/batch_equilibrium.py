@@ -868,10 +868,14 @@ class BatchNewtonSolver:
         # the exact same Python floats as per-row ``.tolist()``) and the
         # frozen-dataclass ``__init__``, whose per-field
         # ``object.__setattr__`` calls alone cost more than the rest of
-        # the loop.  ``__dict__.update`` on a bare instance produces
+        # the loop.  Item assignment into a bare instance's ``__dict__``
+        # (the idiom of ``PerformanceModel._restore``) produces
         # field-for-field identical objects (``==``/``hash`` read the
-        # same attributes) at less than half the cost; every field is
-        # assigned explicitly, defaults included.
+        # same attributes) at about a quarter of the cost; every field is
+        # assigned explicitly, defaults included, in declaration order.
+        # It beats ``__dict__.update`` on both counts: the keyword call
+        # costs more per row, and the updated dict stops sharing its
+        # keys with the class's other instances, which doubles its size.
         real = ~pad
         sizes_it = iter(closed[real].tolist())
         mpas_it = iter(mpas[real].tolist())
@@ -884,24 +888,22 @@ class BatchNewtonSolver:
         for row, k_r in zip(solved.tolist(), ks.tolist()):
             iterations = conv_l[row]
             telemetry = new(SolverTelemetry)
-            telemetry.__dict__.update(
-                strategy="auto",
-                solver=batch_name,
-                jacobian="analytic",
-                iterations=iterations,
-                residual_norm=norm_l[row],
-                warm_started=False,
-                fallback_reason=None,
-            )
+            fields = telemetry.__dict__
+            fields["strategy"] = "auto"
+            fields["solver"] = batch_name
+            fields["jacobian"] = "analytic"
+            fields["iterations"] = iterations
+            fields["residual_norm"] = norm_l[row]
+            fields["warm_started"] = False
+            fields["fallback_reason"] = None
             result = new(EquilibriumResult)
-            result.__dict__.update(
-                sizes=tuple(islice(sizes_it, k_r)),
-                mpas=tuple(islice(mpas_it, k_r)),
-                spis=tuple(islice(spis_it, k_r)),
-                solver=scalar_name,
-                iterations=iterations,
-                contended=True,
-                telemetry=telemetry,
-            )
+            fields = result.__dict__
+            fields["sizes"] = tuple(islice(sizes_it, k_r))
+            fields["mpas"] = tuple(islice(mpas_it, k_r))
+            fields["spis"] = tuple(islice(spis_it, k_r))
+            fields["solver"] = scalar_name
+            fields["iterations"] = iterations
+            fields["contended"] = True
+            fields["telemetry"] = telemetry
             results[members[row]] = result
         return unsolved

@@ -359,14 +359,25 @@ class PerformanceModel:
         Args:
             mixes: Co-run combinations, each a sequence of names.
             frequency_ratios: Optional per-mix ratio sequences (one
-                entry per mix; ``None`` entries mean homogeneous).
+                entry per mix; ``None`` entries mean homogeneous, any
+                other entry has one ratio per process of its mix).
         """
         from repro.core.batch_equilibrium import BATCH_MIN_STACK
 
         if frequency_ratios is None:
             frequency_ratios = [None] * len(mixes)
-        elif len(frequency_ratios) != len(mixes):
-            raise ConfigurationError("frequency_ratios must have one entry per mix")
+        else:
+            if len(frequency_ratios) != len(mixes):
+                raise ConfigurationError(
+                    f"frequency_ratios must have one entry per mix: got "
+                    f"{len(frequency_ratios)} for {len(mixes)} mixes"
+                )
+            for index, (mix, ratios) in enumerate(zip(mixes, frequency_ratios)):
+                if ratios is not None and len(ratios) != len(mix):
+                    raise ConfigurationError(
+                        f"frequency_ratios[{index}] has {len(ratios)} entries "
+                        f"for a {len(mix)}-process mix"
+                    )
         if len(mixes) < BATCH_MIN_STACK or get_observer().enabled:
             return tuple(
                 self.predict(mix, ratios)

@@ -91,7 +91,6 @@ def run_pairwise_validation(
     context: "ExperimentContext",
     cores: Tuple[int, int] = (0, 1),
     pairs: Optional[Sequence[Tuple[str, str]]] = None,
-    workers: Optional[int] = None,
 ) -> Table1Result:
     """Run the pairwise co-run validation on cache-sharing cores.
 
@@ -100,17 +99,12 @@ def run_pairwise_validation(
         cores: Two cores sharing a last-level cache.
         pairs: Pairs to evaluate; defaults to all unordered pairs of
             the context's suite.
-        workers: Fan the ground-truth simulations out over this many
-            worker processes.  Each pair keeps the exact seed the
-            serial path derives from its index, so the measurements
-            are bit-identical to serial execution (the pairs collect
-            no power, so no meter state is shared between runs).
     """
     model = context.performance_model()
     if pairs is None:
         pairs = pairs_with_replacement(context.benchmark_names)
     pairs = list(pairs)
-    measurements = _ground_truth_runs(context, cores, pairs, workers)
+    measurements = _ground_truth_runs(context, cores, pairs)
     cases: List[PairCase] = []
     for index, (left, right) in enumerate(pairs):
         result = measurements[index]
@@ -173,30 +167,8 @@ def _ground_truth_runs(
     context: "ExperimentContext",
     cores: Tuple[int, int],
     pairs: Sequence[Tuple[str, str]],
-    workers: Optional[int],
 ):
-    """Measured results for every pair, serial or fanned out.
-
-    The parallel path reproduces the serial seeds exactly —
-    ``context.seed + 7_771 * (index + 1)`` is what
-    ``ExperimentContext.run_assignment(seed_offset=index)`` uses — so
-    both paths return bit-identical measurements.
-    """
-    if workers is not None and workers > 1 and len(pairs) > 1:
-        from repro.parallel import SimulationTask, simulate_assignments
-
-        tasks = [
-            SimulationTask(
-                machine=context.machine,
-                assignment={cores[0]: (left,), cores[1]: (right,)},
-                sets=context.sets,
-                seed=context.seed + 7_771 * (index + 1),
-                scale=context.run_scale,
-                collect_power=False,
-            )
-            for index, (left, right) in enumerate(pairs)
-        ]
-        return list(simulate_assignments(tasks, workers=workers))
+    """Measured results for every pair, each run under its own seed."""
     return [
         context.run_assignment(
             {cores[0]: [left], cores[1]: [right]},
@@ -205,26 +177,3 @@ def _ground_truth_runs(
         )
         for index, (left, right) in enumerate(pairs)
     ]
-
-
-@dataclass(frozen=True)
-class SecondMachineResult:
-    """The §6.2 text result: average SPI error on the second machine."""
-
-    machine: str
-    pairs: int
-    avg_spi_error_pct: float
-    avg_mpa_error_pct: float
-
-
-def run_second_machine(context: "ExperimentContext") -> SecondMachineResult:
-    """Validate on the 2-core laptop with the 10-benchmark suite."""
-    table = run_pairwise_validation(context)
-    spi_errors = [c.spi_error_pct for c in table.cases]
-    mpa_errors = [c.mpa_error_pct for c in table.cases]
-    return SecondMachineResult(
-        machine=context.machine,
-        pairs=len(set(c.pair for c in table.cases)),
-        avg_spi_error_pct=float(np.mean(spi_errors)),
-        avg_mpa_error_pct=float(np.mean(mpa_errors)),
-    )

@@ -36,7 +36,7 @@ The CLI exposes the same machinery via ``--trace FILE`` and
 from __future__ import annotations
 
 import contextlib
-from typing import Dict, Iterator, Optional, Union
+from typing import Dict, Iterator, Union
 
 from repro.obs.metrics import (
     Counter,
@@ -130,28 +130,6 @@ class Observer:
         from repro.io import sanitize_non_finite, save_json
 
         save_json(sanitize_non_finite(self.metrics_dict()), path)
-
-    # ------------------------------------------------------------------
-    # Cross-process merge (repro.parallel)
-    # ------------------------------------------------------------------
-    def absorb(
-        self,
-        trace_document: Optional[Dict] = None,
-        metrics_document: Optional[Dict] = None,
-        parent_span_id: Optional[int] = None,
-    ) -> None:
-        """Merge a worker observer's exported documents into this one.
-
-        Worker spans are re-identified and nested under
-        ``parent_span_id`` (typically the parent's batch span);
-        counters add, gauges take the worker value, histograms fold.
-        """
-        if trace_document is not None:
-            self.tracer.absorb(
-                trace_document.get("spans", []), parent_id=parent_span_id
-            )
-        if metrics_document is not None:
-            self.metrics.absorb(metrics_document)
 
 
 class _NullObserver(Observer):

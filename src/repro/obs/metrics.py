@@ -140,19 +140,6 @@ class Histogram:
     def mean(self) -> float:
         return self.total / self.count if self.count else 0.0
 
-    def absorb(self, document: Dict) -> None:
-        """Fold another histogram's exported summary into this one."""
-        count = int(document.get("count", 0))
-        if count <= 0:
-            return
-        self.count += count
-        self.total += float(document.get("sum", 0.0))
-        low, high = document.get("min"), document.get("max")
-        if low is not None and float(low) < self.min:
-            self.min = float(low)
-        if high is not None and float(high) > self.max:
-            self.max = float(high)
-
     def to_dict(self) -> Dict:
         return {
             "count": self.count,
@@ -225,21 +212,6 @@ class MetricsRegistry:
             self._counters.clear()
             self._gauges.clear()
             self._histograms.clear()
-
-    def absorb(self, document: Dict) -> None:
-        """Merge another registry's exported document into this one.
-
-        Counters add, gauges take the absorbed (later) value, and
-        histograms fold their streaming summaries together — the
-        merge the :mod:`repro.parallel` pools apply when worker
-        metrics return to the parent process.
-        """
-        for name, value in document.get("counters", {}).items():
-            self.counter(name).inc(float(value))
-        for name, value in document.get("gauges", {}).items():
-            self.gauge(name).set(float(value))
-        for name, summary in document.get("histograms", {}).items():
-            self.histogram(name).absorb(summary)
 
     def to_dict(self) -> Dict:
         """Self-describing plain-JSON document of every metric."""

@@ -17,7 +17,7 @@ from __future__ import annotations
 import logging
 import threading
 import time
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 TRACE_FORMAT_VERSION = 1
 
@@ -170,38 +170,3 @@ class Tracer:
                 "version": TRACE_FORMAT_VERSION,
                 "spans": [span.to_dict() for span in self._finished],
             }
-
-    def absorb(
-        self, spans: Sequence[Dict], parent_id: Optional[int] = None
-    ) -> None:
-        """Graft exported span records into this tracer.
-
-        ``spans`` is the ``spans`` list of another tracer's
-        :meth:`to_dict` document (e.g. from a worker process of a
-        :mod:`repro.parallel` process pool).  Every record gets a
-        fresh id from this tracer's counter; links *within* the batch
-        are preserved via an old→new id map, and roots of the absorbed
-        forest are re-parented under ``parent_id`` so a worker's spans
-        nest below the parent's batch span.
-        """
-        with self._lock:
-            # Two passes: children finish (and are recorded) before
-            # their parents, so every id must be mapped before any
-            # parent link is resolved.
-            id_map: Dict[int, int] = {}
-            grafted: List[Span] = []
-            for record in spans:
-                span = Span(self, record.get("name", ""), dict(record.get("attributes", {})))
-                span.span_id = self._next_id
-                self._next_id += 1
-                old_id = record.get("id")
-                if old_id is not None:
-                    id_map[old_id] = span.span_id
-                span.start_s = record.get("start_s", 0.0)
-                span.wall_s = record.get("wall_s", 0.0)
-                span.cpu_s = record.get("cpu_s", 0.0)
-                span.status = record.get("status", "ok")
-                grafted.append(span)
-            for record, span in zip(spans, grafted):
-                span.parent_id = id_map.get(record.get("parent_id"), parent_id)
-                self._finished.append(span)

@@ -2,13 +2,13 @@
 
 One master seed fans out into many independent streams: per-process
 trace generators, per-core scheduler jitter, per-domain replacement
-policies, the power meter, and — with the :mod:`repro.parallel`
-simulation fan-out — one stream per task.  Child seeds used to be
-derived affinely (``seed * 1_000_003 + pid`` for generators,
-``seed * 7_919 + core`` for schedulers, ``seed + idx`` for policies),
-which collides across domains for small master seeds: seed 0 hands
-process 0, core 0 and cache domain 0 the *same* raw seed 0, so their
-"independent" streams are byte-identical.
+policies, the power meter, per-phase generators and the fleet
+assignment search.  Child seeds used to be derived affinely
+(``seed * 1_000_003 + pid`` for generators, ``seed * 7_919 + core``
+for schedulers, ``seed + idx`` for policies), which collides across
+domains for small master seeds: seed 0 hands process 0, core 0 and
+cache domain 0 the *same* raw seed 0, so their "independent" streams
+are byte-identical.
 
 Every consumer now derives its seed from the
 :class:`numpy.random.SeedSequence` tree instead.  Each stream is the
@@ -26,8 +26,6 @@ accept arbitrary-size ints.
 
 from __future__ import annotations
 
-from typing import Tuple
-
 import numpy as np
 
 from repro.errors import ConfigurationError
@@ -39,7 +37,8 @@ STREAM_SCHEDULER = 1  #: per-core timeslice jitter (index: core id)
 STREAM_POLICY = 2  #: per-domain replacement policies (index: domain)
 STREAM_METER = 3  #: the power meter of one machine (index: 0)
 STREAM_PHASE = 4  #: per-phase generators inside one process (index: phase)
-STREAM_TASK = 5  #: per-task streams of a parallel batch (index: task)
+# Domain 5 is unused: STREAM_FLEET stays 6 so fleet searches keep
+# their seeds.
 STREAM_FLEET = 6  #: fleet assignment search (index: restart / chain id)
 
 
@@ -70,19 +69,3 @@ def stream_seed(seed: int, *key: int) -> int:
     the old affine derivation made them.
     """
     return _sequence_to_int(spawn_sequence(seed, *key))
-
-
-def task_seeds(seed: int, count: int) -> Tuple[int, ...]:
-    """``count`` independent per-task seeds for one batch.
-
-    Uses ``SeedSequence.spawn`` on the batch's :data:`STREAM_TASK`
-    child, so task ``i`` of a batch always receives the same seed
-    regardless of chunking, worker count or completion order — the
-    invariant behind the simulation fan-out's serial ≡ parallel
-    guarantee —
-    while different task indices get provably independent streams.
-    """
-    if count < 0:
-        raise ConfigurationError("count must be non-negative")
-    root = spawn_sequence(seed, STREAM_TASK)
-    return tuple(_sequence_to_int(child) for child in root.spawn(count))

@@ -271,89 +271,6 @@ class TestOutOfOrderClose:
         assert any("not on the tracer stack" in r.message for r in caplog.records)
 
 
-class TestTracerAbsorb:
-    def _worker_doc(self):
-        tracer = Tracer()
-        with tracer.span("root", worker=1):
-            with tracer.span("child"):
-                pass
-        return tracer.to_dict()
-
-    def test_ids_remapped_and_links_preserved(self):
-        parent = Tracer()
-        with parent.span("occupy-ids"):
-            pass
-        doc = self._worker_doc()
-        parent.absorb(doc["spans"])
-        by_name = {s.name: s for s in parent.finished}
-        ids = [s.span_id for s in parent.finished]
-        assert len(set(ids)) == len(ids)  # no collisions with local spans
-        assert by_name["child"].parent_id == by_name["root"].span_id
-        assert by_name["root"].attributes == {"worker": 1}
-
-    def test_roots_reparented_under_given_span(self):
-        parent = Tracer()
-        with parent.span("batch") as batch:
-            pass
-        parent.absorb(self._worker_doc()["spans"], parent_id=batch.span_id)
-        by_name = {s.name: s for s in parent.finished}
-        assert by_name["root"].parent_id == batch.span_id
-        assert by_name["child"].parent_id == by_name["root"].span_id
-
-    def test_timings_and_status_carried_over(self):
-        doc = self._worker_doc()
-        doc["spans"][0]["status"] = "error"
-        parent = Tracer()
-        parent.absorb(doc["spans"])
-        by_name = {s.name: s for s in parent.finished}
-        assert by_name["child"].status == "error"
-        assert by_name["child"].wall_s == doc["spans"][0]["wall_s"]
-
-
-class TestMetricsAbsorb:
-    def test_merge_semantics(self):
-        a, b = MetricsRegistry(), MetricsRegistry()
-        a.counter("n").inc(2)
-        b.counter("n").inc(3)
-        b.counter("only_b").inc(1)
-        a.gauge("g").set(1.0)
-        b.gauge("g").set(9.0)
-        for value in (1.0, 5.0):
-            a.histogram("h").observe(value)
-        b.histogram("h").observe(-2.0)
-        a.absorb(b.to_dict())
-        doc = a.to_dict()
-        assert doc["counters"] == {"n": 5.0, "only_b": 1.0}
-        assert doc["gauges"] == {"g": 9.0}  # absorbed value wins
-        assert doc["histograms"]["h"]["count"] == 3
-        assert doc["histograms"]["h"]["sum"] == 4.0
-        assert doc["histograms"]["h"]["min"] == -2.0
-        assert doc["histograms"]["h"]["max"] == 5.0
-
-    def test_empty_histogram_does_not_pollute(self):
-        a, b = MetricsRegistry(), MetricsRegistry()
-        a.histogram("h").observe(3.0)
-        b.histogram("h")  # created, never observed
-        a.absorb(b.to_dict())
-        assert a.to_dict()["histograms"]["h"]["count"] == 1
-
-    def test_observer_absorb_combines_trace_and_metrics(self):
-        worker = Observer()
-        with worker.span("work"):
-            worker.counter("done").inc()
-        parent = Observer()
-        with parent.span("batch") as batch:
-            pass
-        parent.absorb(
-            trace_document=worker.trace_dict(),
-            metrics_document=worker.metrics_dict(),
-            parent_span_id=batch.span_id,
-        )
-        spans = {s.name: s for s in parent.tracer.finished}
-        assert spans["work"].parent_id == batch.span_id
-        assert parent.metrics_dict()["counters"]["done"] == 1.0
-
-
 class TestWriterSanitization:
     """Exports must stay loadable even when attributes go non-finite."""
 

@@ -1,29 +1,19 @@
 """Unit tests for repro.parallel.
 
 The batch predictor's results are *bit-identical* to a scalar
-``PerformanceModel.predict`` loop over a cold-start cache.  The
-process pool behind simulations returns the same results for any
-worker count, chunking or scheduling order, gives every task an
-independent RNG stream, and merges worker observer telemetry
-losslessly into the parent.  These tests check each
-guarantee with 2-worker pools (small enough for CI machines).
+``PerformanceModel.predict`` loop over a cold-start cache, with and
+without per-mix frequency ratios.
 """
 
 import pytest
 
 from repro import obs
 from repro.api import predict_mix, predict_mixes
-from repro.config import SimulationScale
 from repro.core.feature import FeatureVector
 from repro.core.performance_model import PerformanceModel
 from repro.core.solver_cache import EquilibriumCache
 from repro.errors import ConfigurationError
-from repro.parallel import (
-    ParallelPredictor,
-    SimulationTask,
-    predict_mixes as batch_predict,
-    simulate_assignments,
-)
+from repro.parallel import ParallelPredictor, predict_mixes as batch_predict
 from repro.workloads.spec import BENCHMARKS
 
 NAMES = ["mcf", "gzip", "art", "vpr"]
@@ -42,15 +32,6 @@ RATIOS = [
     [0.7, 0.7],
     [0.8, 1.0],
 ]
-
-TINY_SCALE = SimulationScale(
-    warmup_accesses=1_000,
-    measure_accesses=3_000,
-    warmup_s=0.002,
-    measure_s=0.006,
-    hpc_period_s=0.0008,
-    timeslice_s=0.0005,
-)
 
 
 @pytest.fixture(scope="module")
@@ -185,116 +166,6 @@ class TestFacade:
             assert result.names == tuple(mix)
             assert result.ways == 8
             assert result.prediction == predict_mix(mix, suite, ways=8).prediction
-
-
-class TestSimulateAssignments:
-    def _tasks(self):
-        return [
-            SimulationTask(
-                machine="4-core-server",
-                assignment={0: ("mcf",), 1: ("gzip",)},
-                sets=64,
-                scale=TINY_SCALE,
-            ),
-            SimulationTask(
-                machine="4-core-server",
-                assignment={0: ("mcf",), 1: ("gzip",)},
-                sets=64,
-                scale=TINY_SCALE,
-            ),
-            SimulationTask(
-                machine="2-core-workstation",
-                assignment={0: ("art",)},
-                sets=64,
-                scale=TINY_SCALE,
-            ),
-        ]
-
-    @staticmethod
-    def _key(result):
-        return [
-            (p.name, p.core, p.mpa, p.spi, p.occupancy_ways, p.l2_refs)
-            for p in result.processes
-        ]
-
-    def test_parallel_bit_equals_serial(self):
-        tasks = self._tasks()
-        serial = simulate_assignments(tasks, workers=1, seed=7)
-        parallel = simulate_assignments(tasks, workers=2, seed=7, chunk_size=1)
-        assert [self._key(r) for r in serial] == [self._key(r) for r in parallel]
-
-    def test_task_indices_get_independent_streams(self):
-        """The same task at different batch indices draws differently."""
-        results = simulate_assignments(self._tasks()[:2], workers=1, seed=7)
-        assert self._key(results[0]) != self._key(results[1])
-
-    def test_explicit_seed_pins_the_run(self):
-        task = SimulationTask(
-            machine="4-core-server",
-            assignment={0: ("mcf",), 1: ("gzip",)},
-            sets=64,
-            seed=123,
-            scale=TINY_SCALE,
-        )
-        a = simulate_assignments([task], workers=1)
-        b = simulate_assignments([task, task], workers=2)
-        assert self._key(a[0]) == self._key(b[0]) == self._key(b[1])
-
-    def test_order_preserved_with_mixed_machines(self):
-        results = simulate_assignments(self._tasks(), workers=2, seed=1)
-        assert results[0].topology_name == results[1].topology_name
-        assert results[2].topology_name != results[0].topology_name
-        assert [p.name for p in results[2].processes] == ["art"]
-
-    def test_unknown_names_rejected_before_spawning(self):
-        with pytest.raises(ConfigurationError, match="unknown benchmark"):
-            simulate_assignments(
-                [
-                    SimulationTask(
-                        machine="4-core-server", assignment={0: ("nosuch",)}
-                    )
-                ],
-                workers=2,
-            )
-        with pytest.raises(ConfigurationError, match="unknown machine"):
-            simulate_assignments(
-                [SimulationTask(machine="nosuch", assignment={0: ("mcf",)})],
-                workers=2,
-            )
-
-    def test_observer_absorbs_worker_simulations(self):
-        observer = obs.Observer()
-        with obs.use_observer(observer):
-            simulate_assignments(self._tasks()[:2], workers=2, seed=3)
-        spans = observer.trace_dict()["spans"]
-        batch = [s for s in spans if s["name"] == "parallel.simulate"]
-        assert len(batch) == 1
-        sims = [s for s in spans if s["name"] == "simulate"]
-        assert len(sims) == 2
-        assert {s["parent_id"] for s in sims} == {batch[0]["id"]}
-        counters = observer.metrics_dict()["counters"]
-        assert counters["parallel.simulations"] == 2
-        assert counters["sim.accesses"] > 0
-
-
-class TestTable1Workers:
-    def test_pairwise_validation_parallel_matches_serial(self):
-        from repro.experiments.context import ExperimentContext
-        from repro.experiments.table1 import run_pairwise_validation
-
-        context = ExperimentContext(
-            sets=64,
-            benchmark_names=("mcf", "gzip"),
-            profile_scale=TINY_SCALE,
-            run_scale=TINY_SCALE,
-        )
-        pairs = [("mcf", "gzip"), ("gzip", "gzip")]
-        serial = run_pairwise_validation(context, pairs=pairs)
-        parallel = run_pairwise_validation(context, pairs=pairs, workers=2)
-        assert serial.cases == parallel.cases
-        assert [r.__dict__ for r in serial.rows] == [
-            r.__dict__ for r in parallel.rows
-        ]
 
 
 class TestFrequencyRatios:

@@ -20,10 +20,8 @@ from repro.seeding import (
     STREAM_POLICY,
     STREAM_PROCESS,
     STREAM_SCHEDULER,
-    STREAM_TASK,
     spawn_sequence,
     stream_seed,
-    task_seeds,
 )
 
 ALL_DOMAINS = (
@@ -32,7 +30,6 @@ ALL_DOMAINS = (
     STREAM_POLICY,
     STREAM_METER,
     STREAM_PHASE,
-    STREAM_TASK,
 )
 
 
@@ -107,45 +104,3 @@ class TestSpawnSequence:
         b = np.random.default_rng(stream_seed(0, STREAM_PROCESS, 1)).random(64)
         assert not np.allclose(a, b)
         assert abs(float(np.corrcoef(a, b)[0, 1])) < 0.5
-
-
-class TestTaskSeeds:
-    def test_pinned_values(self):
-        assert task_seeds(7, 2) == (
-            201016096644731914203725224309140886507,
-            211578089983004107134440573639966753685,
-        )
-
-    def test_deterministic_prefix(self):
-        """Growing the batch never re-seeds earlier tasks."""
-        assert task_seeds(7, 8)[:2] == task_seeds(7, 2)
-
-    def test_all_distinct(self):
-        seeds = task_seeds(0, 256)
-        assert len(set(seeds)) == 256
-
-    def test_task_seeds_are_addressed_task_streams(self):
-        """spawn() children coincide with direct STREAM_TASK addressing,
-        so a single task's stream can be recreated without materialising
-        its siblings."""
-        assert task_seeds(0, 8) == tuple(
-            stream_seed(0, STREAM_TASK, i) for i in range(8)
-        )
-
-    def test_disjoint_from_other_domains(self):
-        others = (
-            STREAM_PROCESS,
-            STREAM_SCHEDULER,
-            STREAM_POLICY,
-            STREAM_METER,
-            STREAM_PHASE,
-        )
-        overlap = set(task_seeds(0, 64)) & {
-            stream_seed(0, domain, i) for domain in others for i in range(64)
-        }
-        assert not overlap
-
-    def test_count_validation(self):
-        assert task_seeds(1, 0) == ()
-        with pytest.raises(ConfigurationError):
-            task_seeds(1, -1)
